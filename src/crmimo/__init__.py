@@ -12,6 +12,7 @@ from .linkstats import (
     Geometry,
     LinkStats,
     effective_mean_y,
+    hypoexp_ccdf,
     mean_max_iid,
     mean_max_inid,
     mean_sum_inid,
@@ -19,16 +20,13 @@ from .linkstats import (
     sum_density_inid,
 )
 from .mcharness import (
-    ChannelDraw,
     DistributionCheck,
     McEstimate,
     empirical_leakage,
     empirical_outage,
     empirical_rate,
-    sample_channel,
     sample_stream_gains,
     zf_distribution_check,
-    zf_sinr,
 )
 from .outage import (
     AsymptoticSinr,
@@ -47,7 +45,6 @@ from .powalloc import (
     PowerSolution,
     RootFindingError,
     SystemConfig,
-    asymptotic_power,
     conventional_power,
     mean_power,
     optimal_power,
@@ -58,7 +55,6 @@ from .specfun import gamma, regularized_upper_gamma, upper_incomplete_gamma
 __all__ = [
     "AntennaPmf",
     "AsymptoticSinr",
-    "ChannelDraw",
     "DistributionCheck",
     "Geometry",
     "LeakageReport",
@@ -69,7 +65,6 @@ __all__ = [
     "RootFindingError",
     "SystemConfig",
     "antenna_pmf",
-    "asymptotic_power",
     "asymptotic_sinr",
     "average_ser_binary",
     "conventional_power",
@@ -79,6 +74,7 @@ __all__ = [
     "empirical_rate",
     "ergodic_capacity",
     "gamma",
+    "hypoexp_ccdf",
     "leakage_probability",
     "mean_max_iid",
     "mean_max_inid",
@@ -94,13 +90,11 @@ __all__ = [
     "received_power_cdf",
     "reduce_antennas",
     "regularized_upper_gamma",
-    "sample_channel",
     "sample_stream_gains",
     "solve_lambda",
     "sum_density_inid",
     "upper_incomplete_gamma",
     "zf_distribution_check",
-    "zf_sinr",
 ]
 
 __version__ = "0.1.0"

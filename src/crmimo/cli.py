@@ -96,8 +96,11 @@ class Scenario:
             if self.sweep.get("scale", "linear") not in ("linear", "log"):
                 raise ConfigError("sweep.scale: must be 'linear' or 'log'")
         mc = raw.get("mc", {})
-        self.trials = int(mc.get("trials", 100000))
-        self.seed = int(mc.get("seed", 0))
+        try:
+            self.trials = int(mc.get("trials", 100000))
+            self.seed = int(mc.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"mc: {exc}") from exc
         self.t_g = float(raw["t_g"]) if "t_g" in raw else None
         # fail fast on invalid base parameters
         self.build_point()
@@ -293,7 +296,7 @@ def cmd_rate(scenario, trials, seed, threads, fmt, out):
     return 0
 
 
-def cmd_power(scenario, fmt, out):
+def cmd_power(scenario, out):
     """Print the solved power allocation for a single-point scenario."""
     config, stats, _ = scenario.build_point()
     sol = powalloc.solve_lambda(config, stats)
@@ -308,12 +311,7 @@ def cmd_power(scenario, fmt, out):
         "mean_y": stats.mean_y,
         "mean_z": stats.mean_z,
     }
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_rows(list(record), [list(record.values())], "json", out)
     return 0
 
 
@@ -507,6 +505,17 @@ def cmd_validate(scenario, trials, seed, threads, fmt, out):
 # entry point
 # ---------------------------------------------------------------------------
 
+def _check_mc(trials, seed, points):
+    """Reject Monte-Carlo settings the estimators cannot use; sweep point i
+    draws with seed + i, so each of those seeds must be an unsigned 64-bit
+    integer."""
+    if trials < 1:
+        raise ConfigError(f"trials (--trials or mc.trials): must be >= 1, got {trials}")
+    if seed < 0 or seed + points > 1 << 64:
+        raise ConfigError(f"seed (--seed or mc.seed): seed + sweep index must lie "
+                          f"in [0, 2^64), got seed {seed} with {points} sweep points")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="crmimo",
@@ -536,10 +545,12 @@ def main(argv=None):
         if args.command == "validate":
             trials = args.trials if args.trials is not None else 200000
             seed = args.seed if args.seed is not None else 0
+            _check_mc(trials, seed, 1)
             return cmd_validate(scenario, trials, seed, args.threads,
                                 args.format, args.out)
         trials = args.trials if args.trials is not None else scenario.trials
         seed = args.seed if args.seed is not None else scenario.seed
+        _check_mc(trials, seed, len(scenario.sweep_values()))
         fmt = args.format
         if fmt is None:
             fmt = "csv" if scenario.sweep is not None else "json"
@@ -550,7 +561,7 @@ def main(argv=None):
         if args.command == "rate":
             return cmd_rate(scenario, trials, seed, args.threads, fmt, args.out)
         if args.command == "power":
-            return cmd_power(scenario, fmt, args.out)
+            return cmd_power(scenario, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,16 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  bench/tracer.py traces leakage.expm by name
 
-from .linkstats import ensure_distinct
+from .linkstats import hypoexp_ccdf
 from .mcharness import STREAM_ANTENNA, block_generator, block_sizes
 from .powalloc import optimal_power
-
-# The partial-fraction tail sum loses |max weight| * eps of absolute
-# accuracy to cancellation; beyond this weight size the exact bidiagonal
-# matrix exponential takes over.
-_PF_WEIGHT_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -46,36 +41,6 @@ class AntennaPmf:
     trials: int
 
 
-def _hypoexp_ccdf(thetas, q):
-    """Tail probability of a sum of independent exponentials with means
-    `thetas`, evaluated at q.
-
-    Uses the partial-fraction tail sum_i W_i exp(-q / theta_i) with
-    W_i = prod_{k != i} theta_i / (theta_i - theta_k) while the weights
-    stay benign; for many clustered stages the weights grow
-    combinatorially and cancel catastrophically, so the same quantity is
-    then computed through the exponential of the stage-chain generator.
-    """
-    th = np.asarray(thetas, dtype=float)
-    split = np.asarray(ensure_distinct(th))
-    diff = split[:, None] - split[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratios = split[:, None] / diff
-    np.fill_diagonal(ratios, 1.0)
-    w = np.prod(ratios, axis=1)
-    if np.max(np.abs(w)) <= _PF_WEIGHT_LIMIT:
-        return min(1.0, max(0.0, float(np.dot(w, np.exp(-q / split)))))
-    # negligible stages only stiffen the generator; dropping them shifts
-    # the sum by at most their total mean
-    th = th[th > 1e-12 * th.max()]
-    rates = 1.0 / th
-    m = th.size
-    gen = np.zeros((m, m))
-    np.fill_diagonal(gen, -rates)
-    gen[np.arange(m - 1), np.arange(1, m)] = rates[:-1]
-    return min(1.0, max(0.0, float(expm(gen * q)[0].sum())))
-
-
 def leakage_probability(powers, mean_y_per_pr, q):
     """Probability that every primary receiver sees aggregate interference
     above q:
@@ -84,9 +49,10 @@ def leakage_probability(powers, mean_y_per_pr, q):
 
     with W_i = prod_{k != i} p_i / (p_i - p_k): per receiver the aggregate
     is a sum of independent exponentials with means p_i E[Y^(j)], and the
-    partial-fraction weights depend on the powers only.  Antennas with
-    zero power are excluded; all-zero powers mean no transmission and no
-    leakage.
+    partial-fraction weights depend on the powers only.  Each tail is
+    `hypoexp_ccdf`, which takes the stage chain when the weights are too
+    large to trust.  Antennas with zero power are excluded; all-zero powers
+    mean no transmission and no leakage.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -98,7 +64,7 @@ def leakage_probability(powers, mean_y_per_pr, q):
         return 0.0
     total = 1.0
     for ey in mean_y_per_pr:
-        total *= _hypoexp_ccdf(p * ey, q)
+        total *= hypoexp_ccdf(q, p * ey)
     return total
 
 
@@ -137,8 +103,6 @@ def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     reduction on each draw.  Per-block keyed generators make the result
     independent of scheduling for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     counts = np.zeros(config.m + 1, dtype=np.int64)
     sum_l = 0.0
     sum_l2 = 0.0

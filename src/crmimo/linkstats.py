@@ -2,8 +2,10 @@
 
 Builds all average channel gains from node geometry via power-law path
 loss, and evaluates the order-statistics mean of the strongest
-secondary-to-primary link together with the hypoexponential statistics of
-the aggregate primary-to-secondary interference.
+secondary-to-primary link together with the hypoexponential law (mean,
+density and tail) of the aggregate primary-to-secondary interference.  This
+module is the only home of that law's partial-fraction weights, of the
+stage-chain matrix exponential and of the rule choosing between them.
 """
 
 import itertools
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import expm
 
 # Relative gap below which hypoexponential means count as tied, and the
 # multiplicative offset used to split them.  Partial-fraction weights are
@@ -20,6 +23,16 @@ import numpy as np
 # tolerance used downstream.
 TIE_REL_TOL = 1e-9
 TIE_OFFSET = 1e-7
+
+# Trust rule shared by every partial-fraction form of the hypoexponential
+# law: a weighted sum of exponentials loses about max|w| * eps of absolute
+# accuracy to cancellation, so beyond this weight magnitude callers switch
+# to an exact evaluation (the stage-chain matrix exponential here, direct
+# quadrature against the density in the outage mixture).  The tail and
+# density below sum in extended precision, so their absolute error stays
+# under 1e-12 + 100 eps_ext max|w| (about 1e-9 at the limit, 1e-14 on the
+# stage chain).
+PF_WEIGHT_LIMIT = 1e8
 
 
 def pathloss_gain(d, d_ref, alpha):
@@ -86,11 +99,73 @@ def hypoexp_weights(means):
     """Partial-fraction weights of a sum of independent exponentials.
 
     Returns (adjusted_means, weights) with w_k = prod_{j != k} m_k / (m_k - m_j);
-    near-tied means are first split per `ensure_distinct`.
+    near-tied means are first split per `ensure_distinct`.  The weighted
+    forms are trusted only while max|w_k| <= PF_WEIGHT_LIMIT.
     """
     ms = ensure_distinct(means)
     _, w = _pf_weights_extended(ms)
     return ms, [float(x) for x in w]
+
+
+def _trusted_weights(means):
+    """Split means and their weights, both in extended precision, when the
+    partial-fraction form is trusted (max|w| <= PF_WEIGHT_LIMIT); else None."""
+    ms, w = _pf_weights_extended(ensure_distinct(means))
+    return (ms, w) if np.max(np.abs(w)) <= PF_WEIGHT_LIMIT else None
+
+
+def _stage_chain(means, z):
+    """Row 0 of expm(G z) for the bidiagonal generator G of the stage chain
+    Exp(m_1) -> Exp(m_2) -> ...: the probability of being in each stage at
+    time z, exact for any tie structure; also returns the stage rates."""
+    th = np.asarray(means, dtype=float)
+    # negligible stages only stiffen the generator; dropping them shifts
+    # the sum by at most their total mean
+    th = th[th > 1e-12 * th.max()]
+    rates = 1.0 / th
+    m = th.size
+    gen = np.zeros((m, m))
+    np.fill_diagonal(gen, -rates)
+    gen[np.arange(m - 1), np.arange(1, m)] = rates[:-1]
+    return expm(gen * z)[0], rates
+
+
+def hypoexp_ccdf(q, means):
+    """Pr[sum of independent exponentials with the given means > q]:
+    sum_k w_k exp(-q / m_k) while the weights are trusted, else the total
+    occupancy of the stage chain at q."""
+    pf = _trusted_weights(means)
+    if pf is None:
+        val = _stage_chain(means, q)[0].sum()
+    else:
+        ms, w = pf
+        val = np.dot(w, np.exp(-q / ms))
+    return min(1.0, max(0.0, float(val)))
+
+
+def sum_density_inid(z, means):
+    """Density of a sum of independent exponentials with the given means:
+    f(z) = sum_k w_k exp(-z / m_k) / m_k while the weights are trusted,
+    else the absorption flow out of the last stage of the stage chain.
+    """
+    if z < 0:
+        raise ValueError(f"density argument must be >= 0, got {z}")
+    pf = _trusted_weights(means)
+    if pf is None:
+        occupancy, rates = _stage_chain(means, z)
+        val = occupancy[-1] * rates[-1]
+    else:
+        ms, w = pf
+        val = np.dot(w, np.exp(-z / ms) / ms)
+    return max(0.0, float(val))
+
+
+def mean_sum_inid(means):
+    """Mean of a sum of independent exponentials: sum(means), by linearity."""
+    ms = [float(m) for m in means]
+    if any(m <= 0 for m in ms):
+        raise ValueError(f"means must be strictly positive, got {ms}")
+    return math.fsum(ms)
 
 
 def mean_max_inid(means):
@@ -116,42 +191,13 @@ def mean_max_inid(means):
 
 
 def mean_max_iid(mean, l_r):
-    """E[max of l_r i.i.d. exponentials]:
-    l_r * mean * sum_{k=0}^{l_r-1} (-1)^k / (k+1)^2 * C(l_r-1, k).
-    """
+    """E[max of l_r i.i.d. exponentials] = mean * H_{l_r}, the harmonic
+    number (Renyi: the spacings of the order statistics are exponential)."""
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
     if l_r < 1 or l_r != int(l_r):
         raise ValueError(f"l_r must be a positive integer, got {l_r}")
-    l_r = int(l_r)
-    total = math.fsum(
-        (-1.0) ** k / (k + 1) ** 2 * math.comb(l_r - 1, k) for k in range(l_r)
-    )
-    return l_r * mean * total
-
-
-def mean_sum_inid(means):
-    """Mean of a hypoexponential sum via its partial-fraction weights.
-
-    Equals sum(means) by linearity; evaluating the weighted form keeps the
-    weights honest and is cross-checked against linearity in the tests.
-    The weighted sum cancels heavily, so it is accumulated in extended
-    precision.
-    """
-    ms = ensure_distinct(means)
-    arr, w = _pf_weights_extended(ms)
-    return float(np.sum(np.sort(w * arr)))
-
-
-def sum_density_inid(z, means):
-    """Density of a sum of independent exponentials with the given means:
-    f(z) = sum_k w_k exp(-z / m_k) / m_k.
-    """
-    if z < 0:
-        raise ValueError(f"density argument must be >= 0, got {z}")
-    ms, weights = hypoexp_weights(means)
-    val = math.fsum(w * math.exp(-z / m) / m for w, m in zip(weights, ms))
-    return max(0.0, val)
+    return mean * math.fsum(1.0 / k for k in range(1, int(l_r) + 1))
 
 
 @dataclass(frozen=True)
@@ -240,9 +286,7 @@ class LinkStats:
     @cached_property
     def mean_z(self):
         """E[aggregate interfering gain at the secondary receiver]."""
-        if self.iid_z:
-            return len(self.mean_z_per_pt) * self.mean_z_per_pt[0]
-        return mean_sum_inid(list(self.mean_z_per_pt))
+        return mean_sum_inid(self.mean_z_per_pt)
 
     @property
     def l_r(self):

@@ -1,9 +1,9 @@
 """Monte-Carlo ground truth for the closed forms.
 
 Samples full channel matrices, applies zero-forcing detection through the
-pseudo-inverse, and measures outage, rate and leakage empirically.  Trials
-are grouped into fixed-size blocks, each driven by a counter-based Philox
-generator keyed by (seed, stream id, block index), so estimates are
+inverse Gram matrix, and measures outage, rate and leakage empirically.
+Trials are grouped into fixed-size blocks, each driven by a counter-based
+Philox generator keyed by (seed, stream id, block index), so estimates are
 bit-identical for a given seed regardless of how many worker threads
 process the blocks.
 """
@@ -32,8 +32,6 @@ STREAM_KS_INT_REF = 6
 STREAM_ANTENNA = 7
 STREAM_GAINS = 8
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -43,25 +41,21 @@ class McEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization: desired channel h (n x m), interfering channel h_p
-    (n x l_t), and per-receiver interfering gains y (l_r x m)."""
-
-    h: np.ndarray
-    h_p: np.ndarray
-    y: np.ndarray
-
-
 def block_generator(seed, stream, block, retry=0):
     """Philox generator keyed by (seed, stream, retry, block); disjoint
-    streams for any distinct key tuple."""
-    key = ((int(seed) & _MASK64) << 64) | ((stream & 0xFF) << 56) \
+    streams for any distinct key tuple.  The seed must be an unsigned
+    64-bit integer: wider values would alias other seeds."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = (seed << 64) | ((stream & 0xFF) << 56) \
         | ((retry & 0xF) << 52) | (block & ((1 << 52) - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def block_sizes(trials):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
     if trials % BLOCK_TRIALS:
         sizes.append(trials % BLOCK_TRIALS)
@@ -93,36 +87,6 @@ def _complex_gaussian(rng, shape, variance):
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) * math.sqrt(variance / 2.0)
-
-
-def sample_channel(config, stats, rng):
-    """Draw one ChannelDraw matching the configured dimensions."""
-    h = _complex_gaussian(rng, (config.n, config.m), stats.mean_x)
-    h_p = np.empty((config.n, config.l_t), dtype=complex)
-    for k, ez in enumerate(stats.mean_z_per_pt):
-        h_p[:, k] = _complex_gaussian(rng, (config.n,), ez)
-    y = np.empty((config.l_r, config.m))
-    for j, ey in enumerate(stats.mean_y_per_pr):
-        y[j, :] = rng.exponential(ey, size=config.m)
-    return ChannelDraw(h=h, h_p=h_p, y=y)
-
-
-def zf_sinr(draw, powers, config):
-    """Per-stream SINR of the zero-forcing detector via the explicit
-    pseudo-inverse of h diag(sqrt(p)):
-
-        sinr_i = 1 / (p_p ||row_i(G+) h_p||^2 + n0 ||row_i(G+)||^2).
-    """
-    p = np.asarray(powers, dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("zf_sinr requires strictly positive powers for included streams")
-    g = draw.h * np.sqrt(p)[None, :]
-    gp = np.linalg.pinv(g)
-    row2 = np.sum(np.abs(gp) ** 2, axis=1)
-    denom = config.n0 * row2
-    if draw.h_p.shape[1] > 0:
-        denom = denom + config.p_p * np.sum(np.abs(gp @ draw.h_p) ** 2, axis=1)
-    return 1.0 / denom
 
 
 def _stream_stats_block(config, stats, seed, stream, block, size):

@@ -14,17 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import expm
 
-from .linkstats import hypoexp_weights
+from .linkstats import PF_WEIGHT_LIMIT, hypoexp_weights, sum_density_inid
 from .powalloc import LN2
 from .specfun import regularized_upper_gamma
 
 _MAX_LOG_TERM = 700.0
-
-# beyond this weight magnitude the closed form cancels past float64 and the
-# interference mixture is integrated numerically instead
-_PF_WEIGHT_LIMIT = 1e8
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 
@@ -54,17 +49,6 @@ def received_power_cdf(x, sol, config, stats):
 # core mixed-over-interference evaluators
 # ---------------------------------------------------------------------------
 
-def _interference_density(z, means):
-    """Hypoexponential density through the stage-chain generator, stable for
-    any tie structure (absorption flow out of the last stage)."""
-    rates = 1.0 / np.asarray(means, dtype=float)
-    m = rates.size
-    gen = np.zeros((m, m))
-    np.fill_diagonal(gen, -rates)
-    gen[np.arange(m - 1), np.arange(1, m)] = rates[:-1]
-    return float(expm(gen * z)[0, -1] * rates[-1])
-
-
 def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     """Pr[stream power CDF argument below threshold], mixed over the
     interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
@@ -76,7 +60,7 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
 
     def integrand(z):
         return ((1.0 - regularized_upper_gamma(n_terms, a * z + bn))
-                * _interference_density(z, means))
+                * sum_density_inid(z, means))
 
     cut = 80.0 * float(np.max(means))
     mid = 8.0 * float(np.sum(means))
@@ -101,7 +85,7 @@ def _mixed_outage_inid(a, bn, n_terms, z_means):
     if a == 0.0:
         return 1.0 - regularized_upper_gamma(n_terms, bn)
     ms, weights = hypoexp_weights(list(z_means))
-    if max(abs(w) for w in weights) > _PF_WEIGHT_LIMIT:
+    if max(abs(w) for w in weights) > PF_WEIGHT_LIMIT:
         return _mixed_outage_quadrature(a, bn, n_terms, z_means)
     log_a = math.log(a)
     log_bn = math.log(bn)

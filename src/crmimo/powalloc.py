@@ -2,7 +2,7 @@
 
 Solves the average-interference-constrained rate maximization for the
 common Lagrangian multiplier and exposes the per-stream water-filling
-rule, the conventional fixed allocation, and its large-array limit.
+rule and the conventional fixed allocation.
 """
 
 import math
@@ -44,8 +44,9 @@ class SystemConfig:
         if self.l_r < 1 or self.l_r != int(self.l_r):
             raise ValueError("SystemConfig.l_r must be an integer >= 1")
         for name in ("p_p", "p_max", "q", "gamma_th", "n0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"SystemConfig.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"SystemConfig.{name} must be finite and positive, got {value}")
 
     @property
     def diversity_order(self):
@@ -72,12 +73,6 @@ class PowerSolution:
 def conventional_power(config, stats):
     """Fixed per-stream power min(q / (m E[Y]), p_max / m)."""
     return min(config.q / (config.m * stats.mean_y), config.p_max / config.m)
-
-
-def asymptotic_power(config, stats):
-    """Deterministic per-stream power in the many-receive-antenna limit;
-    coincides with the conventional fixed allocation."""
-    return conventional_power(config, stats)
 
 
 def mean_power(lam, config, stats):

@@ -215,7 +215,7 @@ def test_criterion_7_large_array_limits():
     sol = cr.solve_lambda(config, stats)
     gains = cr.sample_stream_gains(config, stats, 10 ** 6, seed=700)
     mc_mean = float(np.mean(cr.optimal_power(gains, sol)))
-    asym = cr.asymptotic_power(config, stats)
+    asym = cr.conventional_power(config, stats)
     power_dev = abs(mc_mean - asym) / asym
     assert power_dev <= 0.02
 

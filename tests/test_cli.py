@@ -91,6 +91,36 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
+    sweep = {"parameter": "d_st_pr", "start": 40.0, "stop": 80.0, "steps": 3}
+    path = write_scenario(tmp_path, base_scenario(sweep=sweep))
+    # the last sweep point would draw with seed 2^64
+    for flags in (["--trials", "0"], ["--seed", "-1"], ["--seed", str(2 ** 64 - 2)]):
+        assert main(["outage", "--config", path] + flags) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert main(["outage", "--config", path, "--seed", str(2 ** 64 - 3),
+                 "--trials", "1000", "--out", str(tmp_path / "ok.csv")]) == 0
+    for mc in ({"trials": 0, "seed": 1}, {"trials": 100, "seed": 2 ** 64},
+               {"trials": "many", "seed": 1}):
+        path = write_scenario(tmp_path, base_scenario(mc=mc))
+        assert main(["outage", "--config", path]) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert main(["validate", "--seed", str(2 ** 64)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_power_command_output_bytes(tmp_path, capsys):
+    # the single-point record is written through the shared JSON writer
+    path = str(SCENARIOS / "outage_vs_pr_distance.json")
+    out = tmp_path / "power.json"
+    assert main(["power", "--config", path, "--out", str(out)]) == 0
+    text = out.read_text()
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert main(["power", "--config", path]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_single_point_json_output(tmp_path, capsys):
     path = write_scenario(tmp_path, base_scenario())
     out = tmp_path / "point.json"

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from crmimo.leakage import (
-    _hypoexp_ccdf,
-    antenna_pmf,
-    leakage_probability,
-    reduce_antennas,
-)
-from crmimo.linkstats import Geometry, LinkStats
+from crmimo.leakage import antenna_pmf, leakage_probability, reduce_antennas
+from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf
 from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
 
@@ -73,7 +68,7 @@ def test_stable_tail_matches_partial_fractions_and_sampling():
     for _ in range(20):
         th = rng.uniform(0.05, 2.0, size=rng.integers(1, 7))
         q = rng.uniform(0.5, 2.0) * th.sum()
-        pf = _hypoexp_ccdf(th, q)
+        pf = hypoexp_ccdf(q, th)
         draws = rng.exponential(th, size=(100000, th.size)).sum(axis=1)
         emp = float(np.mean(draws > q))
         se = math.sqrt(max(emp * (1 - emp), 1e-12) / draws.shape[0])
@@ -81,7 +76,7 @@ def test_stable_tail_matches_partial_fractions_and_sampling():
     # a clustered 24-stage tail (partial fractions would cancel to garbage)
     th = rng.uniform(0.1, 0.5, size=24)
     q = th.sum() * 1.2
-    val = _hypoexp_ccdf(th, q)
+    val = hypoexp_ccdf(q, th)
     draws = rng.exponential(th, size=(200000, th.size)).sum(axis=1)
     emp = float(np.mean(draws > q))
     se = math.sqrt(emp * (1 - emp) / draws.shape[0])

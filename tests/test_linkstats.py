@@ -1,15 +1,20 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo.linkstats import (
+    PF_WEIGHT_LIMIT,
     Geometry,
     LinkStats,
     effective_mean_y,
     ensure_distinct,
+    hypoexp_ccdf,
     hypoexp_weights,
     mean_max_iid,
     mean_max_inid,
@@ -188,3 +193,120 @@ def test_means_match_monte_carlo():
         se_sum = emp_sum.std(ddof=1) / math.sqrt(len(emp_sum))
         assert abs(mean_max_inid(list(means)) - emp_max.mean()) <= 3 * se_max
         assert abs(mean_sum_inid(list(means)) - emp_sum.mean()) <= 3 * se_sum
+
+
+# ---------------------------------------------------------------------------
+# high-precision oracles
+# ---------------------------------------------------------------------------
+
+ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def stage_chain_oracle(means, z):
+    """(ccdf, pdf) at z of a sum of independent exponentials, from the stage
+    chain Exp(m_1) -> Exp(m_2) -> ... in 40-digit arithmetic.
+
+    Uniformization: with L the largest rate, expm(G z) = sum_k Pois(k; L z)
+    P^k for the substochastic P = I + G / L, so every term is nonnegative
+    and no cancellation occurs; the series stops once the Poisson tail
+    falls below 1e-30.
+    """
+    with mpmath.workdps(40):
+        rates = [1 / mpmath.mpf(m) for m in means]
+        big = max(rates)
+        x = big * mpmath.mpf(z)
+        stay = [1 - r / big for r in rates]
+        move = [r / big for r in rates]
+        occ = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(rates) - 1)
+        pk, mass, ccdf, last, k = mpmath.exp(-x), 0, 0, 0, 0
+        while k <= x or 1 - mass > mpmath.mpf(10) ** -30:
+            ccdf += pk * mpmath.fsum(occ)
+            last += pk * occ[-1]
+            mass += pk
+            occ = [occ[0] * stay[0]] + [occ[j] * stay[j] + occ[j - 1] * move[j - 1]
+                                        for j in range(1, len(occ))]
+            k += 1
+            pk *= x / k
+        return float(ccdf), float(last * rates[-1])
+
+
+# log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%, far
+# outside the tie-splitting tolerance, so the oracle sees the same law
+GRID = [0.2 * 25.0 ** (i / 999) for i in range(1000)]
+
+
+@st.composite
+def hypoexp_case(draw):
+    """(means, q): 1-64 spread or near-tied (0.1% spacing) means, in random
+    order, and a threshold between 5% and 200% of their sum."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, len(GRID) - 1), min_size=n,
+                            max_size=n, unique=True))
+        means = [GRID[i] for i in idx]
+    else:
+        base = draw(st.floats(0.2, 5.0))
+        means = draw(st.permutations([base * (1 + 1e-3 * k) for k in range(n)]))
+    return means, draw(st.floats(0.05, 2.0)) * math.fsum(means)
+
+
+def hypoexp_tolerance(means):
+    """1e-12 absolute, plus the cancellation error of the partial-fraction
+    sum where it is trusted: about max|w| extended-precision epsilons."""
+    _, w = hypoexp_weights(means)
+    big = max(abs(x) for x in w)
+    return 1e-12 + (100 * float(np.finfo(np.longdouble).eps) * big
+                    if big <= PF_WEIGHT_LIMIT else 0.0)
+
+
+def test_stage_chain_oracle_matches_mpmath_expm():
+    for means, z in (([1.0, 2.0], 1.0), ([0.5, 0.6, 1.3, 2.0, 0.1], 2.3),
+                     ([1.0 + 1e-3 * k for k in range(6)], 5.0)):
+        with mpmath.workdps(40):
+            rates = [1 / mpmath.mpf(m) for m in means]
+            gen = mpmath.zeros(len(means))
+            for i, r in enumerate(rates):
+                gen[i, i] = -r
+                if i + 1 < len(means):
+                    gen[i, i + 1] = r
+            row = mpmath.expm(gen * z)[0, :]
+            want = (float(mpmath.fsum(row)), float(row[len(means) - 1] * rates[-1]))
+        assert stage_chain_oracle(means, z) == pytest.approx(want, rel=1e-15)
+    assert stage_chain_oracle([1.0, 2.0], 1.0)[1] == pytest.approx(HYPO_DENSITY_1, rel=1e-15)
+
+
+@ORACLE
+@given(hypoexp_case())
+@example(([1.0 + 1e-3 * k for k in range(16)], 12.0))    # max|w| 6e36
+@example(([0.2 + 0.01 * k for k in range(40)], 30.0))    # max|w| 3e28
+@example(([1.0, 1.0002, 1.0004], 0.3))                   # max|w| 2.5e7
+@example(([1.0, 1.001, 1.002], 1.5))                     # max|w| 1e6
+def test_hypoexp_ccdf_and_density_match_oracle(case):
+    means, q = case
+    ccdf, pdf = stage_chain_oracle(means, q)
+    tol = hypoexp_tolerance(means)
+    assert abs(hypoexp_ccdf(q, means) - ccdf) <= tol
+    assert abs(sum_density_inid(q, means) - pdf) * math.fsum(means) <= tol
+
+
+@ORACLE
+@given(st.one_of(
+    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=64),
+    st.builds(lambda base, n: [base * (1 + 1e-3 * k) for k in range(n)],
+              st.floats(1e-3, 1e3), st.integers(1, 64))))
+def test_mean_sum_matches_exact_sum(means):
+    with mpmath.workdps(40):
+        exact = float(mpmath.fsum(mpmath.mpf(m) for m in means))
+    assert mean_sum_inid(means) == pytest.approx(exact, rel=1e-12)
+
+
+@ORACLE
+@given(st.floats(1e-3, 1e3), st.integers(1, 64))
+@example(1.0, 60)
+def test_mean_max_iid_matches_inclusion_exclusion_oracle(mean, l_r):
+    # E[max] = mean * sum_k (-1)^(k+1) C(l_r, k) / k, cancelling by up to
+    # 2^64, so evaluated with 60 digits
+    with mpmath.workdps(60):
+        exact = mpmath.mpf(mean) * mpmath.fsum(
+            (-1) ** (k + 1) * mpmath.binomial(l_r, k) / k for k in range(1, l_r + 1))
+    assert mean_max_iid(mean, l_r) == pytest.approx(float(exact), rel=1e-12)

@@ -1,25 +1,75 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import (
-    ChannelDraw,
+    STREAM_OUTAGE,
+    _stream_stats_block,
     block_generator,
     empirical_leakage,
     empirical_outage,
     empirical_rate,
-    sample_channel,
     sample_stream_gains,
     zf_distribution_check,
-    zf_sinr,
 )
 from crmimo.outage import ergodic_capacity, received_power_cdf
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
+
+
+# ---------------------------------------------------------------------------
+# per-draw zero-forcing reference: the oracle of the batched block statistics
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChannelDraw:
+    """One realization: desired channel h (n x m), interfering channel h_p
+    (n x l_t), and per-receiver interfering gains y (l_r x m)."""
+
+    h: np.ndarray
+    h_p: np.ndarray
+    y: np.ndarray
+
+
+def complex_gaussian(rng, shape, variance):
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) * math.sqrt(variance / 2.0)
+
+
+def sample_channel(config, stats, rng):
+    """Draw one ChannelDraw matching the configured dimensions."""
+    h = complex_gaussian(rng, (config.n, config.m), stats.mean_x)
+    h_p = np.empty((config.n, config.l_t), dtype=complex)
+    for k, ez in enumerate(stats.mean_z_per_pt):
+        h_p[:, k] = complex_gaussian(rng, (config.n,), ez)
+    y = np.empty((config.l_r, config.m))
+    for j, ey in enumerate(stats.mean_y_per_pr):
+        y[j, :] = rng.exponential(ey, size=config.m)
+    return ChannelDraw(h=h, h_p=h_p, y=y)
+
+
+def zf_sinr(draw, powers, config):
+    """Per-stream SINR of the zero-forcing detector via the explicit
+    pseudo-inverse of h diag(sqrt(p)):
+
+        sinr_i = 1 / (p_p ||row_i(G+) h_p||^2 + n0 ||row_i(G+)||^2).
+    """
+    p = np.asarray(powers, dtype=float)
+    if np.any(p <= 0):
+        raise ValueError("zf_sinr requires strictly positive powers for included streams")
+    g = draw.h * np.sqrt(p)[None, :]
+    gp = np.linalg.pinv(g)
+    row2 = np.sum(np.abs(gp) ** 2, axis=1)
+    denom = config.n0 * row2
+    if draw.h_p.shape[1] > 0:
+        denom = denom + config.p_p * np.sum(np.abs(gp @ draw.h_p) ** 2, axis=1)
+    return 1.0 / denom
 
 
 def anchor_setup():
@@ -91,6 +141,47 @@ def test_sample_channel_dimensions_and_moments():
     assert h2 == pytest.approx(stats.mean_x, rel=0.05)
     y1 = np.mean([d.y.mean() for d in draws])
     assert y1 == pytest.approx(stats.mean_y_per_pr[0], rel=0.05)
+
+
+def test_batched_block_matches_per_draw_zf():
+    # rebuild one block's channels in the batched draw order (all desired
+    # channels, then all unit-variance interfering channels scaled per
+    # transmitter) and run each through the per-draw pseudo-inverse chain
+    geom = Geometry(d_st_sr=22.0, d_pt_sr=(50.0, 65.0, 80.0), d_st_pr=(60.0,))
+    stats = LinkStats.from_geometry(geom)
+    config = SystemConfig(m=3, n=5, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    seed, block, size = 17, 2, 64
+    x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size)
+    rng = block_generator(seed, STREAM_OUTAGE, block)
+    h = complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
+    hp = complex_gaussian(rng, (size, config.n, config.l_t), 1.0)
+    hp = hp * np.sqrt(np.asarray(stats.mean_z_per_pt))[None, None, :]
+    batched = x_gain / (config.p_p * z + config.n0)
+    for t in range(size):
+        draw = ChannelDraw(h=h[t], h_p=hp[t], y=np.ones((config.l_r, config.m)))
+        sinr = zf_sinr(draw, np.ones(config.m), config)
+        assert np.allclose(batched[t], sinr, rtol=1e-10, atol=0.0)
+
+
+def test_zero_trials_rejected():
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    with pytest.raises(ValueError, match="trials"):
+        empirical_outage(config, stats, sol, trials=0, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        empirical_rate(config, stats, sol, trials=0, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        empirical_leakage([1.0], [1.0], 1.0, trials=0, seed=1)
+
+
+def test_seed_outside_u64_rejected():
+    top = 2 ** 64 - 1
+    a = block_generator(top, 1, 0).standard_normal(4)
+    assert not np.array_equal(a, block_generator(0, 1, 0).standard_normal(4))
+    for bad in (2 ** 64, -1, 2 ** 65 + 3):
+        with pytest.raises(ValueError, match="seed"):
+            block_generator(bad, 1, 0)
 
 
 def test_empirical_outage_extremes():
