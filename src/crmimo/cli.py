@@ -49,10 +49,38 @@ def _need(mapping, key, path):
     return mapping[key]
 
 
+def _section(raw, key, required=True):
+    """The object `raw[key]` as a dict; None when absent and optional."""
+    if not required and key not in raw:
+        return None
+    value = _need(raw, key, "scenario")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object, got {value!r}")
+    return dict(value)
+
+
+def _number(value, path, kind=float):
+    """`value` as a finite float, or as an int when kind is int."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return number
+
+
+def _field(mapping, key, path, kind=float):
+    """The required number mapping[key]."""
+    return _number(_need(mapping, key, path), f"{path}.{key}", kind)
+
+
 def _as_list(value, length, path):
     if isinstance(value, (int, float)):
-        return [float(value)] * length
-    vals = [float(v) for v in value]
+        return [_number(value, path)] * length
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a number or a list, got {value!r}")
+    vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if len(vals) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(vals)}")
     return vals
@@ -65,25 +93,19 @@ class Scenario:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("scenario: top level must be an object")
-        system = _need(raw, "system", "scenario")
-        self.system = {
-            "m": int(_need(system, "m", "system")),
-            "n": int(_need(system, "n", "system")),
-            "l_t": int(_need(system, "l_t", "system")),
-            "l_r": int(_need(system, "l_r", "system")),
-            "p_p_db": float(_need(system, "p_p_db", "system")),
-            "p_max_db": float(_need(system, "p_max_db", "system")),
-            "q_db": float(_need(system, "q_db", "system")),
-            "gamma_th_db": float(_need(system, "gamma_th_db", "system")),
-            "n0": float(system.get("n0", 1.0)),
-        }
+        system = _section(raw, "system")
+        self.system = {key: _field(system, key, "system", int)
+                       for key in ("m", "n", "l_t", "l_r")}
+        for key in ("p_p_db", "p_max_db", "q_db", "gamma_th_db"):
+            self.system[key] = _field(system, key, "system")
+        self.system["n0"] = _number(system.get("n0", 1.0), "system.n0")
         has_geom = "geometry" in raw
         has_means = "means" in raw
         if has_geom == has_means:
             raise ConfigError("scenario: exactly one of 'geometry' or 'means' must be present")
-        self.geometry = dict(raw["geometry"]) if has_geom else None
-        self.means = dict(raw["means"]) if has_means else None
-        self.sweep = dict(raw["sweep"]) if "sweep" in raw else None
+        self.geometry = _section(raw, "geometry", required=False)
+        self.means = _section(raw, "means", required=False)
+        self.sweep = _section(raw, "sweep", required=False)
         if self.sweep is not None:
             param = _need(self.sweep, "parameter", "sweep")
             if param not in SWEEPABLE:
@@ -91,18 +113,14 @@ class Scenario:
                                   f"(choose from {', '.join(SWEEPABLE)})")
             if param in _GEOM_PARAMS and not has_geom:
                 raise ConfigError(f"sweep.parameter: {param!r} requires a geometry block")
-            for key in ("start", "stop", "steps"):
-                _need(self.sweep, key, "sweep")
             if self.sweep.get("scale", "linear") not in ("linear", "log"):
                 raise ConfigError("sweep.scale: must be 'linear' or 'log'")
-        mc = raw.get("mc", {})
-        try:
-            self.trials = int(mc.get("trials", 100000))
-            self.seed = int(mc.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"mc: {exc}") from exc
-        self.t_g = float(raw["t_g"]) if "t_g" in raw else None
+        mc = _section(raw, "mc", required=False) or {}
+        self.trials = _number(mc.get("trials", 100000), "mc.trials", int)
+        self.seed = _number(mc.get("seed", 0), "mc.seed", int)
+        self.t_g = _number(raw["t_g"], "t_g") if "t_g" in raw else None
         # fail fast on invalid base parameters
+        self.sweep_values()
         self.build_point()
 
     @classmethod
@@ -119,13 +137,16 @@ class Scenario:
     def sweep_values(self):
         if self.sweep is None:
             return [None]
-        start, stop = float(self.sweep["start"]), float(self.sweep["stop"])
-        steps = int(self.sweep["steps"])
+        start = _field(self.sweep, "start", "sweep")
+        stop = _field(self.sweep, "stop", "sweep")
+        steps = _field(self.sweep, "steps", "sweep", int)
         if steps < 1:
             raise ConfigError("sweep.steps: must be >= 1")
         if steps == 1:
             vals = [start]
         elif self.sweep.get("scale", "linear") == "log":
+            if start <= 0 or stop <= 0:
+                raise ConfigError("sweep.start, sweep.stop: must be > 0 on a log scale")
             vals = [float(v) for v in np.geomspace(start, stop, steps)]
         else:
             vals = [float(v) for v in np.linspace(start, stop, steps)]
@@ -166,24 +187,26 @@ class Scenario:
         try:
             if geom is not None:
                 g = Geometry(
-                    d_st_sr=float(_need(geom, "d_st_sr", "geometry")),
+                    d_st_sr=_field(geom, "d_st_sr", "geometry"),
                     d_pt_sr=_as_list(_need(geom, "d_pt_sr", "geometry"),
                                      config.l_t, "geometry.d_pt_sr"),
                     d_st_pr=_as_list(_need(geom, "d_st_pr", "geometry"),
                                      config.l_r, "geometry.d_st_pr"),
-                    d_ref=float(geom.get("d_ref", 100.0)),
-                    alpha=float(geom.get("alpha", 4.0)),
+                    d_ref=_number(geom.get("d_ref", 100.0), "geometry.d_ref"),
+                    alpha=_number(geom.get("alpha", 4.0), "geometry.alpha"),
                 )
                 stats = LinkStats.from_geometry(g)
             else:
                 m = self.means
                 stats = LinkStats.from_means(
-                    float(_need(m, "mean_x", "means")),
+                    _field(m, "mean_x", "means"),
                     _as_list(_need(m, "mean_y_per_pr", "means"), config.l_r, "means.mean_y_per_pr"),
                     _as_list(_need(m, "mean_z_per_pt", "means"), config.l_t, "means.mean_z_per_pt"),
                     iid_y=m.get("iid_y"),
                     iid_z=m.get("iid_z"),
                 )
+        except ConfigError:
+            raise
         except ValueError as exc:
             block = "geometry" if geom is not None else "means"
             raise ConfigError(f"{block}: {exc}") from exc
@@ -347,7 +370,7 @@ def run_validation(trials, seed, threads):
         checks.append({"name": name, "tolerance": tolerance,
                        "observed": observed, "pass": bool(ok)})
 
-    from .specfun import upper_incomplete_gamma
+    from .specfun import regularized_upper_gamma, upper_incomplete_gamma
 
     # elementary identities of the gamma kernel
     xs = np.geomspace(1e-6, 50, 40)
@@ -377,12 +400,10 @@ def run_validation(trials, seed, threads):
         err = max(err, abs(val - oracle) / oracle)
     record("linkstats.max_oracle", 1e-9, err, err <= 1e-9)
 
-    err = 0.0
-    for _ in range(200):
-        means = rng.uniform(0.1, 10.0, size=rng.integers(1, 7))
-        total = sum(means)
-        err = max(err, abs(linkstats.mean_sum_inid(list(means)) - total) / total)
-    record("linkstats.sum_linearity", 1e-10, err, err <= 1e-10)
+    # k tied means m make the sum an Erlang: tail Q(k, q / m)
+    err = max(abs(linkstats.hypoexp_ccdf(x * m, [m] * k) - regularized_upper_gamma(k, x))
+              for m in (0.3, 2.5) for k in range(1, 7) for x in (0.1, 1.0, 4.0, 15.0))
+    record("linkstats.tied_tail", 1e-12, err, err <= 1e-12)
 
     err = 0.0
     for means in ([1.0, 2.5], [0.5, 1.5, 4.0]):

@@ -5,7 +5,9 @@ loss, and evaluates the order-statistics mean of the strongest
 secondary-to-primary link together with the hypoexponential law (mean,
 density and tail) of the aggregate primary-to-secondary interference.  This
 module is the only home of that law's partial-fraction weights, of the
-stage-chain matrix exponential and of the rule choosing between them.
+stage-chain matrix exponential and of the rule choosing between them: partial
+fractions for distinct means with bounded weights, the stage chain (exact at
+ties) otherwise.  Means are never perturbed.
 """
 
 import itertools
@@ -16,22 +18,15 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-# Relative gap below which hypoexponential means count as tied, and the
-# multiplicative offset used to split them.  Partial-fraction weights are
-# undefined at exact ties; splitting at 1e-7 perturbs any derived mean or
-# probability by O(1e-7) relative, which is far inside every Monte-Carlo
-# tolerance used downstream.
-TIE_REL_TOL = 1e-9
-TIE_OFFSET = 1e-7
-
 # Trust rule shared by every partial-fraction form of the hypoexponential
-# law: a weighted sum of exponentials loses about max|w| * eps of absolute
-# accuracy to cancellation, so beyond this weight magnitude callers switch
-# to an exact evaluation (the stage-chain matrix exponential here, direct
-# quadrature against the density in the outage mixture).  The tail and
-# density below sum in extended precision, so their absolute error stays
-# under 1e-12 + 100 eps_ext max|w| (about 1e-9 at the limit, 1e-14 on the
-# stage chain).
+# law: the weights are undefined when two means are equal, and a weighted
+# sum of exponentials loses about max|w| * eps of absolute accuracy to
+# cancellation, so at an exact tie or beyond this weight magnitude callers
+# switch to an evaluation that is valid for any tie structure (the
+# stage-chain matrix exponential here, direct quadrature against the density
+# in the outage mixture).  The tail and density below sum in extended
+# precision, so their absolute error stays under 1e-12 + 100 eps_ext max|w|
+# (about 1e-9 at the limit, 1e-14 on the stage chain).
 PF_WEIGHT_LIMIT = 1e8
 
 
@@ -44,74 +39,23 @@ def pathloss_gain(d, d_ref, alpha):
     return (d / d_ref) ** (-alpha)
 
 
-def ensure_distinct(values, rel_tol=TIE_REL_TOL, offset=TIE_OFFSET):
-    """Return a copy of `values` with near-ties split multiplicatively.
-
-    Entries whose sorted-neighbour relative gap is below `rel_tol` are
-    scaled by distinct factors (1 + offset), (1 + 2*offset), ... so that
-    partial-fraction expansions stay well defined.  Original ordering is
-    preserved.
-    """
-    vals = [float(v) for v in values]
-    if any(v <= 0 for v in vals):
-        raise ValueError(f"means must be strictly positive, got {vals}")
-    if len(vals) < 2:
-        return vals
-    scale = offset
-    for _ in range(20):
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        out = list(vals)
-        groups = []
-        current = [order[0]]
-        for prev, idx in zip(order, order[1:]):
-            if vals[idx] - vals[prev] <= rel_tol * vals[idx]:
-                current.append(idx)
-            else:
-                groups.append(current)
-                current = [idx]
-        groups.append(current)
-        for group in groups:
-            if len(group) > 1:
-                for rank, idx in enumerate(group):
-                    out[idx] = vals[idx] * (1.0 + scale * (rank + 1))
-        # a perturbed value may collide with a close non-tied neighbour;
-        # widen the offsets and retry in that (rare) case
-        srt = sorted(out)
-        if all(b - a > rel_tol * b for a, b in zip(srt, srt[1:])):
-            return out
-        scale *= 1.7
-    raise ArithmeticError(f"could not separate near-tied means {values}")
-
-
-def _pf_weights_extended(ms):
-    """w_k = prod_{j != k} m_k / (m_k - m_j) in extended precision; the
-    products are individually benign but the weights reach magnitudes where
-    float64 rounding would dominate their later cancellations."""
-    arr = np.asarray(ms, dtype=np.longdouble)
-    diff = arr[:, None] - arr[None, :]
+def trusted_pf_weights(means):
+    """Means and partial-fraction weights w_k = prod_{j != k} m_k / (m_k - m_j),
+    both in extended precision, when the partial-fraction form is trusted;
+    None when two means are equal or max|w| > PF_WEIGHT_LIMIT.  The products
+    are individually benign but the weights reach magnitudes where float64
+    rounding would dominate their later cancellations."""
+    ms = np.asarray(means, dtype=np.longdouble)
+    if not ms.min() > 0:
+        raise ValueError(f"means must be strictly positive, got {[float(m) for m in ms]}")
+    diff = ms[:, None] - ms[None, :]
     np.fill_diagonal(diff, 1.0)
-    ratios = arr[:, None] / diff
+    if not diff.all():
+        return None
+    ratios = ms[:, None] / diff
     np.fill_diagonal(ratios, 1.0)
-    return arr, np.prod(ratios, axis=1)
-
-
-def hypoexp_weights(means):
-    """Partial-fraction weights of a sum of independent exponentials.
-
-    Returns (adjusted_means, weights) with w_k = prod_{j != k} m_k / (m_k - m_j);
-    near-tied means are first split per `ensure_distinct`.  The weighted
-    forms are trusted only while max|w_k| <= PF_WEIGHT_LIMIT.
-    """
-    ms = ensure_distinct(means)
-    _, w = _pf_weights_extended(ms)
-    return ms, [float(x) for x in w]
-
-
-def _trusted_weights(means):
-    """Split means and their weights, both in extended precision, when the
-    partial-fraction form is trusted (max|w| <= PF_WEIGHT_LIMIT); else None."""
-    ms, w = _pf_weights_extended(ensure_distinct(means))
-    return (ms, w) if np.max(np.abs(w)) <= PF_WEIGHT_LIMIT else None
+    w = ratios.prod(axis=1)
+    return (ms, w) if abs(w).max() <= PF_WEIGHT_LIMIT else None
 
 
 def _stage_chain(means, z):
@@ -132,9 +76,9 @@ def _stage_chain(means, z):
 
 def hypoexp_ccdf(q, means):
     """Pr[sum of independent exponentials with the given means > q]:
-    sum_k w_k exp(-q / m_k) while the weights are trusted, else the total
-    occupancy of the stage chain at q."""
-    pf = _trusted_weights(means)
+    sum_k w_k exp(-q / m_k) while the weights are trusted, else (ties
+    included) the total occupancy of the stage chain at q."""
+    pf = trusted_pf_weights(means)
     if pf is None:
         val = _stage_chain(means, q)[0].sum()
     else:
@@ -146,11 +90,12 @@ def hypoexp_ccdf(q, means):
 def sum_density_inid(z, means):
     """Density of a sum of independent exponentials with the given means:
     f(z) = sum_k w_k exp(-z / m_k) / m_k while the weights are trusted,
-    else the absorption flow out of the last stage of the stage chain.
+    else (ties included) the absorption flow out of the last stage of the
+    stage chain.
     """
     if z < 0:
         raise ValueError(f"density argument must be >= 0, got {z}")
-    pf = _trusted_weights(means)
+    pf = trusted_pf_weights(means)
     if pf is None:
         occupancy, rates = _stage_chain(means, z)
         val = occupancy[-1] * rates[-1]

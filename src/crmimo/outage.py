@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .linkstats import PF_WEIGHT_LIMIT, hypoexp_weights, sum_density_inid
+from .linkstats import sum_density_inid, trusted_pf_weights
 from .powalloc import LN2
 from .specfun import regularized_upper_gamma
 
@@ -53,8 +53,9 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     """Pr[stream power CDF argument below threshold], mixed over the
     interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
 
-    Same quantity as the closed form; used when the partial-fraction
-    weights are too large for a trustworthy cancellation.
+    Same quantity as the closed form, valid for any tie structure; used
+    when the partial-fraction weights are undefined (tied means) or too
+    large for a trustworthy cancellation.
     """
     means = np.asarray(z_means, dtype=float)
 
@@ -79,18 +80,20 @@ def _mixed_outage_inid(a, bn, n_terms, z_means):
 
     This is the interference-mixed Erlang tail with the incomplete-gamma
     series folded in; each (l, k) term is formed as sign * exp(log term).
-    Heavily tied means make the split weights cancel past float64; the
-    mixture is then integrated numerically instead.
+    Where `linkstats` does not trust the weights (tied means, or weights
+    that would cancel past float64) the mixture is integrated numerically
+    instead.
     """
     if a == 0.0:
         return 1.0 - regularized_upper_gamma(n_terms, bn)
-    ms, weights = hypoexp_weights(list(z_means))
-    if max(abs(w) for w in weights) > PF_WEIGHT_LIMIT:
+    pf = trusted_pf_weights(z_means)
+    if pf is None:
         return _mixed_outage_quadrature(a, bn, n_terms, z_means)
+    weights = pf[1].astype(float).tolist()
     log_a = math.log(a)
     log_bn = math.log(bn)
     acc = []
-    for mk, wk in zip(ms, weights):
+    for mk, wk in zip(z_means, weights):
         beta = a + 1.0 / mk
         log_beta = math.log(beta)
         log_v = log_beta + log_bn - log_a
@@ -154,8 +157,8 @@ def _cdf_coefficients(config, stats, sol, gamma_th):
 # ---------------------------------------------------------------------------
 
 def outage_general(config, stats, sol, gamma_th=None):
-    """Exact outage for arbitrary (distinct) per-transmitter interference
-    means; near-ties are split per the shared tie policy."""
+    """Exact outage for arbitrary per-transmitter interference means; tied
+    means are integrated by quadrature, so no mean is perturbed."""
     g = config.gamma_th if gamma_th is None else gamma_th
     a, bn = _cdf_coefficients(config, stats, sol, g)
     p = _mixed_outage_inid(a, bn, config.diversity_order, stats.mean_z_per_pt)

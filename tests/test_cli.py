@@ -79,6 +79,10 @@ def test_sweep_values_scales():
     raw = base_scenario(sweep={"parameter": "m_n", "start": 4, "stop": 64,
                                "steps": 5, "scale": "log"})
     assert Scenario(raw).sweep_values() == [4, 8, 16, 32, 64]
+    raw = base_scenario(sweep={"parameter": "q_db", "start": -3.0,
+                               "stop": 10.0, "steps": 5, "scale": "log"})
+    with pytest.raises(ConfigError, match="log scale"):
+        Scenario(raw)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -107,6 +111,27 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
     assert main(["validate", "--seed", str(2 ** 64)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("system.m", "four"),
+    ("t_g", "tight"),
+    ("geometry.d_st_sr", None),
+    ("sweep.steps", "many"),
+    ("mc", "fast"),
+    ("system.p_p_db", float("nan")),
+    ("geometry.d_st_pr", [60.0, "far"]),
+])
+def test_malformed_values_exit_code(tmp_path, capsys, field, value):
+    raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
+                               "stop": 80.0, "steps": 3})
+    *blocks, key = field.split(".")
+    section = raw[blocks[0]] if blocks else raw
+    section[key] = value
+    path = write_scenario(tmp_path, raw)
+    assert main(["outage", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and field in err
 
 
 def test_power_command_output_bytes(tmp_path, capsys):

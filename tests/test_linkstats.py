@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo.linkstats import (
-    PF_WEIGHT_LIMIT,
     Geometry,
     LinkStats,
     effective_mean_y,
-    ensure_distinct,
     hypoexp_ccdf,
-    hypoexp_weights,
     mean_max_iid,
     mean_max_inid,
     mean_sum_inid,
     pathloss_gain,
     sum_density_inid,
+    trusted_pf_weights,
 )
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
@@ -125,17 +123,22 @@ def test_density_nonnegative_and_normalized():
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_tie_splitting():
-    vals = ensure_distinct([1.0, 1.0, 1.0])
-    assert len(set(vals)) == 3
-    assert all(abs(v - 1.0) < 1e-6 for v in vals)
-    # near-tie below the relative threshold is split too
-    vals = ensure_distinct([2.0, 2.0 * (1 + 1e-12)])
-    assert abs(vals[0] - vals[1]) > 1e-9 * vals[0]
-    # distinct values pass through untouched
-    assert ensure_distinct([1.0, 2.0]) == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        ensure_distinct([1.0, -2.0])
+def test_ties_go_to_the_stage_chain_unperturbed():
+    # exact and near ties are not trusted to partial fractions
+    assert trusted_pf_weights([1.0, 1.0, 1.0]) is None
+    assert trusted_pf_weights([2.0, 3.0, 2.0]) is None
+    assert trusted_pf_weights([2.0, 2.0 * (1 + 1e-12)]) is None
+    ms, w = trusted_pf_weights([1.0, 2.0])
+    assert ms.dtype == np.longdouble and list(ms) == [1.0, 2.0]
+    assert [float(x) for x in w] == [-1.0, 2.0]
+    # Exp(1) + Exp(1) is Erlang(2, 1): tail 2/e and density 1/e at 1
+    assert abs(hypoexp_ccdf(1.0, [1.0, 1.0]) - 2 * math.exp(-1)) <= 1e-15
+    assert abs(sum_density_inid(1.0, [1.0, 1.0]) - math.exp(-1)) <= 1e-15
+    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            hypoexp_ccdf(1.0, bad)
+        with pytest.raises(ValueError):
+            sum_density_inid(1.0, bad)
 
 
 def test_hypoexp_weights_sum_to_one():
@@ -143,8 +146,8 @@ def test_hypoexp_weights_sum_to_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
         means = list(rng.uniform(0.1, 5.0, size=rng.integers(1, 6)))
-        _, w = hypoexp_weights(means)
-        assert math.fsum(w) == pytest.approx(1.0, rel=1e-9)
+        _, w = trusted_pf_weights(means)
+        assert math.fsum(float(x) for x in w) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_geometry_validation():
@@ -230,8 +233,7 @@ def stage_chain_oracle(means, z):
         return float(ccdf), float(last * rates[-1])
 
 
-# log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%, far
-# outside the tie-splitting tolerance, so the oracle sees the same law
+# log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%
 GRID = [0.2 * 25.0 ** (i / 999) for i in range(1000)]
 
 
@@ -253,10 +255,11 @@ def hypoexp_case(draw):
 def hypoexp_tolerance(means):
     """1e-12 absolute, plus the cancellation error of the partial-fraction
     sum where it is trusted: about max|w| extended-precision epsilons."""
-    _, w = hypoexp_weights(means)
-    big = max(abs(x) for x in w)
-    return 1e-12 + (100 * float(np.finfo(np.longdouble).eps) * big
-                    if big <= PF_WEIGHT_LIMIT else 0.0)
+    pf = trusted_pf_weights(means)
+    if pf is None:
+        return 1e-12
+    big = float(np.max(np.abs(pf[1])))
+    return 1e-12 + 100 * float(np.finfo(np.longdouble).eps) * big
 
 
 def test_stage_chain_oracle_matches_mpmath_expm():
@@ -281,6 +284,9 @@ def test_stage_chain_oracle_matches_mpmath_expm():
 @example(([0.2 + 0.01 * k for k in range(40)], 30.0))    # max|w| 3e28
 @example(([1.0, 1.0002, 1.0004], 0.3))                   # max|w| 2.5e7
 @example(([1.0, 1.001, 1.002], 1.5))                     # max|w| 1e6
+@example(([1.0, 1.0], 1.0))                              # exact ties
+@example(([2.0] * 4, 5.0))
+@example(([0.5, 1.3, 1.3, 2.2], 2.0))
 def test_hypoexp_ccdf_and_density_match_oracle(case):
     means, q = case
     ccdf, pdf = stage_chain_oracle(means, q)

@@ -119,6 +119,21 @@ def test_single_transmitter_collapses_branches():
     assert a == pytest.approx(b, rel=1e-10)
 
 
+def test_tied_means_match_iid_branch_without_the_iid_flag():
+    # the general evaluators do not trust partial fractions at an exact
+    # tie; they integrate the exact density instead of perturbing the means
+    config, stats = anchor_setup()
+    tied = LinkStats.from_means(stats.mean_x, stats.mean_y_per_pr,
+                                stats.mean_z_per_pt, iid_z=False)
+    assert stats.iid_z and not tied.iid_z
+    sol = solve_lambda(config, stats)
+    assert abs(outage_general(config, tied, sol).p_out
+               - outage_iid_pts(config, stats, sol).p_out) <= 1e-12
+    power = conventional_power(config, stats)
+    assert abs(outage_fixed_power(config, tied, power)
+               - outage_fixed_power(config, stats, power)) <= 1e-12
+
+
 def test_iid_equal_antenna_reduction():
     geom = Geometry(d_st_sr=20.0, d_pt_sr=(56.0, 56.0, 56.0), d_st_pr=(60.0,))
     stats = LinkStats.from_geometry(geom)
