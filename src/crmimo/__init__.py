@@ -35,7 +35,6 @@ from .outage import (
     average_ser_binary,
     ergodic_capacity,
     outage_auto,
-    outage_equal_antennas,
     outage_fixed_power,
     outage_general,
     outage_iid_pts,
@@ -82,7 +81,6 @@ __all__ = [
     "mean_sum_inid",
     "optimal_power",
     "outage_auto",
-    "outage_equal_antennas",
     "outage_fixed_power",
     "outage_general",
     "outage_iid_pts",

@@ -202,8 +202,6 @@ class Scenario:
                     _field(m, "mean_x", "means"),
                     _as_list(_need(m, "mean_y_per_pr", "means"), config.l_r, "means.mean_y_per_pr"),
                     _as_list(_need(m, "mean_z_per_pt", "means"), config.l_t, "means.mean_z_per_pt"),
-                    iid_y=m.get("iid_y"),
-                    iid_z=m.get("iid_z"),
                 )
         except ConfigError:
             raise
@@ -433,15 +431,17 @@ def run_validation(trials, seed, threads):
     record("powalloc.residual", 1e-10, res_err, res_err <= 1e-10)
     record("powalloc.quadrature_oracle", 1e-8, quad_err, quad_err <= 1e-8)
 
-    # closed-form reductions
+    # closed-form outage mixture against direct quadrature over the density
     configs = _validation_configs()
-    config, stats = configs[1]
-    sol = sols[1]
-    p_gen = outage.outage_general(config, stats, sol).p_out
-    p_eq = outage.outage_equal_antennas(config, stats, sol).p_out
-    err = abs(p_gen - p_eq)
-    record("outage.equal_antenna_reduction", 1e-12, err, err <= 1e-12)
+    err = 0.0
+    for (config, stats), sol in zip(configs[1:], sols[1:]):
+        a, bn = outage._cdf_coefficients(config, stats, sol, config.gamma_th)
+        args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
+        err = max(err, abs(outage._mixed_outage_inid(*args)
+                           - outage._mixed_outage_quadrature(*args)))
+    record("outage.closed_form_vs_quadrature", 1e-12, err, err <= 1e-12)
 
+    # closed-form reductions
     config, stats = configs[3]
     sol = sols[3]
     one_pt = LinkStats.from_means(stats.mean_x, stats.mean_y_per_pr,
@@ -562,6 +562,8 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         scenario = Scenario.load(args.config) if args.config else None
         if args.command == "validate":
             trials = args.trials if args.trials is not None else 200000

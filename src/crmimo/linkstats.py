@@ -30,11 +30,16 @@ from scipy.linalg import expm
 PF_WEIGHT_LIMIT = 1e8
 
 
+def _finite_positive(x):
+    """True for a finite number > 0 (False for NaN and inf)."""
+    return 0.0 < x < math.inf
+
+
 def pathloss_gain(d, d_ref, alpha):
     """Average channel gain (d / d_ref)^-alpha for distance d in meters."""
-    if d <= 0 or d_ref <= 0 or alpha <= 0:
+    if not all(map(_finite_positive, (d, d_ref, alpha))):
         raise ValueError(
-            f"pathloss_gain requires positive inputs, got d={d}, d_ref={d_ref}, alpha={alpha}"
+            f"pathloss_gain requires finite positive inputs, got d={d}, d_ref={d_ref}, alpha={alpha}"
         )
     return (d / d_ref) ** (-alpha)
 
@@ -159,12 +164,13 @@ class Geometry:
         object.__setattr__(self, "d_pt_sr", tuple(float(d) for d in self.d_pt_sr))
         object.__setattr__(self, "d_st_pr", tuple(float(d) for d in self.d_st_pr))
         for name in ("d_st_sr", "d_ref", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"Geometry.{name} must be positive")
-        if not self.d_pt_sr or any(d <= 0 for d in self.d_pt_sr):
-            raise ValueError("Geometry.d_pt_sr must be a non-empty list of positive distances")
-        if not self.d_st_pr or any(d <= 0 for d in self.d_st_pr):
-            raise ValueError("Geometry.d_st_pr must be a non-empty list of positive distances")
+            if not _finite_positive(getattr(self, name)):
+                raise ValueError(f"Geometry.{name} must be finite and positive")
+        for name in ("d_pt_sr", "d_st_pr"):
+            ds = getattr(self, name)
+            if not ds or not all(map(_finite_positive, ds)):
+                raise ValueError(f"Geometry.{name} must be a non-empty list of "
+                                 "finite positive distances")
 
 
 @dataclass(frozen=True)
@@ -174,54 +180,45 @@ class LinkStats:
     mean_x         -- per-entry gain of the desired channel
     mean_y_per_pr  -- gain from the secondary transmitter to each primary receiver
     mean_z_per_pt  -- gain from each primary transmitter to the secondary receiver
-    iid_y / iid_z  -- whether the respective link sets are declared identical
     """
 
     mean_x: float
     mean_y_per_pr: tuple
     mean_z_per_pt: tuple
-    iid_y: bool = False
-    iid_z: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "mean_x", float(self.mean_x))
         object.__setattr__(self, "mean_y_per_pr", tuple(float(v) for v in self.mean_y_per_pr))
         object.__setattr__(self, "mean_z_per_pt", tuple(float(v) for v in self.mean_z_per_pt))
-        if self.mean_x <= 0:
-            raise ValueError("LinkStats.mean_x must be positive")
-        if not self.mean_y_per_pr or any(v <= 0 for v in self.mean_y_per_pr):
-            raise ValueError("LinkStats.mean_y_per_pr must be non-empty and positive")
-        if not self.mean_z_per_pt or any(v <= 0 for v in self.mean_z_per_pt):
-            raise ValueError("LinkStats.mean_z_per_pt must be non-empty and positive")
-        if self.iid_y and len(set(self.mean_y_per_pr)) > 1:
-            raise ValueError("iid_y is set but mean_y_per_pr entries differ")
-        if self.iid_z and len(set(self.mean_z_per_pt)) > 1:
-            raise ValueError("iid_z is set but mean_z_per_pt entries differ")
+        if not _finite_positive(self.mean_x):
+            raise ValueError("LinkStats.mean_x must be finite and positive")
+        for name in ("mean_y_per_pr", "mean_z_per_pt"):
+            ms = getattr(self, name)
+            if not ms or not all(map(_finite_positive, ms)):
+                raise ValueError(f"LinkStats.{name} must be non-empty, finite and positive")
 
     @classmethod
     def from_geometry(cls, geom):
-        """Derive all means from distances via path loss; the iid flags are
-        inferred from exact distance equality."""
-        mean_x = pathloss_gain(geom.d_st_sr, geom.d_ref, geom.alpha)
-        ys = tuple(pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_st_pr)
-        zs = tuple(pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_pt_sr)
+        """Derive all means from distances via path loss."""
         return cls(
-            mean_x=mean_x,
-            mean_y_per_pr=ys,
-            mean_z_per_pt=zs,
-            iid_y=len(set(ys)) == 1,
-            iid_z=len(set(zs)) == 1,
+            mean_x=pathloss_gain(geom.d_st_sr, geom.d_ref, geom.alpha),
+            mean_y_per_pr=[pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_st_pr],
+            mean_z_per_pt=[pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_pt_sr],
         )
 
     @classmethod
-    def from_means(cls, mean_x, mean_y_per_pr, mean_z_per_pt, iid_y=None, iid_z=None):
-        ys = tuple(float(v) for v in mean_y_per_pr)
-        zs = tuple(float(v) for v in mean_z_per_pt)
-        if iid_y is None:
-            iid_y = len(set(ys)) == 1
-        if iid_z is None:
-            iid_z = len(set(zs)) == 1
-        return cls(mean_x=float(mean_x), mean_y_per_pr=ys, mean_z_per_pt=zs,
-                   iid_y=iid_y, iid_z=iid_z)
+    def from_means(cls, mean_x, mean_y_per_pr, mean_z_per_pt):
+        return cls(mean_x, mean_y_per_pr, mean_z_per_pt)
+
+    @cached_property
+    def iid_y(self):
+        """All primary receivers see the same mean (co-located receivers)."""
+        return len(set(self.mean_y_per_pr)) == 1
+
+    @cached_property
+    def iid_z(self):
+        """All primary transmitters have the same mean (co-located transmitters)."""
+        return len(set(self.mean_z_per_pt)) == 1
 
     @cached_property
     def mean_y(self):

@@ -1,7 +1,8 @@
 """Closed-form outage probability of the secondary streams.
 
 Evaluates the exact outage under the water-filling allocation, its
-equal-antenna and co-located-transmitter reductions, the large-array SINR
+co-located-transmitter reduction (chosen when all interferer means are
+equal; a single term at equal antenna counts), the large-array SINR
 equivalents, and the quadrature-based ergodic capacity and binary-modulation
 symbol error rate.  Every term of the double sums combines exp(+large) with
 an incomplete-gamma tail of matching magnitude, so all terms are assembled
@@ -158,24 +159,13 @@ def _cdf_coefficients(config, stats, sol, gamma_th):
 
 def outage_general(config, stats, sol, gamma_th=None):
     """Exact outage for arbitrary per-transmitter interference means; tied
-    means are integrated by quadrature, so no mean is perturbed."""
+    means are integrated by quadrature, so no mean is perturbed.  At m == n
+    the double sum keeps one diversity term, the single sum
+    1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1)."""
     g = config.gamma_th if gamma_th is None else gamma_th
     a, bn = _cdf_coefficients(config, stats, sol, g)
     p = _mixed_outage_inid(a, bn, config.diversity_order, stats.mean_z_per_pt)
     return OutageResult(p_out=p, branch="general",
-                        lambda_used=sol.lam, c_used=sol.c_threshold)
-
-
-def outage_equal_antennas(config, stats, sol, gamma_th=None):
-    """Single-sum reduction for m == n (each stream gain is exponential):
-    1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1), i.e. the general form truncated
-    to its first diversity term."""
-    if config.m != config.n:
-        raise ValueError("outage_equal_antennas requires m == n")
-    g = config.gamma_th if gamma_th is None else gamma_th
-    a, bn = _cdf_coefficients(config, stats, sol, g)
-    p = _mixed_outage_inid(a, bn, 1, stats.mean_z_per_pt)
-    return OutageResult(p_out=p, branch="equal_antennas",
                         lambda_used=sol.lam, c_used=sol.c_threshold)
 
 
@@ -199,11 +189,10 @@ def outage_iid_pts(config, stats, sol, gamma_th=None):
 
 
 def outage_auto(config, stats, sol, gamma_th=None):
-    """Dispatch to the branch matching the interference statistics."""
+    """The co-located-transmitter branch when all interferer means are
+    equal, the general branch otherwise."""
     if stats.iid_z:
         return outage_iid_pts(config, stats, sol, gamma_th)
-    if config.m == config.n:
-        return outage_equal_antennas(config, stats, sol, gamma_th)
     return outage_general(config, stats, sol, gamma_th)
 
 

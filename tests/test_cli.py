@@ -99,7 +99,8 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     sweep = {"parameter": "d_st_pr", "start": 40.0, "stop": 80.0, "steps": 3}
     path = write_scenario(tmp_path, base_scenario(sweep=sweep))
     # the last sweep point would draw with seed 2^64
-    for flags in (["--trials", "0"], ["--seed", "-1"], ["--seed", str(2 ** 64 - 2)]):
+    for flags in (["--trials", "0"], ["--seed", "-1"], ["--seed", str(2 ** 64 - 2)],
+                  ["--threads", "0"], ["--threads", "-3"]):
         assert main(["outage", "--config", path] + flags) == 2
         assert "configuration error" in capsys.readouterr().err
     assert main(["outage", "--config", path, "--seed", str(2 ** 64 - 3),

@@ -170,9 +170,32 @@ def test_linkstats_from_geometry():
 
 def test_linkstats_validation():
     with pytest.raises(ValueError):
-        LinkStats(mean_x=1.0, mean_y_per_pr=(1.0, 2.0), mean_z_per_pt=(1.0,), iid_y=True)
-    with pytest.raises(ValueError):
         LinkStats(mean_x=-1.0, mean_y_per_pr=(1.0,), mean_z_per_pt=(1.0,))
+
+
+NAN, INF = float("nan"), float("inf")
+GEOM = {"d_st_sr": 10.0, "d_pt_sr": (50.0,), "d_st_pr": (60.0,)}
+MEANS = {"mean_x": 1.0, "mean_y_per_pr": (1.0,), "mean_z_per_pt": (1.0,)}
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Geometry(**{**GEOM, "d_st_sr": NAN}), id="geometry-d_st_sr"),
+    pytest.param(lambda: Geometry(**{**GEOM, "d_pt_sr": (50.0, INF)}), id="geometry-d_pt_sr"),
+    pytest.param(lambda: Geometry(**{**GEOM, "d_st_pr": (NAN,)}), id="geometry-d_st_pr"),
+    pytest.param(lambda: Geometry(**GEOM, d_ref=INF), id="geometry-d_ref"),
+    pytest.param(lambda: Geometry(**GEOM, alpha=NAN), id="geometry-alpha"),
+    pytest.param(lambda: LinkStats.from_means(NAN, [1.0], [1.0]), id="from_means-mean_x"),
+    pytest.param(lambda: LinkStats.from_means(1.0, [1.0], [INF]), id="from_means-z"),
+    pytest.param(lambda: LinkStats(**{**MEANS, "mean_x": INF}), id="linkstats-mean_x"),
+    pytest.param(lambda: LinkStats(**{**MEANS, "mean_y_per_pr": (1.0, NAN)}),
+                 id="linkstats-y"),
+    pytest.param(lambda: pathloss_gain(NAN, 100.0, 4.0), id="pathloss-d"),
+    pytest.param(lambda: pathloss_gain(50.0, INF, 4.0), id="pathloss-d_ref"),
+    pytest.param(lambda: pathloss_gain(50.0, 100.0, INF), id="pathloss-alpha"),
+])
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_effective_mean_dispatch():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crmimo.linkstats import Geometry, LinkStats, sum_density_inid
+from crmimo.linkstats import Geometry, LinkStats, sum_density_inid, trusted_pf_weights
 from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
 from crmimo.outage import (
+    _cdf_coefficients,
+    _mixed_outage_iid,
+    _mixed_outage_inid,
+    _mixed_outage_quadrature,
     asymptotic_sinr,
     average_ser_binary,
     ergodic_capacity,
     outage_auto,
-    outage_equal_antennas,
     outage_fixed_power,
     outage_general,
     outage_iid_pts,
@@ -94,18 +97,23 @@ def test_outage_limits_and_bounds():
 
 
 def test_equal_antenna_reduction_identity():
+    # at m == n the general closed form keeps one diversity term, the
+    # single sum 1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1); it must agree with
+    # direct quadrature of the same mixture
     geom = Geometry(d_st_sr=30.0, d_pt_sr=(45.0, 70.0), d_st_pr=(55.0, 75.0))
     stats = LinkStats.from_geometry(geom)
     config = SystemConfig(m=3, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     sol = solve_lambda(config, stats)
-    general = outage_general(config, stats, sol).p_out
-    reduced = outage_equal_antennas(config, stats, sol).p_out
-    assert abs(general - reduced) <= 1e-12
-    with pytest.raises(ValueError):
-        cfg2 = SystemConfig(m=2, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                            q=Q_7DB, gamma_th=GAMMA_3DB)
-        outage_equal_antennas(cfg2, stats, sol)
+    general = outage_general(config, stats, sol)
+    assert outage_auto(config, stats, sol) == general
+    a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
+    ms, w = trusted_pf_weights(stats.mean_z_per_pt)
+    single_sum = 1.0 - math.fsum(float(wk) * math.exp(-bn) / (a * float(mk) + 1.0)
+                                 for mk, wk in zip(ms, w))
+    assert abs(general.p_out - single_sum) <= 1e-12
+    quadrature = _mixed_outage_quadrature(a, bn, 1, stats.mean_z_per_pt)
+    assert abs(general.p_out - quadrature) <= 1e-12
 
 
 def test_single_transmitter_collapses_branches():
@@ -123,15 +131,35 @@ def test_tied_means_match_iid_branch_without_the_iid_flag():
     # the general evaluators do not trust partial fractions at an exact
     # tie; they integrate the exact density instead of perturbing the means
     config, stats = anchor_setup()
-    tied = LinkStats.from_means(stats.mean_x, stats.mean_y_per_pr,
-                                stats.mean_z_per_pt, iid_z=False)
-    assert stats.iid_z and not tied.iid_z
+    assert stats.iid_z
     sol = solve_lambda(config, stats)
-    assert abs(outage_general(config, tied, sol).p_out
+    assert abs(outage_general(config, stats, sol).p_out
                - outage_iid_pts(config, stats, sol).p_out) <= 1e-12
     power = conventional_power(config, stats)
-    assert abs(outage_fixed_power(config, tied, power)
-               - outage_fixed_power(config, stats, power)) <= 1e-12
+    c1 = config.gamma_th / (power * stats.mean_x)
+    a, bn = config.p_p * c1, config.n0 * c1
+    n_terms = config.diversity_order
+    assert abs(_mixed_outage_inid(a, bn, n_terms, stats.mean_z_per_pt)
+               - _mixed_outage_iid(a, bn, n_terms, stats.mean_z_per_pt[0],
+                                   stats.l_t)) <= 1e-12
+
+
+def test_equal_means_take_the_iid_branch_however_built():
+    config = SystemConfig(m=4, n=5, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    direct = LinkStats(mean_x=3.0, mean_y_per_pr=(0.5, 0.5),
+                       mean_z_per_pt=(0.8, 0.8))
+    built = LinkStats.from_means(3.0, [0.5, 0.5], [0.8, 0.8])
+    assert direct.iid_y and direct.iid_z
+    assert direct == built
+    sol = solve_lambda(config, direct)
+    assert sol == solve_lambda(config, built)
+    res = outage_auto(config, direct, sol)
+    assert res.branch == "iid_pts"
+    assert res == outage_auto(config, built, sol)
+    rate = ergodic_capacity(config, direct, sol)
+    assert math.isfinite(rate) and 0.0 < rate < 100.0
+    assert rate == ergodic_capacity(config, built, sol)
 
 
 def test_iid_equal_antenna_reduction():
@@ -143,8 +171,6 @@ def test_iid_equal_antenna_reduction():
     res = outage_iid_pts(config, stats, sol)
     assert res.branch == "iid_pts_equal_antennas"
     # the reduced value equals the double-sum branch truncated to l = 0
-    from crmimo.outage import _cdf_coefficients, _mixed_outage_iid
-
     a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
     full = _mixed_outage_iid(a, bn, 1, stats.mean_z_per_pt[0], stats.l_t)
     assert res.p_out == pytest.approx(full, abs=1e-12)
