@@ -198,7 +198,7 @@ class Scenario:
                 stats = LinkStats.from_geometry(g)
             else:
                 m = self.means
-                stats = LinkStats.from_means(
+                stats = LinkStats(
                     _field(m, "mean_x", "means"),
                     _as_list(_need(m, "mean_y_per_pr", "means"), config.l_r, "means.mean_y_per_pr"),
                     _as_list(_need(m, "mean_z_per_pt", "means"), config.l_t, "means.mean_z_per_pt"),
@@ -444,8 +444,8 @@ def run_validation(trials, seed, threads):
     # closed-form reductions
     config, stats = configs[3]
     sol = sols[3]
-    one_pt = LinkStats.from_means(stats.mean_x, stats.mean_y_per_pr,
-                                  (stats.mean_z_per_pt[0],))
+    one_pt = LinkStats(stats.mean_x, stats.mean_y_per_pr,
+                       (stats.mean_z_per_pt[0],))
     cfg_one = SystemConfig(m=config.m, n=config.n, l_t=1, l_r=config.l_r,
                            p_p=config.p_p, p_max=config.p_max, q=config.q,
                            gamma_th=config.gamma_th, n0=config.n0)

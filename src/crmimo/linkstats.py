@@ -51,8 +51,8 @@ def trusted_pf_weights(means):
     are individually benign but the weights reach magnitudes where float64
     rounding would dominate their later cancellations."""
     ms = np.asarray(means, dtype=np.longdouble)
-    if not ms.min() > 0:
-        raise ValueError(f"means must be strictly positive, got {[float(m) for m in ms]}")
+    if not (_finite_positive(ms.min()) and _finite_positive(ms.max())):
+        raise ValueError(f"means must be finite and positive, got {[float(m) for m in ms]}")
     diff = ms[:, None] - ms[None, :]
     np.fill_diagonal(diff, 1.0)
     if not diff.all():
@@ -113,8 +113,8 @@ def sum_density_inid(z, means):
 def mean_sum_inid(means):
     """Mean of a sum of independent exponentials: sum(means), by linearity."""
     ms = [float(m) for m in means]
-    if any(m <= 0 for m in ms):
-        raise ValueError(f"means must be strictly positive, got {ms}")
+    if not all(map(_finite_positive, ms)):
+        raise ValueError(f"means must be finite and positive, got {ms}")
     return math.fsum(ms)
 
 
@@ -128,8 +128,8 @@ def mean_max_inid(means):
     ms = [float(m) for m in means]
     if not ms:
         raise ValueError("mean_max_inid requires at least one mean")
-    if any(m <= 0 for m in ms):
-        raise ValueError(f"means must be strictly positive, got {ms}")
+    if not all(map(_finite_positive, ms)):
+        raise ValueError(f"means must be finite and positive, got {ms}")
     terms = []
     for l, m_l in enumerate(ms):
         others = [1.0 / m for i, m in enumerate(ms) if i != l]
@@ -143,8 +143,8 @@ def mean_max_inid(means):
 def mean_max_iid(mean, l_r):
     """E[max of l_r i.i.d. exponentials] = mean * H_{l_r}, the harmonic
     number (Renyi: the spacings of the order statistics are exponential)."""
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
+    if not _finite_positive(mean):
+        raise ValueError(f"mean must be finite and positive, got {mean}")
     if l_r < 1 or l_r != int(l_r):
         raise ValueError(f"l_r must be a positive integer, got {l_r}")
     return mean * math.fsum(1.0 / k for k in range(1, int(l_r) + 1))
@@ -205,10 +205,6 @@ class LinkStats:
             mean_y_per_pr=[pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_st_pr],
             mean_z_per_pt=[pathloss_gain(d, geom.d_ref, geom.alpha) for d in geom.d_pt_sr],
         )
-
-    @classmethod
-    def from_means(cls, mean_x, mean_y_per_pr, mean_z_per_pt):
-        return cls(mean_x, mean_y_per_pr, mean_z_per_pt)
 
     @cached_property
     def iid_y(self):

@@ -9,6 +9,7 @@ an incomplete-gamma tail of matching magnitude, so all terms are assembled
 in log space with the finite gamma series folded in.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,6 +22,7 @@ from .powalloc import LN2
 from .specfun import regularized_upper_gamma
 
 _MAX_LOG_TERM = 700.0
+_LOG2 = math.log(2.0)
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 
@@ -74,6 +76,30 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     return min(1.0, max(0.0, v1 + v2))
 
 
+def _logaddexp(x, y):
+    """log(e^x + e^y): numpy's npy_logaddexp, branch for branch, on math
+    scalars (bit-identical to np.logaddexp, without the ufunc call)."""
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
+
+
+@functools.lru_cache(maxsize=16)
+def _pf_log_terms(means):
+    """(m_k, log|w_k|, log m_k, sign w_k) per interferer for a tuple of
+    float means, or None where `linkstats` does not trust the weights."""
+    pf = trusted_pf_weights(means)
+    if pf is None:
+        return None
+    return tuple((mk, math.log(abs(wk)), math.log(mk), 1.0 if wk > 0 else -1.0)
+                 for mk, wk in zip(means, pf[1].astype(float).tolist()))
+
+
 def _mixed_outage_inid(a, bn, n_terms, z_means):
     """1 - sum_{l<n_terms} sum_k w_k a^l e^{-bn} S_k(l) / (E[Z_k] beta_k^{l+1})
     with beta_k = a + 1/E[Z_k], S_k(l) = sum_{s<=l} v_k^s / s!,
@@ -81,30 +107,30 @@ def _mixed_outage_inid(a, bn, n_terms, z_means):
 
     This is the interference-mixed Erlang tail with the incomplete-gamma
     series folded in; each (l, k) term is formed as sign * exp(log term).
+    The weight-dependent terms are cached per interferer tuple, since the
+    capacity and SER quadratures call this hundreds of times on one tuple.
     Where `linkstats` does not trust the weights (tied means, or weights
     that would cancel past float64) the mixture is integrated numerically
     instead.
     """
     if a == 0.0:
         return 1.0 - regularized_upper_gamma(n_terms, bn)
-    pf = trusted_pf_weights(z_means)
-    if pf is None:
+    terms = _pf_log_terms(tuple(map(float, z_means)))
+    if terms is None:
         return _mixed_outage_quadrature(a, bn, n_terms, z_means)
-    weights = pf[1].astype(float).tolist()
     log_a = math.log(a)
     log_bn = math.log(bn)
     acc = []
-    for mk, wk in zip(z_means, weights):
+    for mk, log_w, log_mk, sign in terms:
         beta = a + 1.0 / mk
         log_beta = math.log(beta)
         log_v = log_beta + log_bn - log_a
         log_ratio = log_a - log_beta
-        pref = math.log(abs(wk)) - bn - log_beta - math.log(mk)
-        sign = 1.0 if wk > 0 else -1.0
+        pref = log_w - bn - log_beta - log_mk
         log_s = 0.0
         for l in range(n_terms):
             if l > 0:
-                log_s = np.logaddexp(log_s, l * log_v - math.lgamma(l + 1))
+                log_s = _logaddexp(log_s, l * log_v - math.lgamma(l + 1))
             term_log = pref + l * log_ratio + log_s
             if term_log > _MAX_LOG_TERM:
                 raise OverflowError(

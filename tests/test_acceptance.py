@@ -41,6 +41,25 @@ REGRESSION_GRID = [
     (1, 2, 2, 1, 30.0, (50.0, 80.0), (70.0,)),
 ]
 
+# (outage_auto, outage_fixed_power at conventional_power, ergodic_capacity)
+# per REGRESSION_GRID entry, as computed before the outage evaluator cached
+# its per-interferer-tuple terms; a speed-up of the analytic chain must
+# leave them unchanged
+REGRESSION_PIN = [
+    (0.37279481390353486, 0.35996730896145346, 2.552589372824897),
+    (0.7281512650688229, 0.8422515973742776, 0.9936044034694838),
+    (0.8627651309416173, 0.9540430531921216, 0.556109972223928),
+    (0.8081033629019354, 0.9477116223416876, 0.7276909964263887),
+    (0.8294283841029878, 0.9486817727582089, 0.6602499019627363),
+    (0.674178970231265, 0.7075607969387012, 1.3212374089835723),
+    (0.6533400287146545, 0.7387455143151735, 1.2648290987117097),
+    (0.7868863632820458, 0.8840026654224434, 0.862952613061567),
+    (0.6814759816552667, 0.7691424213865119, 1.2533375119853714),
+    (0.8940624388577967, 0.973188750046638, 0.5981826567746191),
+    (0.28992299979211567, 0.2780559844492635, 2.560498941190619),
+    (0.513573093059478, 0.5415709311307544, 1.7290286544242492),
+]
+
 
 def build(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
     config = cr.SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=10.0,
@@ -331,3 +350,13 @@ def test_criterion_9_deterministic_output(tmp_path):
     assert passed
     report(9, f"sweep CSV and validation report byte-identical across 1 and 8 "
               f"threads; full validation grid green ({len(checks)} checks)")
+
+
+def test_analytic_chain_pinned_on_regression_grid():
+    for idx, (spec, pinned) in enumerate(zip(REGRESSION_GRID, REGRESSION_PIN)):
+        config, stats = build(*spec)
+        sol = cr.solve_lambda(config, stats)
+        got = (cr.outage_auto(config, stats, sol).p_out,
+               cr.outage_fixed_power(config, stats, cr.conventional_power(config, stats)),
+               cr.ergodic_capacity(config, stats, sol))
+        assert got == pytest.approx(pinned, rel=1e-14, abs=0.0), f"grid {idx}"

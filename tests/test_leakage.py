@@ -136,7 +136,7 @@ def test_reduce_antennas_suspension():
     # single antenna whose leakage always exceeds the tolerance
     sol = PowerSolution(lam=1.0, c_threshold=1.0, target_mean_power=1.0,
                         slope=1.0, offset=1.0)
-    stats = LinkStats.from_means(1.0, [1.0], [1.0])
+    stats = LinkStats(1.0, [1.0], [1.0])
     config = SystemConfig(m=1, n=1, l_t=1, l_r=1, p_p=1.0, p_max=1.0,
                           q=1e-4, gamma_th=1.0)
     report = reduce_antennas([100.0], sol, config, stats, t_g=0.5)
@@ -179,7 +179,7 @@ def test_antenna_pmf_suspension_case():
     # every draw transmits (threshold ~ 0) and every transmission leaks
     sol = PowerSolution(lam=1.0, c_threshold=1e-12, target_mean_power=1.0,
                         slope=1.0, offset=1e-12)
-    stats = LinkStats.from_means(1.0, [1.0], [1.0])
+    stats = LinkStats(1.0, [1.0], [1.0])
     config = SystemConfig(m=1, n=1, l_t=1, l_r=1, p_p=1.0, p_max=1.0,
                           q=1e-6, gamma_th=1.0)
     pmf = antenna_pmf(config, stats, sol, t_g=0.5, trials=300, seed=5)

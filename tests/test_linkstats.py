@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from crmimo.leakage import leakage_probability
 from crmimo.linkstats import (
     Geometry,
     LinkStats,
@@ -184,14 +185,22 @@ MEANS = {"mean_x": 1.0, "mean_y_per_pr": (1.0,), "mean_z_per_pt": (1.0,)}
     pytest.param(lambda: Geometry(**{**GEOM, "d_st_pr": (NAN,)}), id="geometry-d_st_pr"),
     pytest.param(lambda: Geometry(**GEOM, d_ref=INF), id="geometry-d_ref"),
     pytest.param(lambda: Geometry(**GEOM, alpha=NAN), id="geometry-alpha"),
-    pytest.param(lambda: LinkStats.from_means(NAN, [1.0], [1.0]), id="from_means-mean_x"),
-    pytest.param(lambda: LinkStats.from_means(1.0, [1.0], [INF]), id="from_means-z"),
+    pytest.param(lambda: LinkStats(NAN, [1.0], [1.0]), id="positional-mean_x"),
+    pytest.param(lambda: LinkStats(1.0, [1.0], [INF]), id="positional-z"),
     pytest.param(lambda: LinkStats(**{**MEANS, "mean_x": INF}), id="linkstats-mean_x"),
     pytest.param(lambda: LinkStats(**{**MEANS, "mean_y_per_pr": (1.0, NAN)}),
                  id="linkstats-y"),
     pytest.param(lambda: pathloss_gain(NAN, 100.0, 4.0), id="pathloss-d"),
     pytest.param(lambda: pathloss_gain(50.0, INF, 4.0), id="pathloss-d_ref"),
     pytest.param(lambda: pathloss_gain(50.0, 100.0, INF), id="pathloss-alpha"),
+    pytest.param(lambda: trusted_pf_weights([INF, 1.0]), id="pf_weights-inf"),
+    pytest.param(lambda: hypoexp_ccdf(1.0, [INF, 1.0]), id="hypoexp_ccdf-inf"),
+    pytest.param(lambda: sum_density_inid(1.0, [1.0, NAN]), id="sum_density-nan"),
+    pytest.param(lambda: leakage_probability([INF], [1.0], 1.0), id="leakage-inf"),
+    pytest.param(lambda: mean_sum_inid([INF]), id="mean_sum-inf"),
+    pytest.param(lambda: mean_max_iid(INF, 2), id="mean_max_iid-inf"),
+    pytest.param(lambda: mean_max_iid(NAN, 2), id="mean_max_iid-nan"),
+    pytest.param(lambda: mean_max_inid([INF, 1.0]), id="mean_max_inid-inf"),
 ])
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError, match="finite"):
@@ -199,11 +208,11 @@ def test_non_finite_inputs_rejected(build):
 
 
 def test_effective_mean_dispatch():
-    iid = LinkStats.from_means(1.0, [1.0, 1.0], [1.0])
+    iid = LinkStats(1.0, [1.0, 1.0], [1.0])
     assert effective_mean_y(iid) == pytest.approx(1.5, rel=1e-12)
-    single = LinkStats.from_means(1.0, [7.0], [1.0])
+    single = LinkStats(1.0, [7.0], [1.0])
     assert effective_mean_y(single) == pytest.approx(7.0, rel=1e-14)
-    inid = LinkStats.from_means(1.0, [1.0, 2.0], [1.0])
+    inid = LinkStats(1.0, [1.0, 2.0], [1.0])
     assert effective_mean_y(inid) == pytest.approx(7.0 / 3.0, rel=1e-12)
     assert inid.mean_y == pytest.approx(7.0 / 3.0, rel=1e-12)
 

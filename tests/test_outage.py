@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from crmimo import outage
 from crmimo.linkstats import Geometry, LinkStats, sum_density_inid, trusted_pf_weights
 from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
 from crmimo.outage import (
+    _MAX_LOG_TERM,
     _cdf_coefficients,
+    _logaddexp,
     _mixed_outage_iid,
     _mixed_outage_inid,
     _mixed_outage_quadrature,
@@ -28,6 +33,7 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
+from crmimo.specfun import regularized_upper_gamma
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -63,8 +69,6 @@ def degenerate_solution():
 def test_received_power_cdf_endpoints():
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
-    from crmimo.specfun import regularized_upper_gamma
-
     inactivity = 1.0 - regularized_upper_gamma(
         config.diversity_order, sol.c_threshold / stats.mean_x)
     assert received_power_cdf(0.0, sol, config, stats) == pytest.approx(inactivity, rel=1e-12)
@@ -149,7 +153,7 @@ def test_equal_means_take_the_iid_branch_however_built():
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     direct = LinkStats(mean_x=3.0, mean_y_per_pr=(0.5, 0.5),
                        mean_z_per_pt=(0.8, 0.8))
-    built = LinkStats.from_means(3.0, [0.5, 0.5], [0.8, 0.8])
+    built = LinkStats(3.0, [0.5, 0.5], [0.8, 0.8])
     assert direct.iid_y and direct.iid_z
     assert direct == built
     sol = solve_lambda(config, direct)
@@ -345,3 +349,106 @@ def test_average_ser_matches_monte_carlo():
     v = np.concatenate(vals)
     se = v.std(ddof=1) / math.sqrt(v.size)
     assert abs(ana - v.mean()) <= 3 * se
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple cached evaluator against its uncached reference
+# ---------------------------------------------------------------------------
+
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def mixed_outage_inid_reference(a, bn, n_terms, z_means):
+    """The closed-form evaluator with its weights recomputed on every call
+    and numpy's logaddexp in the S_k(l) recursion: the reference that the
+    per-tuple cached form must match bit for bit."""
+    if a == 0.0:
+        return 1.0 - regularized_upper_gamma(n_terms, bn)
+    pf = trusted_pf_weights(z_means)
+    if pf is None:
+        return _mixed_outage_quadrature(a, bn, n_terms, z_means)
+    weights = pf[1].astype(float).tolist()
+    log_a = math.log(a)
+    log_bn = math.log(bn)
+    acc = []
+    for mk, wk in zip(z_means, weights):
+        beta = a + 1.0 / mk
+        log_beta = math.log(beta)
+        log_v = log_beta + log_bn - log_a
+        log_ratio = log_a - log_beta
+        pref = math.log(abs(wk)) - bn - log_beta - math.log(mk)
+        sign = 1.0 if wk > 0 else -1.0
+        log_s = 0.0
+        for l in range(n_terms):
+            if l > 0:
+                log_s = np.logaddexp(log_s, l * log_v - math.lgamma(l + 1))
+            term_log = pref + l * log_ratio + log_s
+            if term_log > _MAX_LOG_TERM:
+                raise OverflowError(
+                    f"outage term exceeds the representable range "
+                    f"(log term {term_log:.1f}); interference means are too close"
+                )
+            acc.append(sign * math.exp(term_log))
+    return min(1.0, max(0.0, 1.0 - math.fsum(acc)))
+
+
+def outcome(fn, *args):
+    """The exact bits of a float result, or the exception raised."""
+    try:
+        return float(fn(*args)).hex()
+    except OverflowError as exc:
+        return repr(exc)
+
+
+FINITE = st.floats(-800.0, 800.0)
+
+
+@ORACLE
+@given(FINITE, FINITE, st.floats(40.0, 800.0),
+       st.sampled_from(["free", "equal", "above", "below"]))
+@example(0.0, 0.0, 40.0, "equal")
+@example(-0.0, 0.0, 40.0, "free")
+@example(-745.0, 0.0, 40.0, "below")
+def test_logaddexp_matches_numpy_bitwise(x, y, gap, mode):
+    y = {"free": y, "equal": x, "above": x + gap, "below": x - gap}[mode]
+    assert _logaddexp(x, y).hex() == float(np.logaddexp(x, y)).hex()
+    assert _logaddexp(y, x).hex() == float(np.logaddexp(y, x)).hex()
+
+
+# 2..20 distinct means: a scale times a product of spacing ratios, so the
+# partial-fraction weights stay trusted and the closed form runs
+DISTINCT_MEANS = st.builds(
+    lambda base, ratios: [base * math.prod(ratios[:k]) for k in range(len(ratios) + 1)],
+    st.floats(1e-3, 10.0), st.lists(st.floats(1.2, 3.0), min_size=1, max_size=19))
+
+
+@ORACLE
+@given(st.floats(1e-4, 1e2), st.floats(1e-4, 50.0), st.integers(1, 9), DISTINCT_MEANS)
+@example(0.0, 0.5, 3, [0.2, 0.7])
+def test_cached_evaluator_matches_uncached_reference(a, bn, n_terms, means):
+    want = outcome(mixed_outage_inid_reference, a, bn, n_terms, means)
+    assert outcome(_mixed_outage_inid, a, bn, n_terms, means) == want
+    # the second call reads the cached terms
+    assert outcome(_mixed_outage_inid, a, bn, n_terms, means) == want
+
+
+def test_cached_evaluator_ignores_the_container_of_the_means():
+    means = [0.31, 0.9, 2.4, 5.0]
+    want = mixed_outage_inid_reference(0.7, 1.3, 4, means).hex()
+    for _ in range(3):
+        for given_as in (list(means), tuple(means), np.array(means)):
+            assert _mixed_outage_inid(0.7, 1.3, 4, given_as).hex() == want
+    for bad in ([math.inf, 1.0], (1.0, math.nan), np.array([0.5, -1.0])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                _mixed_outage_inid(0.7, 1.3, 4, bad)
+
+
+def test_tied_means_still_take_the_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(outage, "_mixed_outage_quadrature",
+                        lambda *args: calls.append(args) or 0.25)
+    tied = (0.5, 0.5, 0.8)
+    for _ in range(2):
+        assert _mixed_outage_inid(0.7, 1.3, 3, tied) == 0.25
+    assert calls == [(0.7, 1.3, 3, tied)] * 2

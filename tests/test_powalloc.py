@@ -75,13 +75,13 @@ def test_conventional_power_branches():
     assert want == config.q / (config.m * stats.mean_y)  # interference-limited here
 
     # single antenna, unit gain: directly the linear interference cap
-    single = LinkStats.from_means(1.0, [1.0], [1.0])
+    single = LinkStats(1.0, [1.0], [1.0])
     cfg1 = SystemConfig(m=1, n=1, l_t=1, l_r=1, p_p=10.0, p_max=100.0,
                         q=Q_7DB, gamma_th=GAMMA_3DB)
     assert conventional_power(cfg1, single) == pytest.approx(Q_7DB, rel=1e-14)
 
     # vanishing interference channel: the hardware cap takes over
-    far = LinkStats.from_means(1.0, [1e-9], [1.0])
+    far = LinkStats(1.0, [1e-9], [1.0])
     assert conventional_power(cfg1, far) == pytest.approx(100.0, rel=1e-14)
 
 
