@@ -5,7 +5,8 @@ primary receivers below q, but individual realizations can still exceed
 it.  This module evaluates the probability of that event for a given
 power vector, iteratively disables transmit antennas until the
 probability drops below a tolerated level, and estimates the resulting
-distribution of the active-antenna count.
+distribution of the active-antenna count.  Antennas are dropped by power, so
+all steps of a reduction come from one stage chain per primary receiver.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  bench/tracer.py traces leakage.expm by name
 
-from .linkstats import hypoexp_ccdf
+from .linkstats import checked_leakage_inputs, hypoexp_ccdf, hypoexp_prefix_ccdf
 from .mcharness import STREAM_ANTENNA, block_generator, block_sizes
 from .powalloc import optimal_power
 
@@ -54,11 +55,7 @@ def leakage_probability(powers, mean_y_per_pr, q):
     large to trust.  Antennas with zero power are excluded; all-zero powers
     mean no transmission and no leakage.
     """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    p_all = np.asarray(powers, dtype=float)
-    if np.any(p_all < 0):
-        raise ValueError("powers must be non-negative")
+    p_all, _ = checked_leakage_inputs(powers, mean_y_per_pr, q)
     p = p_all[p_all > 0]
     if p.size == 0:
         return 0.0
@@ -73,27 +70,30 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
 
     Starting from all m antennas, evaluate the leakage probability of the
     current power vector; stop as soon as it is within t_g, otherwise drop
-    the antenna with the largest average interference p_i * max_j E[Y^(j)]
-    (ties broken towards the lowest index) and repeat.  Transmission is
-    suspended when no antenna survives.
+    the antenna with the largest average interference p_i * max_j E[Y^(j)],
+    that is the largest power, and repeat.  Transmission is suspended when
+    no antenna survives.  The survivors are the weakest antennas, silent
+    ones first (the tie order leaves the same powers), so each step's
+    leakage is a product over the receivers of prefix tails of one stage
+    chain over the ascending powers (`hypoexp_prefix_ccdf`).
     """
     if not 0.0 < t_g <= 1.0:
         raise ValueError(f"t_g must lie in (0, 1], got {t_g}")
     gains = np.asarray(x_gains, dtype=float)
-    if gains.shape != (config.m,):
-        raise ValueError(f"expected {config.m} stream gains, got shape {gains.shape}")
+    if gains.shape != (config.m,) or not 0.0 <= gains.min() <= gains.max() < math.inf:
+        raise ValueError(f"expected {config.m} finite non-negative stream gains, got {gains}")
     powers = optimal_power(gains, sol)
-    max_ey = max(stats.mean_y_per_pr)
-    active = list(range(config.m))
+    powered = np.sort(powers[powers > 0])
+    silent = config.m - powered.size
+    tails = np.ones(powered.size)
+    for ey in stats.mean_y_per_pr:
+        tails *= hypoexp_prefix_ccdf(config.q, powered * ey)
     steps = []
-    while active:
-        prob = leakage_probability(powers[active], stats.mean_y_per_pr, config.q)
-        steps.append((len(active), prob))
+    for count in range(config.m, 0, -1):
+        prob = float(tails[count - silent - 1]) if count > silent else 0.0
+        steps.append((count, prob))
         if prob <= t_g:
-            return LeakageReport(steps=tuple(steps), m_effective=len(active),
-                                 suspended=False)
-        drop = max(active, key=lambda i: (powers[i] * max_ey, -i))
-        active.remove(drop)
+            return LeakageReport(steps=tuple(steps), m_effective=count, suspended=False)
     return LeakageReport(steps=tuple(steps), m_effective=0, suspended=True)
 
 
@@ -104,16 +104,14 @@ def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     independent of scheduling for a fixed seed.
     """
     counts = np.zeros(config.m + 1, dtype=np.int64)
-    sum_l = 0.0
-    sum_l2 = 0.0
     for block, size in enumerate(block_sizes(trials)):
         rng = block_generator(seed, STREAM_ANTENNA, block)
         draws = rng.gamma(config.diversity_order, stats.mean_x, size=(size, config.m))
         for row in draws:
-            report = reduce_antennas(row, sol, config, stats, t_g)
-            counts[report.m_effective] += 1
-            sum_l += report.m_effective
-            sum_l2 += report.m_effective ** 2
+            counts[reduce_antennas(row, sol, config, stats, t_g).m_effective] += 1
+    levels = np.arange(config.m + 1)
+    # exact integer sums, so the same floats as per-trial accumulation
+    sum_l, sum_l2 = float(levels @ counts), float(levels ** 2 @ counts)
     mean = sum_l / trials
     var = (sum_l2 - trials * mean * mean) / (trials - 1) if trials > 1 else 0.0
     se = math.sqrt(max(0.0, var) / trials)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import ks_2samp
 
+from .linkstats import checked_leakage_inputs
 from .powalloc import optimal_power
 
 log = logging.getLogger(__name__)
@@ -162,8 +163,7 @@ def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
     """Frequency of min_j sum_i p_i |y_j^(i)|^2 > q over exponential draws
     of the interfering gains (the event that every primary receiver sees
     aggregate interference above q)."""
-    p = np.asarray(powers, dtype=float)
-    means = np.asarray(mean_y_per_pr, dtype=float)
+    p, means = checked_leakage_inputs(powers, mean_y_per_pr, q)
 
     def worker(block, size):
         rng = block_generator(seed, STREAM_LEAKAGE, block)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crmimo.leakage import antenna_pmf, leakage_probability, reduce_antennas
-from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf
+from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf, trusted_pf_weights
 from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
 
@@ -46,6 +46,28 @@ def test_domain_errors():
         leakage_probability([1.0], [1.0], 0.0)
     with pytest.raises(ValueError):
         leakage_probability([-1.0], [1.0], 1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("powers, means, q", [
+    pytest.param([NAN], [1.0], 1.0, id="power-nan"),
+    pytest.param([1.0, NAN], [1.0], 1.0, id="second-power-nan"),
+    pytest.param([1.0, INF], [1.0], 1.0, id="power-inf"),
+    pytest.param([1.0], [], 1.0, id="no-receivers"),
+    pytest.param([1.0], [1.0, NAN], 1.0, id="receiver-mean-nan"),
+    pytest.param([1.0], [0.0], 1.0, id="receiver-mean-zero"),
+    pytest.param([1.0], [1.0], NAN, id="q-nan"),
+    pytest.param([1.0], [1.0], INF, id="q-inf"),
+])
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(leakage_probability, id="closed-form"),
+    pytest.param(lambda *args: empirical_leakage(*args, trials=100, seed=1), id="empirical"),
+])
+def test_out_of_domain_leakage_inputs_rejected(evaluate, powers, means, q):
+    with pytest.raises(ValueError):
+        evaluate(powers, means, q)
 
 
 def test_monotonicity_grid():
@@ -126,10 +148,77 @@ def test_reduce_antennas_trace_replay():
         if prob <= t_g:
             break
         powers.remove(max(powers))
-    assert report.steps == tuple(expect_steps)
+    # the reduction reads every step off one stage chain per receiver, the
+    # replay evaluates each subset on its own: same counts, rounding apart
     counts = [c for c, _ in report.steps]
+    assert counts == [c for c, _ in expect_steps]
+    assert report.m_effective == len(powers)
+    for (_, got), (_, want) in zip(report.steps, expect_steps):
+        assert abs(got - want) <= 1e-12
     assert counts == list(range(config.m, config.m - len(counts), -1))
     assert report.steps[-1][1] <= t_g or report.suspended
+
+
+def partial_fraction_bound(means):
+    """Cancellation error of a trusted partial-fraction tail, as in
+    test_linkstats.hypoexp_tolerance; 0 where the stage chain runs."""
+    pf = trusted_pf_weights(means)
+    if pf is None:
+        return 0.0
+    return 100 * float(np.finfo(np.longdouble).eps) * float(np.max(np.abs(pf[1])))
+
+
+def brute_force_reduction(gains, sol, mean_y_per_pr, q, t_g):
+    """The reduction as stated: evaluate the active set, drop its largest
+    power (lowest index on ties) and repeat; every step is its own
+    `leakage_probability` call.  Returns (steps, m_effective, bounds)."""
+    powers = optimal_power(np.asarray(gains, dtype=float), sol)
+    active = list(range(len(powers)))
+    steps, bounds = [], []
+    while active:
+        powered = powers[active][powers[active] > 0]
+        prob = leakage_probability(powers[active], mean_y_per_pr, q)
+        steps.append((len(active), prob))
+        bounds.append(1e-12 + sum(partial_fraction_bound(powered * ey)
+                                  for ey in mean_y_per_pr if powered.size))
+        if prob <= t_g:
+            return steps, len(active), bounds
+        active.remove(max(active, key=lambda i: (powers[i], -i)))
+    return steps, 0, bounds
+
+
+@pytest.mark.parametrize("t_g", [1e-6, 0.02, 0.1])
+@pytest.mark.parametrize("l_r", [1, 2, 3])
+@pytest.mark.parametrize("equal_receivers", [False, True])
+def test_reduce_antennas_matches_brute_force(t_g, l_r, equal_receivers):
+    # p = max(0, 1 - 1/x): gains below 1 are silent
+    sol = PowerSolution(lam=1.0, c_threshold=1.0, target_mean_power=1.0,
+                        slope=1.0, offset=1.0)
+    rng = np.random.default_rng([l_r, int(equal_receivers), int(1e6 * t_g)])
+    ey = [0.8] * l_r if equal_receivers else list(rng.uniform(0.2, 3.0, size=l_r))
+    stats = LinkStats(1.0, ey, [1.0])
+    seen = set()
+    for kind in ("spread", "tied", "half-silent") * 12:
+        m = int(rng.integers(1, 20))
+        gains = rng.uniform(1.05, 20.0, size=m)
+        if kind == "tied":
+            gains[:] = gains[0]
+        elif kind == "half-silent":
+            gains[: m // 2] = rng.uniform(0.0, 1.0, size=m // 2)
+            rng.shuffle(gains)
+        q = 10 ** rng.uniform(-2.0, 2.0)
+        config = SystemConfig(m=m, n=m, l_t=1, l_r=l_r, p_p=1.0, p_max=1.0,
+                              q=q, gamma_th=1.0)
+        report = reduce_antennas(gains, sol, config, stats, t_g)
+        steps, m_eff, bounds = brute_force_reduction(gains, sol, ey, q, t_g)
+        assert [c for c, _ in report.steps] == [c for c, _ in steps]
+        assert report.m_effective == m_eff
+        assert report.suspended == (m_eff == 0)
+        for (_, got), (_, want), tol in zip(report.steps, steps, bounds):
+            assert abs(got - want) <= tol, (kind, m, q, got, want)
+        seen.add("suspended" if report.suspended
+                 else "reduced" if m_eff < m else "kept")
+    assert seen == {"suspended", "reduced", "kept"}
 
 
 def test_reduce_antennas_suspension():
@@ -145,6 +234,9 @@ def test_reduce_antennas_suspension():
         reduce_antennas([100.0], sol, config, stats, t_g=0.0)
     with pytest.raises(ValueError):
         reduce_antennas([1.0, 2.0], sol, config, stats, t_g=0.5)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            reduce_antennas([bad], sol, config, stats, t_g=0.5)
 
 
 def test_reduction_steps_never_increase_leakage():

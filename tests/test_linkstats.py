@@ -14,6 +14,7 @@ from crmimo.linkstats import (
     LinkStats,
     effective_mean_y,
     hypoexp_ccdf,
+    hypoexp_prefix_ccdf,
     mean_max_iid,
     mean_max_inid,
     mean_sum_inid,
@@ -238,13 +239,16 @@ ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=Non
 
 
 def stage_chain_oracle(means, z):
-    """(ccdf, pdf) at z of a sum of independent exponentials, from the stage
-    chain Exp(m_1) -> Exp(m_2) -> ... in 40-digit arithmetic.
+    """(prefix tails, pdf) at z of a sum of independent exponentials, from
+    the stage chain Exp(m_1) -> Exp(m_2) -> ... in 40-digit arithmetic: the
+    tail of every prefix sum m_1 + ... + m_j, j = 1..len(means), whose last
+    entry is the tail of the whole sum, and the density of the whole sum.
 
     Uniformization: with L the largest rate, expm(G z) = sum_k Pois(k; L z)
     P^k for the substochastic P = I + G / L, so every term is nonnegative
     and no cancellation occurs; the series stops once the Poisson tail
-    falls below 1e-30.
+    falls below 1e-30.  The first j stages evolve on their own, so the
+    running sums of the stage occupancies are the prefix tails.
     """
     with mpmath.workdps(40):
         rates = [1 / mpmath.mpf(m) for m in means]
@@ -253,16 +257,17 @@ def stage_chain_oracle(means, z):
         stay = [1 - r / big for r in rates]
         move = [r / big for r in rates]
         occ = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(rates) - 1)
-        pk, mass, ccdf, last, k = mpmath.exp(-x), 0, 0, 0, 0
+        seen = [mpmath.mpf(0)] * len(rates)
+        pk, mass, k = mpmath.exp(-x), 0, 0
         while k <= x or 1 - mass > mpmath.mpf(10) ** -30:
-            ccdf += pk * mpmath.fsum(occ)
-            last += pk * occ[-1]
+            seen = [s + pk * o for s, o in zip(seen, occ)]
             mass += pk
             occ = [occ[0] * stay[0]] + [occ[j] * stay[j] + occ[j - 1] * move[j - 1]
                                         for j in range(1, len(occ))]
             k += 1
             pk *= x / k
-        return float(ccdf), float(last * rates[-1])
+        prefix = [float(mpmath.fsum(seen[:j])) for j in range(1, len(seen) + 1)]
+        return prefix, float(seen[-1] * rates[-1])
 
 
 # log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%
@@ -282,6 +287,10 @@ def hypoexp_case(draw):
         base = draw(st.floats(0.2, 5.0))
         means = draw(st.permutations([base * (1 + 1e-3 * k) for k in range(n)]))
     return means, draw(st.floats(0.05, 2.0)) * math.fsum(means)
+
+
+# pairs 1e-8 apart: unscaled squaring of the stage chain lost 1.8e-9 here
+NEAR_TIED_PAIRS = [m * f for m in (0.3, 0.6, 1.2, 2.4) for f in (1.0, 1.0 + 1e-8)]
 
 
 def hypoexp_tolerance(means):
@@ -305,8 +314,11 @@ def test_stage_chain_oracle_matches_mpmath_expm():
                 if i + 1 < len(means):
                     gen[i, i + 1] = r
             row = mpmath.expm(gen * z)[0, :]
-            want = (float(mpmath.fsum(row)), float(row[len(means) - 1] * rates[-1]))
-        assert stage_chain_oracle(means, z) == pytest.approx(want, rel=1e-15)
+            prefix = [float(mpmath.fsum(row[:j])) for j in range(1, len(means) + 1)]
+            pdf = float(row[len(means) - 1] * rates[-1])
+        got_prefix, got_pdf = stage_chain_oracle(means, z)
+        assert got_prefix == pytest.approx(prefix, rel=1e-15)
+        assert got_pdf == pytest.approx(pdf, rel=1e-15)
     assert stage_chain_oracle([1.0, 2.0], 1.0)[1] == pytest.approx(HYPO_DENSITY_1, rel=1e-15)
 
 
@@ -319,12 +331,37 @@ def test_stage_chain_oracle_matches_mpmath_expm():
 @example(([1.0, 1.0], 1.0))                              # exact ties
 @example(([2.0] * 4, 5.0))
 @example(([0.5, 1.3, 1.3, 2.2], 2.0))
+@example((NEAR_TIED_PAIRS, 4.5))
 def test_hypoexp_ccdf_and_density_match_oracle(case):
     means, q = case
-    ccdf, pdf = stage_chain_oracle(means, q)
+    prefix, pdf = stage_chain_oracle(means, q)
     tol = hypoexp_tolerance(means)
-    assert abs(hypoexp_ccdf(q, means) - ccdf) <= tol
+    assert abs(hypoexp_ccdf(q, means) - prefix[-1]) <= tol
     assert abs(sum_density_inid(q, means) - pdf) * math.fsum(means) <= tol
+
+
+@ORACLE
+@given(hypoexp_case())
+@example(([1.0, 1.0, 1.0, 2.0, 2.0], 4.0))                # exact ties
+@example((GRID[::15][:64], 100.0))                       # 64 means
+@example(([0.7], 0.5))                                   # a single mean
+@example(([1e-13, 0.5, 2.0], 1e-10))                     # leading stage below 1e-12 max
+@example(([1e-13, 1.0], 1e-14))                          # ... that alone leaks at q
+@example((NEAR_TIED_PAIRS, 4.5))
+def test_hypoexp_prefix_ccdf_matches_oracle(case):
+    means, q = sorted(case[0]), case[1]
+    prefix, _ = stage_chain_oracle(means, q)
+    assert np.max(np.abs(hypoexp_prefix_ccdf(q, means) - prefix)) <= 1e-12
+
+
+def test_hypoexp_prefix_ccdf_domain():
+    # the whole-sum tail is the last prefix
+    assert hypoexp_prefix_ccdf(1.0, [1.0, 2.0])[-1] == pytest.approx(
+        hypoexp_ccdf(1.0, [1.0, 2.0]), abs=1e-15)
+    assert hypoexp_prefix_ccdf(1.0, []).size == 0
+    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF]):
+        with pytest.raises(ValueError):
+            hypoexp_prefix_ccdf(1.0, bad)
 
 
 @ORACLE
