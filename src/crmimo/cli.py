@@ -3,7 +3,8 @@
 Parses scenario files (JSON; powers in dB at the boundary, linear
 internally), runs analytic evaluations, Monte-Carlo validations and
 figure-style parameter sweeps, and emits CSV for sweeps or JSON for
-single-point runs and validation reports.
+single-point runs and validation reports.  Sweep points run in order (point
+i draws with seed + i); --threads spreads each point's Monte-Carlo blocks.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.integrate import quad
@@ -67,6 +67,8 @@ def _number(value, path, kind=float):
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
     if kind is float and not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
     return number
 
 
@@ -236,18 +238,6 @@ def _emit_rows(columns, rows, fmt, out):
         sys.stdout.write(text)
 
 
-def _run_sweep(values, evaluate, threads):
-    """Evaluate all sweep points, in parallel when asked, preserving input
-    order.  Inner Monte-Carlo threading is used only for single points so
-    the output never depends on the thread count."""
-    if len(values) == 1:
-        return [evaluate(0, values[0], threads)]
-    if threads <= 1:
-        return [evaluate(i, v, 1) for i, v in enumerate(values)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda iv: evaluate(iv[0], iv[1], 1), enumerate(values)))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -257,32 +247,33 @@ def cmd_outage(scenario, trials, seed, threads, fmt, out):
     fixed allocation, plus the Monte-Carlo estimate with standard error."""
     values = scenario.sweep_values()
 
-    def evaluate(idx, value, inner_threads):
+    def evaluate(idx, value):
         config, stats, _ = scenario.build_point(value)
         sol = powalloc.solve_lambda(config, stats)
         p_opt = outage.outage_auto(config, stats, sol).p_out
         p_conv = outage.outage_fixed_power(
             config, stats, powalloc.conventional_power(config, stats))
         mc = mcharness.empirical_outage(config, stats, sol, trials,
-                                        seed + idx, threads=inner_threads)
+                                        seed + idx, threads=threads)
         return [value if value is not None else 0.0,
                 p_opt, p_conv, mc.value, mc.std_error]
 
-    rows = _run_sweep(values, evaluate, threads)
+    rows = [evaluate(i, v) for i, v in enumerate(values)]
     _emit_rows(["swept_value", "p_out_optimal", "p_out_conventional",
                 "p_out_mc", "mc_stderr"], rows, fmt, out)
     return 0
 
 
-def cmd_antennas(scenario, trials, seed, threads, fmt, out):
+def cmd_antennas(scenario, trials, seed, fmt, out):
     """Per sweep point: mean active-antenna count after reduction, its
-    standard error, and the full PMF (';'-joined, l = 0..m)."""
+    standard error, and the full PMF (';'-joined, l = 0..m).  Runs on one
+    thread: the per-trial reduction holds the interpreter lock."""
     if scenario.t_g is None and (scenario.sweep is None
                                  or scenario.sweep["parameter"] != "t_g"):
         raise ConfigError("t_g: required for the antennas command")
     values = scenario.sweep_values()
 
-    def evaluate(idx, value, inner_threads):
+    def evaluate(idx, value):
         config, stats, t_g = scenario.build_point(value)
         sol = powalloc.solve_lambda(config, stats)
         pmf = leakage.antenna_pmf(config, stats, sol, t_g, trials, seed + idx)
@@ -290,7 +281,7 @@ def cmd_antennas(scenario, trials, seed, threads, fmt, out):
                 pmf.mean_active, pmf.std_error,
                 ";".join(repr(float(p)) for p in pmf.pmf)]
 
-    rows = _run_sweep(values, evaluate, threads)
+    rows = [evaluate(i, v) for i, v in enumerate(values)]
     _emit_rows(["swept_value", "mean_active", "stderr", "pmf"], rows, fmt, out)
     return 0
 
@@ -300,18 +291,18 @@ def cmd_rate(scenario, trials, seed, threads, fmt, out):
     quadrature rate, and the deterministic large-array rate."""
     values = scenario.sweep_values()
 
-    def evaluate(idx, value, inner_threads):
+    def evaluate(idx, value):
         config, stats, _ = scenario.build_point(value)
         sol = powalloc.solve_lambda(config, stats)
         mc = mcharness.empirical_rate(config, stats, sol, trials,
-                                      seed + idx, threads=inner_threads)
+                                      seed + idx, threads=threads)
         semi = outage.ergodic_capacity(config, stats, sol)
         det = math.log2(1.0 + outage.asymptotic_sinr(
             "both_massive_lt_massive", config, stats, sol).limit)
         return [value if value is not None else config.n,
                 mc.value, semi, det]
 
-    rows = _run_sweep(values, evaluate, threads)
+    rows = [evaluate(i, v) for i, v in enumerate(values)]
     _emit_rows(["n_value", "rate_mc", "rate_semianalytic", "rate_deterministic"],
                rows, fmt, out)
     return 0
@@ -580,7 +571,7 @@ def main(argv=None):
         if args.command == "outage":
             return cmd_outage(scenario, trials, seed, args.threads, fmt, args.out)
         if args.command == "antennas":
-            return cmd_antennas(scenario, trials, seed, args.threads, fmt, args.out)
+            return cmd_antennas(scenario, trials, seed, fmt, args.out)
         if args.command == "rate":
             return cmd_rate(scenario, trials, seed, args.threads, fmt, args.out)
         if args.command == "power":

@@ -3,13 +3,14 @@
 Samples full channel matrices, applies zero-forcing detection through the
 inverse Gram matrix, and measures outage, rate and leakage empirically.
 Trials are grouped into fixed-size blocks, each driven by a counter-based
-Philox generator keyed by (seed, stream id, block index), so estimates are
-bit-identical for a given seed regardless of how many worker threads
-process the blocks.
+Philox generator keyed by (seed, stream id, block index) and reduced in
+block order, so estimates are bit-identical for a given seed regardless of
+how many worker threads process the blocks.
 """
 
 import logging
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ from .powalloc import optimal_power
 log = logging.getLogger(__name__)
 
 BLOCK_TRIALS = 1024
+# Gaussian draws pass through a buffer of whole trials of at most this size
+SLAB_BYTES = 1 << 20
 
 # sub-stream ids keep draws of different estimators disjoint under one seed
 STREAM_OUTAGE = 1
@@ -42,11 +45,22 @@ class McEstimate:
     seed: int
 
 
+def _integer(value, name):
+    """`value` as an int; numpy integers pass, bools and floats raise
+    ValueError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def block_generator(seed, stream, block, retry=0):
     """Philox generator keyed by (seed, stream, retry, block); disjoint
     streams for any distinct key tuple.  The seed must be an unsigned
     64-bit integer: wider values would alias other seeds."""
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = (seed << 64) | ((stream & 0xFF) << 56) \
@@ -55,6 +69,7 @@ def block_generator(seed, stream, block, retry=0):
 
 
 def block_sizes(trials):
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
@@ -67,7 +82,10 @@ def run_blocks(trials, worker, threads=1):
     """Evaluate worker(block_index, size) for every block and return the
     results in block order; the reduction order never depends on threads."""
     sizes = block_sizes(trials)
-    if threads <= 1:
+    threads = _integer(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         return [worker(b, s) for b, s in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
@@ -84,10 +102,22 @@ def _estimate(per_trial, trials, seed):
 # channel sampling
 # ---------------------------------------------------------------------------
 
-def _complex_gaussian(rng, shape, variance):
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * math.sqrt(variance / 2.0)
+def _complex_gaussian(rng, shape, variance, scale=None):
+    """((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit, for whole-array
+    draws of re then im, but drawn through one buffer of at most SLAB_BYTES."""
+    z = np.empty(shape, dtype=complex)
+    s = math.sqrt(variance / 2.0)
+    step = max(1, SLAB_BYTES // (8 * math.prod(shape[1:])))
+    buf = np.empty((min(step, shape[0]),) + shape[1:])
+    for part in (z.real, z.imag):
+        for start in range(0, shape[0], step):
+            slab = buf[:shape[0] - start]
+            rng.standard_normal(out=slab)
+            out = part[start:start + len(slab)]
+            np.multiply(slab, s, out=out)
+            if scale is not None:
+                out *= scale
+    return z
 
 
 def _stream_stats_block(config, stats, seed, stream, block, size):
@@ -96,22 +126,26 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
     unit powers (the power matrix scales out of both quantities).
 
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
+    h is released before h_p is drawn, and h_p once it is projected, so one
+    large channel array is alive at a time.
     """
-    ezs = np.asarray(stats.mean_z_per_pt)
+    scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
     for retry in range(4):
         rng = block_generator(seed, stream, block, retry)
         h = _complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
-        hp = _complex_gaussian(rng, (size, config.n, config.l_t), 1.0)
-        hp = hp * np.sqrt(ezs)[None, None, :]
         hh = np.conj(np.transpose(h, (0, 2, 1)))
         gram = hh @ h
+        del h
         try:
             gram_inv = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
+        hp = _complex_gaussian(rng, (size, config.n, config.l_t), 1.0, scale)
+        cross = hh @ hp
+        del hp, hh
         row_norm2 = np.einsum("bii->bi", gram_inv).real
-        w = gram_inv @ (hh @ hp)
+        w = gram_inv @ cross
         cross2 = np.sum(np.abs(w) ** 2, axis=2)
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
             x_gain = 1.0 / row_norm2

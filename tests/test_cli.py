@@ -122,6 +122,10 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("mc", "fast"),
     ("system.p_p_db", float("nan")),
     ("geometry.d_st_pr", [60.0, "far"]),
+    ("mc.trials", 2000.7),
+    ("mc.seed", 1.9),
+    ("system.m", 2.6),
+    ("sweep.steps", 3.5),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
@@ -159,20 +163,26 @@ def test_single_point_json_output(tmp_path, capsys):
     assert abs(record["p_out_mc"] - record["p_out_optimal"]) <= 5 * record["mc_stderr"]
 
 
-def test_sweep_csv_and_thread_determinism(tmp_path):
-    path = str(SCENARIOS / "outage_vs_pr_distance.json")
+@pytest.mark.parametrize("command, scenario, trials", [
+    ("outage", "outage_vs_pr_distance.json", 20000),
+    ("rate", "rate_vs_array_size.json", 1100),  # two blocks per point
+    ("antennas", "antennas_vs_array_size.json", 300),
+], ids=["outage", "rate", "antennas"])
+def test_sweep_csv_and_thread_determinism(tmp_path, command, scenario, trials):
+    path = str(SCENARIOS / scenario)
     out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["outage", "--config", path, "--trials", "20000",
+    assert main([command, "--config", path, "--trials", str(trials),
                  "--threads", "1", "--out", str(out1)]) == 0
-    assert main(["outage", "--config", path, "--trials", "20000",
+    assert main([command, "--config", path, "--trials", str(trials),
                  "--threads", "8", "--out", str(out8)]) == 0
     assert out1.read_bytes() == out8.read_bytes()
     rows = list(csv.DictReader(out1.read_text().splitlines()))
-    assert len(rows) == 8
-    p_opt = [float(r["p_out_optimal"]) for r in rows]
-    assert all(b < a for a, b in zip(p_opt, p_opt[1:]))  # farther PR, lower outage
-    p_conv = [float(r["p_out_conventional"]) for r in rows]
-    assert all(o <= c for o, c in zip(p_opt, p_conv))
+    assert len(rows) == len(Scenario.load(path).sweep_values())
+    if command == "outage":
+        p_opt = [float(r["p_out_optimal"]) for r in rows]
+        assert all(b < a for a, b in zip(p_opt, p_opt[1:]))  # farther PR, lower outage
+        p_conv = [float(r["p_out_conventional"]) for r in rows]
+        assert all(o <= c for o, c in zip(p_opt, p_conv))
 
 
 def test_power_command(tmp_path, capsys):

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from crmimo.leakage import antenna_pmf
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import (
     STREAM_OUTAGE,
+    STREAM_RATE,
+    _complex_gaussian,
     _stream_stats_block,
     block_generator,
     empirical_leakage,
@@ -37,6 +41,7 @@ class ChannelDraw:
 
 
 def complex_gaussian(rng, shape, variance):
+    """Whole-array draw: all real parts, then all imaginary parts."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) * math.sqrt(variance / 2.0)
@@ -151,17 +156,55 @@ def test_batched_block_matches_per_draw_zf():
     stats = LinkStats.from_geometry(geom)
     config = SystemConfig(m=3, n=5, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
-    seed, block, size = 17, 2, 64
-    x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size)
-    rng = block_generator(seed, STREAM_OUTAGE, block)
-    h = complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
-    hp = complex_gaussian(rng, (size, config.n, config.l_t), 1.0)
-    hp = hp * np.sqrt(np.asarray(stats.mean_z_per_pt))[None, None, :]
-    batched = x_gain / (config.p_p * z + config.n0)
-    for t in range(size):
-        draw = ChannelDraw(h=h[t], h_p=hp[t], y=np.ones((config.l_r, config.m)))
-        sinr = zf_sinr(draw, np.ones(config.m), config)
-        assert np.allclose(batched[t], sinr, rtol=1e-10, atol=0.0)
+    seed, block = 17, 2
+    for size in (1, 7, 64):
+        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size)
+        rng = block_generator(seed, STREAM_OUTAGE, block)
+        h = complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
+        hp = complex_gaussian(rng, (size, config.n, config.l_t), 1.0)
+        hp = hp * np.sqrt(np.asarray(stats.mean_z_per_pt))[None, None, :]
+        batched = x_gain / (config.p_p * z + config.n0)
+        assert batched.shape == (size, config.m)
+        for t in range(size):
+            draw = ChannelDraw(h=h[t], h_p=hp[t], y=np.ones((config.l_r, config.m)))
+            sinr = zf_sinr(draw, np.ones(config.m), config)
+            assert np.allclose(batched[t], sinr, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (80, 16), (80, 80)])
+@pytest.mark.parametrize("size", [1, 7, 476, 1024])
+def test_slab_draw_matches_whole_array_draw(size, shape):
+    # the slab-by-slab draw consumes the stream and rounds exactly as the
+    # whole-array expression, with and without the per-column scale
+    scale = np.sqrt(np.linspace(0.05, 3.0, shape[1]))
+    for s in (None, scale):
+        got = _complex_gaussian(block_generator(3, STREAM_RATE, 5),
+                                (size,) + shape, 2.5, s)
+        want = complex_gaussian(block_generator(3, STREAM_RATE, 5),
+                                (size,) + shape, 2.5)
+        if s is not None:
+            want = want * s[None, None, :]
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def test_large_block_memory_peak():
+    # two 1024-trial m=16, n=l_t=80 blocks run at once under --threads 2;
+    # each may hold at most 1.6 times its interfering channel array (the
+    # whole-array draw peaked at 2.2 times)
+    config = SystemConfig(m=16, n=80, l_t=80, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
+                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, 80)))
+    hp_bytes = 1024 * config.n * config.l_t * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        x_gain, z = _stream_stats_block(config, stats, 1, STREAM_RATE, 0, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x_gain.shape == z.shape == (1024, config.m)
+    assert peak <= 1.6 * hp_bytes, peak / hp_bytes
 
 
 def test_zero_trials_rejected():
@@ -173,6 +216,24 @@ def test_zero_trials_rejected():
         empirical_rate(config, stats, sol, trials=0, seed=1)
     with pytest.raises(ValueError, match="trials"):
         empirical_leakage([1.0], [1.0], 1.0, trials=0, seed=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 2000.0), ("trials", True), ("trials", 0), ("trials", -3),
+    ("threads", 0), ("threads", -2), ("threads", 2.5), ("threads", True),
+    ("seed", 1.5), ("seed", -1), ("seed", 2 ** 64), ("seed", "1"),
+])
+def test_malformed_monte_carlo_arguments_rejected(name, value):
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    args = {"trials": 2000, "seed": 1, "threads": 2, name: value}
+    with pytest.raises(ValueError, match=name):
+        empirical_outage(config, stats, sol, **args)
+    with pytest.raises(ValueError, match=name):
+        empirical_leakage([1.0], [1.0], 1.0, **args)
+    if name != "threads":
+        with pytest.raises(ValueError, match=name):
+            antenna_pmf(config, stats, sol, 0.02, args["trials"], args["seed"])
 
 
 def test_seed_outside_u64_rejected():
@@ -220,6 +281,10 @@ def test_estimator_determinism():
     g1 = sample_stream_gains(config, stats, 5000, seed=9, threads=1)
     g2 = sample_stream_gains(config, stats, 5000, seed=9, threads=4)
     assert np.array_equal(g1, g2)
+    # numpy integers are accepted wherever Python ints are
+    n = empirical_outage(config, stats, sol, trials=np.int64(30000),
+                         seed=np.uint64(7), threads=np.int32(2))
+    assert (n.value, n.std_error) == (a.value, a.std_error)
 
 
 def test_distribution_check_small_arrays():
