@@ -60,10 +60,13 @@ def _section(raw, key, required=True):
 
 
 def _number(value, path, kind=float):
-    """`value` as a finite float, or as an int when kind is int."""
+    """`value` as a finite float, or as an int when kind is int.  Only JSON
+    numbers qualify: not booleans, and not numeric strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
     if kind is float and not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
@@ -78,10 +81,8 @@ def _field(mapping, key, path, kind=float):
 
 
 def _as_list(value, length, path):
-    if isinstance(value, (int, float)):
-        return [_number(value, path)] * length
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a number or a list, got {value!r}")
+        return [_number(value, path)] * length
     vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if len(vals) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(vals)}")
@@ -331,23 +332,25 @@ def cmd_power(scenario, out):
 # validation grid
 # ---------------------------------------------------------------------------
 
+def _validation_point(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
+    """(SystemConfig, LinkStats) at the validation powers: interference cap
+    7 dB, primary power 10 dB, power cap 20 dB, threshold 3 dB."""
+    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=db_to_linear(10),
+                          p_max=db_to_linear(20), q=db_to_linear(7),
+                          gamma_th=db_to_linear(3))
+    stats = LinkStats.from_geometry(Geometry(
+        d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
+    return config, stats
+
+
 def _validation_configs():
     """Small scenario grid spanning both multiplier branches, identical and
     distinct interference statistics, and every closed-form reduction."""
-    q, pp, pmax, gth = db_to_linear(7), db_to_linear(10), db_to_linear(20), db_to_linear(3)
-
-    def build(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
-        config = SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=pp,
-                              p_max=pmax, q=q, gamma_th=gth)
-        stats = LinkStats.from_geometry(Geometry(
-            d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
-        return config, stats
-
     return [
-        build(4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
-        build(3, 3, 2, 2, 25.0, (45.0, 70.0), (55.0, 75.0)),
-        build(2, 6, 4, 1, 30.0, (45.0, 60.0, 75.0, 90.0), (65.0,)),
-        build(1, 2, 2, 1, 35.0, (50.0, 80.0), (70.0,)),
+        _validation_point(4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
+        _validation_point(3, 3, 2, 2, 25.0, (45.0, 70.0), (55.0, 75.0)),
+        _validation_point(2, 6, 4, 1, 30.0, (45.0, 60.0, 75.0, 90.0), (65.0,)),
+        _validation_point(1, 2, 2, 1, 35.0, (50.0, 80.0), (70.0,)),
     ]
 
 
@@ -422,28 +425,25 @@ def run_validation(trials, seed, threads):
     record("powalloc.residual", 1e-10, res_err, res_err <= 1e-10)
     record("powalloc.quadrature_oracle", 1e-8, quad_err, quad_err <= 1e-8)
 
-    # closed-form outage mixture against direct quadrature over the density
-    configs = _validation_configs()
-    err = 0.0
-    for (config, stats), sol in zip(configs[1:], sols[1:]):
-        a, bn = outage._cdf_coefficients(config, stats, sol, config.gamma_th)
-        args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
-        err = max(err, abs(outage._mixed_outage_inid(*args)
-                           - outage._mixed_outage_quadrature(*args)))
-    record("outage.closed_form_vs_quadrature", 1e-12, err, err <= 1e-12)
+    # closed-form outage mixture against direct quadrature over the density,
+    # at distinct means, then at ties: all means equal, and two of three
+    def kernel_gap(points):
+        err = 0.0
+        for config, stats in points:
+            sol = powalloc.solve_lambda(config, stats)
+            a, bn = outage._cdf_coefficients(config, stats, sol.slope,
+                                             sol.c_threshold, config.gamma_th)
+            args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
+            err = max(err, abs(outage._mixed_outage(*args)
+                               - outage._mixed_outage_quadrature(*args)))
+        return err
 
-    # closed-form reductions
-    config, stats = configs[3]
-    sol = sols[3]
-    one_pt = LinkStats(stats.mean_x, stats.mean_y_per_pr,
-                       (stats.mean_z_per_pt[0],))
-    cfg_one = SystemConfig(m=config.m, n=config.n, l_t=1, l_r=config.l_r,
-                           p_p=config.p_p, p_max=config.p_max, q=config.q,
-                           gamma_th=config.gamma_th, n0=config.n0)
-    sol_one = powalloc.solve_lambda(cfg_one, one_pt)
-    err = abs(outage.outage_general(cfg_one, one_pt, sol_one).p_out
-              - outage.outage_iid_pts(cfg_one, one_pt, sol_one).p_out)
-    record("outage.single_pt_collapse", 1e-10, err, err <= 1e-10)
+    configs = _validation_configs()
+    err = kernel_gap(configs[1:])
+    record("outage.closed_form_vs_quadrature", 1e-12, err, err <= 1e-12)
+    err = kernel_gap([configs[0], _validation_point(
+        4, 5, 3, 2, 18.0, (56.0, 56.0, 70.0), (60.0, 60.0))])
+    record("outage.tied_vs_quadrature", 1e-12, err, err <= 1e-12)
 
     # outage reconstructed by mixing the power CDF over the interference
     config, stats = configs[2]

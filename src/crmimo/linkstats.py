@@ -7,7 +7,8 @@ density and tail) of the aggregate primary-to-secondary interference.  This
 module is the only home of that law's partial-fraction weights, of the
 stage-chain matrix exponential and of the rule choosing between them: partial
 fractions for distinct means with bounded weights, the stage chain (exact at
-ties) otherwise.  Means are never perturbed.
+ties) otherwise.  Means are never perturbed.  The outage mixture needs none
+of this: it is a positive sum over the means themselves (`outage`).
 """
 
 import itertools
@@ -18,15 +19,14 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-# Trust rule shared by every partial-fraction form of the hypoexponential
-# law: the weights are undefined when two means are equal, and a weighted
-# sum of exponentials loses about max|w| * eps of absolute accuracy to
-# cancellation, so at an exact tie or beyond this weight magnitude callers
-# switch to an evaluation that is valid for any tie structure (the
-# stage-chain matrix exponential here, direct quadrature against the density
-# in the outage mixture).  The tail and density below sum in extended
-# precision, so their absolute error stays under 1e-12 + 100 eps_ext max|w|
-# (about 1e-9 at the limit, 1e-14 on the stage chain).
+# Trust rule for the partial-fraction form of the hypoexponential law: the
+# weights are undefined when two means are equal, and a weighted sum of
+# exponentials loses about max|w| * eps of absolute accuracy to
+# cancellation, so at an exact tie or beyond this weight magnitude the tail
+# and density switch to the stage-chain matrix exponential, which is valid
+# for any tie structure.  They sum in extended precision, so their absolute
+# error stays under 1e-12 + 100 eps_ext max|w| (about 1e-9 at the limit,
+# 1e-14 on the stage chain).
 PF_WEIGHT_LIMIT = 1e8
 
 

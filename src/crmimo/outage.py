@@ -1,15 +1,13 @@
 """Closed-form outage probability of the secondary streams.
 
-Evaluates the exact outage under the water-filling allocation, its
-co-located-transmitter reduction (chosen when all interferer means are
-equal; a single term at equal antenna counts), the large-array SINR
-equivalents, and the quadrature-based ergodic capacity and binary-modulation
-symbol error rate.  Every term of the double sums combines exp(+large) with
-an incomplete-gamma tail of matching magnitude, so all terms are assembled
-in log space with the finite gamma series folded in.
+Evaluates the exact outage under the water-filling allocation and under a
+fixed power, the large-array SINR equivalents, and the quadrature-based
+ergodic capacity and binary-modulation symbol error rate.  The outage is
+one sum of positive terms, exact for every tie structure of the interferer
+means; the co-located-transmitter case (all means equal) and the single term
+at equal antenna counts are special values of it.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,12 +15,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .linkstats import sum_density_inid, trusted_pf_weights
+from .linkstats import _finite_positive, sum_density_inid
 from .powalloc import LN2
-from .specfun import regularized_upper_gamma
-
-_MAX_LOG_TERM = 700.0
-_LOG2 = math.log(2.0)
+from .specfun import erlang_tails, regularized_upper_gamma
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 
@@ -49,16 +44,15 @@ def received_power_cdf(x, sol, config, stats):
 
 
 # ---------------------------------------------------------------------------
-# core mixed-over-interference evaluators
+# the outage mixed over the interference
 # ---------------------------------------------------------------------------
 
 def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     """Pr[stream power CDF argument below threshold], mixed over the
     interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
 
-    Same quantity as the closed form, valid for any tie structure; used
-    when the partial-fraction weights are undefined (tied means) or too
-    large for a trustworthy cancellation.
+    Same quantity as `_mixed_outage`, valid for any tie structure; kept as
+    the independent oracle that validation and the tests check it against.
     """
     means = np.asarray(z_means, dtype=float)
 
@@ -76,107 +70,51 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     return min(1.0, max(0.0, v1 + v2))
 
 
-def _logaddexp(x, y):
-    """log(e^x + e^y): numpy's npy_logaddexp, branch for branch, on math
-    scalars (bit-identical to np.logaddexp, without the ufunc call)."""
-    if x == y:
-        return x + _LOG2
-    tmp = x - y
-    if tmp > 0:
-        return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp
+def _mixed_outage(a, bn, n_terms, z_means):
+    """E_Z[1 - Q(N, a Z + bn)] with N = n_terms and Z the sum of independent
+    exponentials with the given means: the Erlang-tail outage mixed over the
+    interference.
 
+    Tilting Z by e^{-aZ} keeps it a sum of exponentials, so with
+    r_k = a E[Z_k] / (1 + a E[Z_k])
 
-@functools.lru_cache(maxsize=16)
-def _pf_log_terms(means):
-    """(m_k, log|w_k|, log m_k, sign w_k) per interferer for a tuple of
-    float means, or None where `linkstats` does not trust the weights."""
-    pf = trusted_pf_weights(means)
-    if pf is None:
-        return None
-    return tuple((mk, math.log(abs(wk)), math.log(mk), 1.0 if wk > 0 else -1.0)
-                 for mk, wk in zip(means, pf[1].astype(float).tolist()))
+        P_out = 1 - prod_k (1 - r_k) sum_{s<N} h_s(r) Q(N - s, bn),
 
-
-def _mixed_outage_inid(a, bn, n_terms, z_means):
-    """1 - sum_{l<n_terms} sum_k w_k a^l e^{-bn} S_k(l) / (E[Z_k] beta_k^{l+1})
-    with beta_k = a + 1/E[Z_k], S_k(l) = sum_{s<=l} v_k^s / s!,
-    v_k = beta_k bn / a.
-
-    This is the interference-mixed Erlang tail with the incomplete-gamma
-    series folded in; each (l, k) term is formed as sign * exp(log term).
-    The weight-dependent terms are cached per interferer tuple, since the
-    capacity and SER quadratures call this hundreds of times on one tuple.
-    Where `linkstats` does not trust the weights (tied means, or weights
-    that would cancel past float64) the mixture is integrated numerically
-    instead.
+    where h_s is the complete homogeneous polynomial of degree s in the r_k,
+    built one mean at a time.  Every term is positive and no difference of
+    means appears, so ties need no special case; at a = 0 the sum is
+    Q(N, bn).
     """
-    if a == 0.0:
-        return 1.0 - regularized_upper_gamma(n_terms, bn)
-    terms = _pf_log_terms(tuple(map(float, z_means)))
-    if terms is None:
-        return _mixed_outage_quadrature(a, bn, n_terms, z_means)
-    log_a = math.log(a)
-    log_bn = math.log(bn)
-    acc = []
-    for mk, log_w, log_mk, sign in terms:
-        beta = a + 1.0 / mk
-        log_beta = math.log(beta)
-        log_v = log_beta + log_bn - log_a
-        log_ratio = log_a - log_beta
-        pref = log_w - bn - log_beta - log_mk
-        log_s = 0.0
-        for l in range(n_terms):
-            if l > 0:
-                log_s = _logaddexp(log_s, l * log_v - math.lgamma(l + 1))
-            term_log = pref + l * log_ratio + log_s
-            if term_log > _MAX_LOG_TERM:
-                raise OverflowError(
-                    f"outage term exceeds the representable range "
-                    f"(log term {term_log:.1f}); interference means are too close"
-                )
-            acc.append(sign * math.exp(term_log))
-    return min(1.0, max(0.0, 1.0 - math.fsum(acc)))
+    means = [float(m) for m in z_means]
+    if not all(map(_finite_positive, means)):
+        raise ValueError(f"interference means must be finite and positive, got {means}")
+    weight = 1.0
+    h = [1.0] + [0.0] * (n_terms - 1)
+    for mk in means:
+        t = a * mk
+        weight /= 1.0 + t  # 1 - r_k, formed without cancellation
+        r = t / (1.0 + t)
+        for s in range(1, n_terms):
+            h[s] += r * h[s - 1]
+    tails = erlang_tails(n_terms, bn)
+    mix = math.fsum(hs * q for hs, q in zip(h, reversed(tails)))
+    return min(1.0, max(0.0, 1.0 - weight * mix))
 
 
-def _mixed_outage_iid(a, bn, n_terms, ez, l_t):
-    """Co-located-transmitter branch: the interference sum is an Erlang of
-    order l_t, giving all-positive terms
-
-    1 - e^{-bn} sum_{l<n_terms} sum_{s<=l}
-        C(l,s) (s+l_t-1)! / (l! (l_t-1)!) bn^{l-s} a^s
-        / (E_z^{l_t} (a + 1/E_z)^{s+l_t}).
-    """
-    if a == 0.0:
-        return 1.0 - regularized_upper_gamma(n_terms, bn)
-    beta = a + 1.0 / ez
-    log_a, log_bn, log_beta = math.log(a), math.log(bn), math.log(beta)
-    const = -bn - l_t * math.log(ez) - math.lgamma(l_t)
-    acc = []
-    for l in range(n_terms):
-        for s in range(l + 1):
-            term_log = (
-                const
-                - math.lgamma(s + 1)
-                - math.lgamma(l - s + 1)
-                + math.lgamma(s + l_t)
-                + (l - s) * log_bn
-                + s * log_a
-                - (s + l_t) * log_beta
-            )
-            acc.append(math.exp(term_log))
-    return min(1.0, max(0.0, 1.0 - math.fsum(acc)))
+def _cdf_coefficients(config, stats, slope, c_threshold, gamma_th):
+    """(a, bn) of the outage integrand: the stream outage
+    slope (X - C) < gamma (p_p z + n0) is the Erlang tail complement of X
+    at u = a z + bn."""
+    c1 = gamma_th / (slope * stats.mean_x)
+    return config.p_p * c1, config.n0 * c1 + c_threshold / stats.mean_x
 
 
-def _cdf_coefficients(config, stats, sol, gamma_th):
-    """(a, bn) of the outage integrand: the stream-power CDF evaluated at
-    gamma (p_p z + n0) is the Erlang tail complement at u = a z + bn."""
-    c1 = gamma_th / (sol.slope * stats.mean_x)
-    a = config.p_p * c1
-    bn = config.n0 * c1 + sol.c_threshold / stats.mean_x
-    return a, bn
+def _outage(config, stats, slope, c_threshold, gamma_th):
+    """Outage of the received stream power slope (X - C) at threshold
+    gamma_th (the configured one when None)."""
+    g = config.gamma_th if gamma_th is None else gamma_th
+    a, bn = _cdf_coefficients(config, stats, slope, c_threshold, g)
+    return _mixed_outage(a, bn, config.diversity_order, stats.mean_z_per_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +122,10 @@ def _cdf_coefficients(config, stats, sol, gamma_th):
 # ---------------------------------------------------------------------------
 
 def outage_general(config, stats, sol, gamma_th=None):
-    """Exact outage for arbitrary per-transmitter interference means; tied
-    means are integrated by quadrature, so no mean is perturbed.  At m == n
-    the double sum keeps one diversity term, the single sum
-    1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1)."""
-    g = config.gamma_th if gamma_th is None else gamma_th
-    a, bn = _cdf_coefficients(config, stats, sol, g)
-    p = _mixed_outage_inid(a, bn, config.diversity_order, stats.mean_z_per_pt)
+    """Exact outage for arbitrary per-transmitter interference means, tied
+    or not; no mean is perturbed.  At m == n it keeps one diversity term,
+    1 - e^{-bn} prod_k 1 / (1 + a E[Z_k])."""
+    p = _outage(config, stats, sol.slope, sol.c_threshold, gamma_th)
     return OutageResult(p_out=p, branch="general",
                         lambda_used=sol.lam, c_used=sol.c_threshold)
 
@@ -200,17 +135,9 @@ def outage_iid_pts(config, stats, sol, gamma_th=None):
     reduces to a single term 1 - e^{-bn} / (1 + a E_z)^{l_t} when m == n."""
     if not stats.iid_z:
         raise ValueError("outage_iid_pts requires identical per-transmitter means (iid_z)")
-    g = config.gamma_th if gamma_th is None else gamma_th
-    a, bn = _cdf_coefficients(config, stats, sol, g)
-    ez = stats.mean_z_per_pt[0]
-    l_t = stats.l_t
-    if config.m == config.n:
-        p = 1.0 - math.exp(-bn - l_t * math.log1p(a * ez)) if bn < 745.0 else 1.0
-        p = min(1.0, max(0.0, p))
-        return OutageResult(p_out=p, branch="iid_pts_equal_antennas",
-                            lambda_used=sol.lam, c_used=sol.c_threshold)
-    p = _mixed_outage_iid(a, bn, config.diversity_order, ez, l_t)
-    return OutageResult(p_out=p, branch="iid_pts",
+    p = _outage(config, stats, sol.slope, sol.c_threshold, gamma_th)
+    branch = "iid_pts_equal_antennas" if config.m == config.n else "iid_pts"
+    return OutageResult(p_out=p, branch=branch,
                         lambda_used=sol.lam, c_used=sol.c_threshold)
 
 
@@ -227,14 +154,7 @@ def outage_fixed_power(config, stats, power, gamma_th=None):
     baseline); returns the bare probability."""
     if power <= 0:
         return 1.0
-    g = config.gamma_th if gamma_th is None else gamma_th
-    c1 = g / (power * stats.mean_x)
-    a = config.p_p * c1
-    bn = config.n0 * c1
-    if stats.iid_z:
-        return _mixed_outage_iid(a, bn, config.diversity_order,
-                                 stats.mean_z_per_pt[0], stats.l_t)
-    return _mixed_outage_inid(a, bn, config.diversity_order, stats.mean_z_per_pt)
+    return _outage(config, stats, power, 0.0, gamma_th)
 
 
 # ---------------------------------------------------------------------------

@@ -79,32 +79,39 @@ def regularized_upper_gamma(n, x):
     The Erlang-tail form; valid for any integer n >= 1 without factorial
     overflow.  Falls back to log-space accumulation for large x.
     """
+    return erlang_tails(n, x)[-1]
+
+
+def erlang_tails(n, x):
+    """[Q(1, x), ..., Q(n, x)], the running sums of the Poisson(x) pmf, for
+    integer n >= 1 and x >= 0, in one pass of the finite series.  Past the
+    underflow guard the sums are kept in log space:
+    log Q(j, x) = -x + logsumexp_{k<j} (k ln x - ln k!).
+    """
     n = _check_int(n, "n")
-    if n < 1:
-        raise ValueError(f"regularized_upper_gamma requires n >= 1, got {n}")
-    if x < 0.0:
-        raise ValueError(f"regularized_upper_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
+    if n < 1 or not x >= 0.0:
+        raise ValueError(f"the Erlang tail Q(n, x) requires n >= 1 and x >= 0, "
+                         f"got n={n}, x={x}")
     if x <= _LOG_SAFE_X:
-        term = 1.0
-        total = 1.0
+        scale = math.exp(-x)
+        term = total = 1.0
+        tails = [scale]
         for k in range(1, n):
             term *= x / k
             total += term
-        return math.exp(-x) * total
-    # log-space: log Q = -x + logsumexp_k (k ln x - ln k!)
+            tails.append(scale * total)
+        return tails
     lx = math.log(x)
-    lmax = -math.inf
-    logs = []
+    lmax, s, tails = -math.inf, 0.0, []
     for k in range(n):
         lt = k * lx - math.lgamma(k + 1)
-        logs.append(lt)
         if lt > lmax:
-            lmax = lt
-    s = sum(math.exp(lt - lmax) for lt in logs)
-    lq = -x + lmax + math.log(s)
-    return math.exp(lq) if lq > -745.0 else 0.0
+            s, lmax = s * math.exp(lmax - lt) + 1.0, lt
+        else:
+            s += math.exp(lt - lmax)
+        lq = -x + lmax + math.log(s)
+        tails.append(math.exp(lq) if lq > -745.0 else 0.0)
+    return tails
 
 
 def upper_incomplete_gamma(n, x):

@@ -128,27 +128,28 @@ def test_criterion_2_mean_power_constraint_closure():
 
 
 def test_criterion_3_reduction_identities():
-    from crmimo.outage import (_cdf_coefficients, _mixed_outage_iid,
-                               _mixed_outage_quadrature)
+    from crmimo.outage import _cdf_coefficients, _mixed_outage_quadrature
 
-    # equal antenna counts: the single-sum closed form against direct
-    # quadrature of the same mixture
+    # equal antenna counts: the closed form against direct quadrature of
+    # the same mixture
     config, stats = build(*REGRESSION_GRID[2])
     sol = cr.solve_lambda(config, stats)
-    a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
     gap_equal = abs(cr.outage_general(config, stats, sol).p_out
                     - _mixed_outage_quadrature(a, bn, config.diversity_order,
                                                stats.mean_z_per_pt))
     assert gap_equal <= 1e-12
 
-    # identical transmitters with equal antenna counts: single-term form
+    # identical transmitters with equal antenna counts: the single term
+    # 1 - e^{-bn} (1 + a E_z)^{-l_t}
     config, stats = build(*REGRESSION_GRID[3])
     sol = cr.solve_lambda(config, stats)
-    a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
     reduced = cr.outage_iid_pts(config, stats, sol).p_out
-    double_sum = _mixed_outage_iid(a, bn, config.diversity_order,
-                                   stats.mean_z_per_pt[0], stats.l_t)
-    gap_iid = abs(reduced - double_sum)
+    single_term = 1.0 - math.exp(-bn) * (1.0 + a * stats.mean_z_per_pt[0]) ** -stats.l_t
+    gap_iid = abs(reduced - single_term)
     assert gap_iid <= 1e-12
 
     # a single primary transmitter collapses both branches

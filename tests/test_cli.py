@@ -126,6 +126,11 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("mc.seed", 1.9),
     ("system.m", 2.6),
     ("sweep.steps", 3.5),
+    ("system.m", True),
+    ("mc.trials", "3000"),
+    ("mc.seed", False),
+    ("system.p_p_db", True),
+    ("geometry.d_pt_sr", [56.0, True]),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +11,8 @@ from crmimo import outage
 from crmimo.linkstats import Geometry, LinkStats, sum_density_inid, trusted_pf_weights
 from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
 from crmimo.outage import (
-    _MAX_LOG_TERM,
     _cdf_coefficients,
-    _logaddexp,
-    _mixed_outage_iid,
-    _mixed_outage_inid,
+    _mixed_outage,
     _mixed_outage_quadrature,
     asymptotic_sinr,
     average_ser_binary,
@@ -111,7 +109,8 @@ def test_equal_antenna_reduction_identity():
     sol = solve_lambda(config, stats)
     general = outage_general(config, stats, sol)
     assert outage_auto(config, stats, sol) == general
-    a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
     ms, w = trusted_pf_weights(stats.mean_z_per_pt)
     single_sum = 1.0 - math.fsum(float(wk) * math.exp(-bn) / (a * float(mk) + 1.0)
                                  for mk, wk in zip(ms, w))
@@ -131,21 +130,36 @@ def test_single_transmitter_collapses_branches():
     assert a == pytest.approx(b, rel=1e-10)
 
 
+def colocated_double_sum(a, bn, n_terms, ez, l_t):
+    """The paper's co-located-transmitter outage, where the interference is
+    an Erlang of order l_t:
+    1 - e^{-bn} sum_{l<N} sum_{s<=l} C(l,s) (s+l_t-1)! / (l! (l_t-1)!)
+        bn^{l-s} a^s / (E_z^{l_t} (a + 1/E_z)^{s+l_t})."""
+    beta = a + 1.0 / ez
+    acc = math.fsum(
+        math.comb(l, s) * math.factorial(s + l_t - 1)
+        / (math.factorial(l) * math.factorial(l_t - 1))
+        * bn ** (l - s) * a ** s / (ez ** l_t * beta ** (s + l_t))
+        for l in range(n_terms) for s in range(l + 1))
+    return 1.0 - math.exp(-bn) * acc
+
+
 def test_tied_means_match_iid_branch_without_the_iid_flag():
-    # the general evaluators do not trust partial fractions at an exact
-    # tie; they integrate the exact density instead of perturbing the means
+    # an exact tie needs no special case: the general branch and the
+    # fixed-power outage agree with the paper's co-located double sum
     config, stats = anchor_setup()
     assert stats.iid_z
     sol = solve_lambda(config, stats)
-    assert abs(outage_general(config, stats, sol).p_out
-               - outage_iid_pts(config, stats, sol).p_out) <= 1e-12
+    ez, l_t, n_terms = stats.mean_z_per_pt[0], stats.l_t, config.diversity_order
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
+    want = colocated_double_sum(a, bn, n_terms, ez, l_t)
+    assert abs(outage_general(config, stats, sol).p_out - want) <= 1e-12
+    assert abs(outage_iid_pts(config, stats, sol).p_out - want) <= 1e-12
     power = conventional_power(config, stats)
-    c1 = config.gamma_th / (power * stats.mean_x)
-    a, bn = config.p_p * c1, config.n0 * c1
-    n_terms = config.diversity_order
-    assert abs(_mixed_outage_inid(a, bn, n_terms, stats.mean_z_per_pt)
-               - _mixed_outage_iid(a, bn, n_terms, stats.mean_z_per_pt[0],
-                                   stats.l_t)) <= 1e-12
+    a, bn = _cdf_coefficients(config, stats, power, 0.0, config.gamma_th)
+    assert abs(outage_fixed_power(config, stats, power)
+               - colocated_double_sum(a, bn, n_terms, ez, l_t)) <= 1e-12
 
 
 def test_equal_means_take_the_iid_branch_however_built():
@@ -174,10 +188,11 @@ def test_iid_equal_antenna_reduction():
     sol = solve_lambda(config, stats)
     res = outage_iid_pts(config, stats, sol)
     assert res.branch == "iid_pts_equal_antennas"
-    # the reduced value equals the double-sum branch truncated to l = 0
-    a, bn = _cdf_coefficients(config, stats, sol, config.gamma_th)
-    full = _mixed_outage_iid(a, bn, 1, stats.mean_z_per_pt[0], stats.l_t)
-    assert res.p_out == pytest.approx(full, abs=1e-12)
+    # the single term 1 - e^{-bn} (1 + a E_z)^{-l_t}
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
+    single = 1.0 - math.exp(-bn) * (1.0 + a * stats.mean_z_per_pt[0]) ** -stats.l_t
+    assert res.p_out == pytest.approx(single, abs=1e-12)
 
 
 def test_iid_branch_requires_identical_means():
@@ -351,104 +366,128 @@ def test_average_ser_matches_monte_carlo():
     assert abs(ana - v.mean()) <= 3 * se
 
 
+
+
 # ---------------------------------------------------------------------------
-# the per-tuple cached evaluator against its uncached reference
+# the positive-term kernel against high-precision oracles
 # ---------------------------------------------------------------------------
 
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def mixed_outage_inid_reference(a, bn, n_terms, z_means):
-    """The closed-form evaluator with its weights recomputed on every call
-    and numpy's logaddexp in the S_k(l) recursion: the reference that the
-    per-tuple cached form must match bit for bit."""
-    if a == 0.0:
-        return 1.0 - regularized_upper_gamma(n_terms, bn)
-    pf = trusted_pf_weights(z_means)
-    if pf is None:
-        return _mixed_outage_quadrature(a, bn, n_terms, z_means)
-    weights = pf[1].astype(float).tolist()
-    log_a = math.log(a)
-    log_bn = math.log(bn)
-    acc = []
-    for mk, wk in zip(z_means, weights):
-        beta = a + 1.0 / mk
-        log_beta = math.log(beta)
-        log_v = log_beta + log_bn - log_a
-        log_ratio = log_a - log_beta
-        pref = math.log(abs(wk)) - bn - log_beta - math.log(mk)
-        sign = 1.0 if wk > 0 else -1.0
-        log_s = 0.0
-        for l in range(n_terms):
-            if l > 0:
-                log_s = np.logaddexp(log_s, l * log_v - math.lgamma(l + 1))
-            term_log = pref + l * log_ratio + log_s
-            if term_log > _MAX_LOG_TERM:
-                raise OverflowError(
-                    f"outage term exceeds the representable range "
-                    f"(log term {term_log:.1f}); interference means are too close"
-                )
-            acc.append(sign * math.exp(term_log))
-    return min(1.0, max(0.0, 1.0 - math.fsum(acc)))
+def _mp_erlang_sums(bn, n_terms):
+    """[0, T_1, ..., T_N] with T_j = sum_{i<j} bn^i / i!, in mpmath."""
+    sums, term = [mpmath.mpf(0)], mpmath.mpf(1)
+    for i in range(n_terms):
+        sums.append(sums[-1] + term)
+        term *= bn / (i + 1)
+    return sums
 
 
-def outcome(fn, *args):
-    """The exact bits of a float result, or the exception raised."""
-    try:
-        return float(fn(*args)).hex()
-    except OverflowError as exc:
-        return repr(exc)
+def partial_fraction_oracle(a, bn, n_terms, means):
+    """The outage as the paper writes it for distinct means: the density of
+    the interference in partial fractions, w_k = prod_{j!=k} m_k / (m_k - m_j),
+    mixed into the Erlang tail term by term,
+    1 - e^{-bn} sum_k (w_k / m_k) sum_{l<N} sum_{s<=l}
+        bn^{l-s} a^s / ((l-s)! (a + 1/m_k)^{s+1}),
+    with 40 digits left after the weights' cancellation."""
+    with mpmath.workdps(60):
+        ms = [mpmath.mpf(m) for m in means]
+        lost = max(abs(mpmath.fprod(mk / (mk - mj) for j, mj in enumerate(ms) if j != k))
+                   for k, mk in enumerate(ms))
+    with mpmath.workdps(40 + max(0, int(mpmath.log10(lost)) + 1)):
+        a, bn = mpmath.mpf(a), mpmath.mpf(bn)
+        ms = [mpmath.mpf(m) for m in means]
+        sums = _mp_erlang_sums(bn, n_terms)
+        total = mpmath.mpf(0)
+        for k, mk in enumerate(ms):
+            wk = mpmath.fprod(mk / (mk - mj) for j, mj in enumerate(ms) if j != k)
+            beta = a + 1 / mk
+            # sum over l of the inner sum, regrouped by s
+            total += wk / mk * mpmath.fsum(a ** s / beta ** (s + 1) * sums[n_terms - s]
+                                           for s in range(n_terms))
+        return float(1 - mpmath.exp(-bn) * total)
 
 
-FINITE = st.floats(-800.0, 800.0)
+def positive_sum_oracle(a, bn, n_terms, means):
+    """The kernel's positive sum in 50-digit arithmetic, for tied means."""
+    with mpmath.workdps(50):
+        a, bn = mpmath.mpf(a), mpmath.mpf(bn)
+        weight, h = mpmath.mpf(1), [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n_terms - 1)
+        for m in means:
+            r = a * m / (1 + a * m)
+            weight *= 1 - r
+            for s in range(1, n_terms):
+                h[s] += r * h[s - 1]
+        sums = _mp_erlang_sums(bn, n_terms)
+        mix = mpmath.fsum(h[s] * sums[n_terms - s] for s in range(n_terms))
+        return float(1 - weight * mpmath.exp(-bn) * mix)
+
+
+def spread(lo, mid, hi):
+    """Floats over [lo, hi], drawn as often below mid as above it."""
+    return st.one_of(st.floats(lo, mid), st.floats(mid, hi))
+
+
+@st.composite
+def interferer_means(draw):
+    """1..64 means over 1e-2..10, then exact ties, near ties (1e-8 apart,
+    relative) or neither."""
+    size = draw(st.integers(1, 64))
+    means = draw(st.lists(spread(1e-2, 1.0, 10.0), min_size=size, max_size=size))
+    tie = draw(st.sampled_from(["none", "exact", "near"]))
+    if len(means) > 1 and tie != "none":
+        k = draw(st.integers(1, len(means) - 1))
+        step = 0.0 if tie == "exact" else 1e-8
+        means[1:k + 1] = [means[0] * (1.0 + step * i) for i in range(1, k + 1)]
+    return means
 
 
 @ORACLE
-@given(FINITE, FINITE, st.floats(40.0, 800.0),
-       st.sampled_from(["free", "equal", "above", "below"]))
-@example(0.0, 0.0, 40.0, "equal")
-@example(-0.0, 0.0, 40.0, "free")
-@example(-745.0, 0.0, 40.0, "below")
-def test_logaddexp_matches_numpy_bitwise(x, y, gap, mode):
-    y = {"free": y, "equal": x, "above": x + gap, "below": x - gap}[mode]
-    assert _logaddexp(x, y).hex() == float(np.logaddexp(x, y)).hex()
-    assert _logaddexp(y, x).hex() == float(np.logaddexp(y, x)).hex()
+@given(spread(1e-4, 1.0, 1e4), spread(1e-4, 1.0, 60.0),
+       st.integers(1, 40), interferer_means())
+@example(0.7, 1.3, 4, [0.5, 0.5, 0.8])
+@example(1e4, 5.0, 40, [0.3] * 64)
+@example(2.0, 3.0, 40, [0.05 * 1.1 ** k for k in range(64)])
+@example(0.7, 1.3, 6, [1.0, 1.0 + 1e-8, 1.0 + 2e-8, 2.0])
+@example(1e-4, 60.0, 40, [10.0] * 3 + [1e-2])
+@example(0.0, 2.5, 7, [1.0, 2.0])
+def test_kernel_matches_mpmath_oracle(a, bn, n_terms, means):
+    got = _mixed_outage(a, bn, n_terms, means)
+    if len(set(means)) == len(means):
+        want = partial_fraction_oracle(a, bn, n_terms, means)
+    else:
+        want = positive_sum_oracle(a, bn, n_terms, means)
+    assert abs(got - want) <= 1e-14
 
 
-# 2..20 distinct means: a scale times a product of spacing ratios, so the
-# partial-fraction weights stay trusted and the closed form runs
-DISTINCT_MEANS = st.builds(
-    lambda base, ratios: [base * math.prod(ratios[:k]) for k in range(len(ratios) + 1)],
-    st.floats(1e-3, 10.0), st.lists(st.floats(1.2, 3.0), min_size=1, max_size=19))
-
-
-@ORACLE
-@given(st.floats(1e-4, 1e2), st.floats(1e-4, 50.0), st.integers(1, 9), DISTINCT_MEANS)
-@example(0.0, 0.5, 3, [0.2, 0.7])
-def test_cached_evaluator_matches_uncached_reference(a, bn, n_terms, means):
-    want = outcome(mixed_outage_inid_reference, a, bn, n_terms, means)
-    assert outcome(_mixed_outage_inid, a, bn, n_terms, means) == want
-    # the second call reads the cached terms
-    assert outcome(_mixed_outage_inid, a, bn, n_terms, means) == want
-
-
-def test_cached_evaluator_ignores_the_container_of_the_means():
-    means = [0.31, 0.9, 2.4, 5.0]
-    want = mixed_outage_inid_reference(0.7, 1.3, 4, means).hex()
-    for _ in range(3):
-        for given_as in (list(means), tuple(means), np.array(means)):
-            assert _mixed_outage_inid(0.7, 1.3, 4, given_as).hex() == want
+def test_kernel_rejects_non_finite_or_negative_means():
     for bad in ([math.inf, 1.0], (1.0, math.nan), np.array([0.5, -1.0])):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="finite"):
-                _mixed_outage_inid(0.7, 1.3, 4, bad)
+        with pytest.raises(ValueError, match="finite"):
+            _mixed_outage(0.7, 1.3, 4, bad)
 
 
-def test_tied_means_still_take_the_quadrature(monkeypatch):
-    calls = []
-    monkeypatch.setattr(outage, "_mixed_outage_quadrature",
-                        lambda *args: calls.append(args) or 0.25)
-    tied = (0.5, 0.5, 0.8)
-    for _ in range(2):
-        assert _mixed_outage_inid(0.7, 1.3, 3, tied) == 0.25
-    assert calls == [(0.7, 1.3, 3, tied)] * 2
+# exact at d_pt_sr = (56, 56, 70) m: a 30-digit mpmath quadrature of the
+# positive sum (the former quadrature-based evaluation read 1.0744074498954972)
+TIED_CAPACITY = 1.0744074578158771
+
+
+def test_partial_tie_never_takes_the_quadrature(monkeypatch):
+    geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0, 70.0), d_st_pr=(60.0, 60.0))
+    stats = LinkStats.from_geometry(geom)
+    config = SystemConfig(m=4, n=5, l_t=3, l_r=2, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    sol = solve_lambda(config, stats)
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
+    want = _mixed_outage_quadrature(a, bn, config.diversity_order, stats.mean_z_per_pt)
+
+    def refuse(*args):
+        raise AssertionError("the outage fell back to quadrature")
+
+    monkeypatch.setattr(outage, "_mixed_outage_quadrature", refuse)
+    res = outage_auto(config, stats, sol)
+    assert res.branch == "general"
+    assert abs(res.p_out - want) <= 1e-12
+    assert 0.0 < outage_fixed_power(config, stats, conventional_power(config, stats)) < 1.0
+    assert abs(ergodic_capacity(config, stats, sol) - TIED_CAPACITY) <= 1e-9
