@@ -46,14 +46,13 @@ def leakage_probability(powers, mean_y_per_pr, q):
     """Probability that every primary receiver sees aggregate interference
     above q:
 
-        prod_j sum_i W_i exp(-q / (p_i E[Y^(j)]))
+        prod_j Pr[sum_i p_i E[Y^(j)] E_i > q],  E_i ~ Exp(1) independent:
 
-    with W_i = prod_{k != i} p_i / (p_i - p_k): per receiver the aggregate
-    is a sum of independent exponentials with means p_i E[Y^(j)], and the
-    partial-fraction weights depend on the powers only.  Each tail is
-    `hypoexp_ccdf`, which takes the stage chain when the weights are too
-    large to trust.  Antennas with zero power are excluded; all-zero powers
-    mean no transmission and no leakage.
+    per receiver the aggregate is a sum of independent exponentials with
+    means p_i E[Y^(j)], whose tail is `hypoexp_ccdf`, the stage chain over
+    the sorted means.  It is the first step of `reduce_antennas` to the
+    bit.  Antennas with zero power are excluded; all-zero powers mean no
+    transmission and no leakage.
     """
     p_all, _ = checked_leakage_inputs(powers, mean_y_per_pr, q)
     p = p_all[p_all > 0]

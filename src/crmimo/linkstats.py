@@ -4,11 +4,11 @@ Builds all average channel gains from node geometry via power-law path
 loss, and evaluates the order-statistics mean of the strongest
 secondary-to-primary link together with the hypoexponential law (mean,
 density and tail) of the aggregate primary-to-secondary interference.  This
-module is the only home of that law's partial-fraction weights, of the
-stage-chain matrix exponential and of the rule choosing between them: partial
-fractions for distinct means with bounded weights, the stage chain (exact at
-ties) otherwise.  Means are never perturbed.  The outage mixture needs none
-of this: it is a positive sum over the means themselves (`outage`).
+module is the only home of that law's evaluator: one stage-chain matrix
+exponential over the means in ascending order, exact for any tie structure,
+whose running occupancy sums are the tails and whose last stage gives the
+density.  Means are never perturbed.  The outage mixture needs none of
+this: it is a positive sum over the means themselves (`outage`).
 """
 
 import itertools
@@ -18,16 +18,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
-
-# Trust rule for the partial-fraction form of the hypoexponential law: the
-# weights are undefined when two means are equal, and a weighted sum of
-# exponentials loses about max|w| * eps of absolute accuracy to
-# cancellation, so at an exact tie or beyond this weight magnitude the tail
-# and density switch to the stage-chain matrix exponential, which is valid
-# for any tie structure.  They sum in extended precision, so their absolute
-# error stays under 1e-12 + 100 eps_ext max|w| (about 1e-9 at the limit,
-# 1e-14 on the stage chain).
-PF_WEIGHT_LIMIT = 1e8
 
 
 def _finite_positive(x):
@@ -44,35 +34,21 @@ def pathloss_gain(d, d_ref, alpha):
     return (d / d_ref) ** (-alpha)
 
 
-def trusted_pf_weights(means):
-    """Means and partial-fraction weights w_k = prod_{j != k} m_k / (m_k - m_j),
-    both in extended precision, when the partial-fraction form is trusted;
-    None when two means are equal or max|w| > PF_WEIGHT_LIMIT.  The products
-    are individually benign but the weights reach magnitudes where float64
-    rounding would dominate their later cancellations."""
-    ms = np.asarray(means, dtype=np.longdouble)
-    if not (_finite_positive(ms.min()) and _finite_positive(ms.max())):
-        raise ValueError(f"means must be finite and positive, got {[float(m) for m in ms]}")
-    diff = ms[:, None] - ms[None, :]
-    np.fill_diagonal(diff, 1.0)
-    if not diff.all():
-        return None
-    ratios = ms[:, None] / diff
-    np.fill_diagonal(ratios, 1.0)
-    w = ratios.prod(axis=1)
-    return (ms, w) if abs(w).max() <= PF_WEIGHT_LIMIT else None
-
-
 def _stage_chain(means, z):
     """Row 0 of expm(G z) for the bidiagonal generator G of the stage chain
-    Exp(m_1) -> Exp(m_2) -> ...: the probability of being in each stage at
-    time z, exact for any tie structure; also returns the stage rates.
-    Squaring keeps the diagonal and superdiagonal at their exact values
-    (Al-Mohy and Higham, 2009); plain squaring loses 1e-8 at near ties."""
+    Exp(m_1) -> Exp(m_2) -> ... over ascending means: the probability of
+    being in each stage at time z, exact for any tie structure; also returns
+    the stage rates.  Squaring keeps the diagonal and superdiagonal at their
+    exact values (Al-Mohy and Higham, 2009); plain squaring loses 1e-8 at
+    near ties."""
     th = np.asarray(means, dtype=float)
-    # negligible stages only stiffen the generator; dropping them shifts
-    # the sum by at most their total mean
-    th = th[th > 1e-12 * th.max()]
+    if not (th.size and 0.0 < th[0] and th[-1] < math.inf and (np.diff(th) >= 0).all()):
+        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
+    if not 0.0 <= z < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {z}")
+    # negligible leading stages only stiffen the generator; dropping them
+    # shifts the sum by at most their total mean
+    th = th[th > 1e-12 * th[-1]]
     rates, n = 1.0 / th, th.size
     s = max(0, math.frexp(2 * z * rates.max())[1])  # 1-norm of G z / 2^s below 1
     diags = -np.outer(2.0 ** np.arange(-s, 1), rates * z)  # diagonal of G z / 2^s .. G z
@@ -89,19 +65,6 @@ def _stage_chain(means, z):
     return x[0], rates
 
 
-def hypoexp_ccdf(q, means):
-    """Pr[sum of independent exponentials with the given means > q]:
-    sum_k w_k exp(-q / m_k) while the weights are trusted, else (ties
-    included) the total occupancy of the stage chain at q."""
-    pf = trusted_pf_weights(means)
-    if pf is None:
-        val = _stage_chain(means, q)[0].sum()
-    else:
-        ms, w = pf
-        val = np.dot(w, np.exp(-q / ms))
-    return min(1.0, max(0.0, float(val)))
-
-
 def hypoexp_prefix_ccdf(q, means):
     """Pr[sum of the first j exponentials > q] for j = 1..len(means), means
     ascending: running sums of one stage chain's occupancy at q, since the
@@ -110,12 +73,18 @@ def hypoexp_prefix_ccdf(q, means):
     th = np.asarray(means, dtype=float)
     if th.size == 0:
         return th
-    if not (0.0 < th[0] and th[-1] < math.inf and (np.diff(th) >= 0).all()):
-        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
     occupancy = _stage_chain(th, q)[0]
     cut = th.size - occupancy.size
     head = hypoexp_prefix_ccdf(q, th[:cut])
     return np.clip(np.concatenate([head, np.cumsum(occupancy)]), 0.0, 1.0)
+
+
+def hypoexp_ccdf(q, means):
+    """Pr[sum of independent exponentials with the given means > q]: the
+    total occupancy at q of the stage chain over the sorted means, summed
+    as the last tail of `hypoexp_prefix_ccdf`."""
+    occupancy = _stage_chain(np.sort(means), q)[0]
+    return min(1.0, max(0.0, float(np.cumsum(occupancy)[-1])))
 
 
 def checked_leakage_inputs(powers, mean_y_per_pr, q):
@@ -131,20 +100,11 @@ def checked_leakage_inputs(powers, mean_y_per_pr, q):
 
 def sum_density_inid(z, means):
     """Density of a sum of independent exponentials with the given means:
-    f(z) = sum_k w_k exp(-z / m_k) / m_k while the weights are trusted,
-    else (ties included) the absorption flow out of the last stage of the
-    stage chain.
+    the absorption flow out of the last stage of the stage chain over the
+    sorted means, whose largest mean the negligible-stage cut never drops.
     """
-    if z < 0:
-        raise ValueError(f"density argument must be >= 0, got {z}")
-    pf = trusted_pf_weights(means)
-    if pf is None:
-        occupancy, rates = _stage_chain(means, z)
-        val = occupancy[-1] * rates[-1]
-    else:
-        ms, w = pf
-        val = np.dot(w, np.exp(-z / ms) / ms)
-    return max(0.0, float(val))
+    occupancy, rates = _stage_chain(np.sort(means), z)
+    return max(0.0, float(occupancy[-1] * rates[-1]))
 
 
 def mean_sum_inid(means):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crmimo.leakage import antenna_pmf, leakage_probability, reduce_antennas
-from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf, trusted_pf_weights
+from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf
 from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
 
@@ -84,17 +84,17 @@ def test_monotonicity_grid():
         assert leakage_probability(bumped, means, 4.0) >= base - 1e-12
 
 
-def test_stable_tail_matches_partial_fractions_and_sampling():
+def test_stage_chain_tail_matches_sampling():
     rng = np.random.default_rng(42)
-    # small stage counts: the two evaluation paths agree
+    # small stage counts
     for _ in range(20):
         th = rng.uniform(0.05, 2.0, size=rng.integers(1, 7))
         q = rng.uniform(0.5, 2.0) * th.sum()
-        pf = hypoexp_ccdf(q, th)
+        val = hypoexp_ccdf(q, th)
         draws = rng.exponential(th, size=(100000, th.size)).sum(axis=1)
         emp = float(np.mean(draws > q))
         se = math.sqrt(max(emp * (1 - emp), 1e-12) / draws.shape[0])
-        assert abs(pf - emp) <= 4 * se + 1e-6
+        assert abs(val - emp) <= 4 * se + 1e-6
     # a clustered 24-stage tail (partial fractions would cancel to garbage)
     th = rng.uniform(0.1, 0.5, size=24)
     q = th.sum() * 1.2
@@ -149,7 +149,9 @@ def test_reduce_antennas_trace_replay():
             break
         powers.remove(max(powers))
     # the reduction reads every step off one stage chain per receiver, the
-    # replay evaluates each subset on its own: same counts, rounding apart
+    # replay evaluates each subset on its own: same counts, rounding apart,
+    # and the full set is the same chain, so its step is the same float
+    assert report.steps[0][1] == expect_steps[0][1]
     counts = [c for c, _ in report.steps]
     assert counts == [c for c, _ in expect_steps]
     assert report.m_effective == len(powers)
@@ -159,32 +161,20 @@ def test_reduce_antennas_trace_replay():
     assert report.steps[-1][1] <= t_g or report.suspended
 
 
-def partial_fraction_bound(means):
-    """Cancellation error of a trusted partial-fraction tail, as in
-    test_linkstats.hypoexp_tolerance; 0 where the stage chain runs."""
-    pf = trusted_pf_weights(means)
-    if pf is None:
-        return 0.0
-    return 100 * float(np.finfo(np.longdouble).eps) * float(np.max(np.abs(pf[1])))
-
-
 def brute_force_reduction(gains, sol, mean_y_per_pr, q, t_g):
     """The reduction as stated: evaluate the active set, drop its largest
     power (lowest index on ties) and repeat; every step is its own
-    `leakage_probability` call.  Returns (steps, m_effective, bounds)."""
+    `leakage_probability` call.  Returns (steps, m_effective)."""
     powers = optimal_power(np.asarray(gains, dtype=float), sol)
     active = list(range(len(powers)))
-    steps, bounds = [], []
+    steps = []
     while active:
-        powered = powers[active][powers[active] > 0]
         prob = leakage_probability(powers[active], mean_y_per_pr, q)
         steps.append((len(active), prob))
-        bounds.append(1e-12 + sum(partial_fraction_bound(powered * ey)
-                                  for ey in mean_y_per_pr if powered.size))
         if prob <= t_g:
-            return steps, len(active), bounds
+            return steps, len(active)
         active.remove(max(active, key=lambda i: (powers[i], -i)))
-    return steps, 0, bounds
+    return steps, 0
 
 
 @pytest.mark.parametrize("t_g", [1e-6, 0.02, 0.1])
@@ -210,12 +200,13 @@ def test_reduce_antennas_matches_brute_force(t_g, l_r, equal_receivers):
         config = SystemConfig(m=m, n=m, l_t=1, l_r=l_r, p_p=1.0, p_max=1.0,
                               q=q, gamma_th=1.0)
         report = reduce_antennas(gains, sol, config, stats, t_g)
-        steps, m_eff, bounds = brute_force_reduction(gains, sol, ey, q, t_g)
+        steps, m_eff = brute_force_reduction(gains, sol, ey, q, t_g)
         assert [c for c, _ in report.steps] == [c for c, _ in steps]
         assert report.m_effective == m_eff
         assert report.suspended == (m_eff == 0)
-        for (_, got), (_, want), tol in zip(report.steps, steps, bounds):
-            assert abs(got - want) <= tol, (kind, m, q, got, want)
+        assert report.steps[0] == steps[0]
+        for (_, got), (_, want) in zip(report.steps, steps):
+            assert abs(got - want) <= 1e-12, (kind, m, q, got, want)
         seen.add("suspended" if report.suspended
                  else "reduced" if m_eff < m else "kept")
     assert seen == {"suspended", "reduced", "kept"}

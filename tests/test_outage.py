@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo import outage
-from crmimo.linkstats import Geometry, LinkStats, sum_density_inid, trusted_pf_weights
+from crmimo.linkstats import Geometry, LinkStats, sum_density_inid
 from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
 from crmimo.outage import (
     _cdf_coefficients,
@@ -100,8 +100,9 @@ def test_outage_limits_and_bounds():
 
 def test_equal_antenna_reduction_identity():
     # at m == n the general closed form keeps one diversity term, the
-    # single sum 1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1); it must agree with
-    # direct quadrature of the same mixture
+    # single sum 1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1) with the two-mean
+    # partial-fraction weights w_1 = m_1 / (m_1 - m_2), w_2 = m_2 / (m_2 - m_1);
+    # it must agree with direct quadrature of the same mixture
     geom = Geometry(d_st_sr=30.0, d_pt_sr=(45.0, 70.0), d_st_pr=(55.0, 75.0))
     stats = LinkStats.from_geometry(geom)
     config = SystemConfig(m=3, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
@@ -111,9 +112,10 @@ def test_equal_antenna_reduction_identity():
     assert outage_auto(config, stats, sol) == general
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
-    ms, w = trusted_pf_weights(stats.mean_z_per_pt)
-    single_sum = 1.0 - math.fsum(float(wk) * math.exp(-bn) / (a * float(mk) + 1.0)
-                                 for mk, wk in zip(ms, w))
+    m1, m2 = stats.mean_z_per_pt
+    weights = (m1 / (m1 - m2), m2 / (m2 - m1))
+    single_sum = 1.0 - math.fsum(wk * math.exp(-bn) / (a * mk + 1.0)
+                                 for mk, wk in zip((m1, m2), weights))
     assert abs(general.p_out - single_sum) <= 1e-12
     quadrature = _mixed_outage_quadrature(a, bn, 1, stats.mean_z_per_pt)
     assert abs(general.p_out - quadrature) <= 1e-12
@@ -481,6 +483,10 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
     want = _mixed_outage_quadrature(a, bn, config.diversity_order, stats.mean_z_per_pt)
+    # 64 tied means: the quadrature's range must cover the bulk of Z (mean 19.2)
+    for a_big in (1e3, 1e4):
+        args = (a_big, 5.0, 40, [0.3] * 64)
+        assert abs(_mixed_outage(*args) - _mixed_outage_quadrature(*args)) <= 1e-12
 
     def refuse(*args):
         raise AssertionError("the outage fell back to quadrature")
