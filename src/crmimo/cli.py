@@ -1,10 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: parsing, dispatch and output.
 
 Parses scenario files (JSON; powers in dB at the boundary, linear
-internally), runs analytic evaluations, Monte-Carlo validations and
-figure-style parameter sweeps, and emits CSV for sweeps or JSON for
-single-point runs and validation reports.  Sweep points run in order (point
-i draws with seed + i); --threads spreads each point's Monte-Carlo blocks.
+internally).  `outage`, `rate` and `antennas` run one sweep loop that
+builds each point, solves its multiplier and evaluates one row; points run
+in order (point i draws with seed + i) and --threads spreads each point's
+Monte-Carlo blocks.  `power` prints the solved allocation and `validate`
+runs the grid of `crmimo.validation`.  Sweeps emit CSV, single points and
+`power` JSON, unless --format says otherwise; the validation report is
+JSON.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -15,9 +18,8 @@ import math
 import sys
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import leakage, linkstats, mcharness, outage, powalloc
+from . import leakage, mcharness, outage, powalloc, validation
 from .linkstats import Geometry, LinkStats
 from .powalloc import SystemConfig
 
@@ -176,6 +178,8 @@ class Scenario:
                 t_g = swept_value
             else:
                 sysd[param] = swept_value
+        if t_g is not None and not 0.0 < t_g <= 1.0:
+            raise ConfigError(f"t_g: must lie in (0, 1], got {t_g}")
         try:
             config = SystemConfig(
                 m=sysd["m"], n=sysd["n"], l_t=sysd["l_t"], l_r=sysd["l_r"],
@@ -243,73 +247,59 @@ def _emit_rows(columns, rows, fmt, out):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_outage(scenario, trials, seed, threads, fmt, out):
-    """Per sweep point: analytic outage of the optimal and the conventional
-    fixed allocation, plus the Monte-Carlo estimate with standard error."""
-    values = scenario.sweep_values()
-
-    def evaluate(idx, value):
-        config, stats, _ = scenario.build_point(value)
-        sol = powalloc.solve_lambda(config, stats)
-        p_opt = outage.outage_auto(config, stats, sol).p_out
-        p_conv = outage.outage_fixed_power(
-            config, stats, powalloc.conventional_power(config, stats))
-        mc = mcharness.empirical_outage(config, stats, sol, trials,
-                                        seed + idx, threads=threads)
-        return [value if value is not None else 0.0,
-                p_opt, p_conv, mc.value, mc.std_error]
-
-    rows = [evaluate(i, v) for i, v in enumerate(values)]
-    _emit_rows(["swept_value", "p_out_optimal", "p_out_conventional",
-                "p_out_mc", "mc_stderr"], rows, fmt, out)
-    return 0
+def _outage_row(value, config, stats, sol, t_g, trials, seed, threads):
+    """Analytic outage of the optimal and the conventional fixed
+    allocation, plus the Monte-Carlo estimate with standard error."""
+    p_conv = outage.outage_fixed_power(config, stats, powalloc.conventional_power(config, stats))
+    mc = mcharness.empirical_outage(config, stats, sol, trials, seed, threads=threads)
+    return [value if value is not None else 0.0,
+            outage.outage_auto(config, stats, sol).p_out, p_conv, mc.value, mc.std_error]
 
 
-def cmd_antennas(scenario, trials, seed, fmt, out):
-    """Per sweep point: mean active-antenna count after reduction, its
-    standard error, and the full PMF (';'-joined, l = 0..m).  Runs on one
-    thread: the per-trial reduction holds the interpreter lock."""
-    if scenario.t_g is None and (scenario.sweep is None
-                                 or scenario.sweep["parameter"] != "t_g"):
+def _antennas_row(value, config, stats, sol, t_g, trials, seed, threads):
+    """Mean active-antenna count after reduction, its standard error, and
+    the full PMF (';'-joined, l = 0..m).  Runs on one thread: the per-trial
+    reduction holds the interpreter lock."""
+    if t_g is None:
         raise ConfigError("t_g: required for the antennas command")
-    values = scenario.sweep_values()
+    pmf = leakage.antenna_pmf(config, stats, sol, t_g, trials, seed)
+    return [value if value is not None else 0.0, pmf.mean_active, pmf.std_error,
+            ";".join(repr(float(p)) for p in pmf.pmf)]
 
-    def evaluate(idx, value):
+
+def _rate_row(value, config, stats, sol, t_g, trials, seed, threads):
+    """Monte-Carlo mean stream rate, the semi-analytic quadrature rate, and
+    the deterministic large-array rate."""
+    mc = mcharness.empirical_rate(config, stats, sol, trials, seed, threads=threads)
+    det = math.log2(1.0 + outage.asymptotic_sinr(
+        "both_massive_lt_massive", config, stats, sol).limit)
+    return [value if value is not None else config.n,
+            mc.value, outage.ergodic_capacity(config, stats, sol), det]
+
+
+# command -> (row function, CSV columns)
+SWEEPS = {
+    "outage": (_outage_row, ["swept_value", "p_out_optimal", "p_out_conventional",
+                             "p_out_mc", "mc_stderr"]),
+    "antennas": (_antennas_row, ["swept_value", "mean_active", "stderr", "pmf"]),
+    "rate": (_rate_row, ["n_value", "rate_mc", "rate_semianalytic", "rate_deterministic"]),
+}
+
+
+def _sweep(scenario, command, trials, seed, threads, fmt, out):
+    """One row per sweep point, in order: build the point, solve its
+    multiplier, evaluate the command's row with seed + point index."""
+    row, columns = SWEEPS[command]
+    rows = []
+    for idx, value in enumerate(scenario.sweep_values()):
         config, stats, t_g = scenario.build_point(value)
         sol = powalloc.solve_lambda(config, stats)
-        pmf = leakage.antenna_pmf(config, stats, sol, t_g, trials, seed + idx)
-        return [value if value is not None else 0.0,
-                pmf.mean_active, pmf.std_error,
-                ";".join(repr(float(p)) for p in pmf.pmf)]
-
-    rows = [evaluate(i, v) for i, v in enumerate(values)]
-    _emit_rows(["swept_value", "mean_active", "stderr", "pmf"], rows, fmt, out)
+        rows.append(row(value, config, stats, sol, t_g, trials, seed + idx, threads))
+    _emit_rows(columns, rows, fmt, out)
     return 0
 
 
-def cmd_rate(scenario, trials, seed, threads, fmt, out):
-    """Per sweep point: Monte-Carlo mean stream rate, the semi-analytic
-    quadrature rate, and the deterministic large-array rate."""
-    values = scenario.sweep_values()
-
-    def evaluate(idx, value):
-        config, stats, _ = scenario.build_point(value)
-        sol = powalloc.solve_lambda(config, stats)
-        mc = mcharness.empirical_rate(config, stats, sol, trials,
-                                      seed + idx, threads=threads)
-        semi = outage.ergodic_capacity(config, stats, sol)
-        det = math.log2(1.0 + outage.asymptotic_sinr(
-            "both_massive_lt_massive", config, stats, sol).limit)
-        return [value if value is not None else config.n,
-                mc.value, semi, det]
-
-    rows = [evaluate(i, v) for i, v in enumerate(values)]
-    _emit_rows(["n_value", "rate_mc", "rate_semianalytic", "rate_deterministic"],
-               rows, fmt, out)
-    return 0
-
-
-def cmd_power(scenario, out):
+def cmd_power(scenario, fmt, out):
     """Print the solved power allocation for a single-point scenario."""
     config, stats, _ = scenario.build_point()
     sol = powalloc.solve_lambda(config, stats)
@@ -324,182 +314,12 @@ def cmd_power(scenario, out):
         "mean_y": stats.mean_y,
         "mean_z": stats.mean_z,
     }
-    _emit_rows(list(record), [list(record.values())], "json", out)
+    _emit_rows(list(record), [list(record.values())], fmt, out)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# validation grid
-# ---------------------------------------------------------------------------
-
-def _validation_point(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
-    """(SystemConfig, LinkStats) at the validation powers: interference cap
-    7 dB, primary power 10 dB, power cap 20 dB, threshold 3 dB."""
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=db_to_linear(10),
-                          p_max=db_to_linear(20), q=db_to_linear(7),
-                          gamma_th=db_to_linear(3))
-    stats = LinkStats.from_geometry(Geometry(
-        d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
-    return config, stats
-
-
-def _validation_configs():
-    """Small scenario grid spanning both multiplier branches, identical and
-    distinct interference statistics, and every closed-form reduction."""
-    return [
-        _validation_point(4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
-        _validation_point(3, 3, 2, 2, 25.0, (45.0, 70.0), (55.0, 75.0)),
-        _validation_point(2, 6, 4, 1, 30.0, (45.0, 60.0, 75.0, 90.0), (65.0,)),
-        _validation_point(1, 2, 2, 1, 35.0, (50.0, 80.0), (70.0,)),
-    ]
-
-
-def run_validation(trials, seed, threads):
-    """Run the invariant / oracle regression grid; returns (checks, passed)."""
-    checks = []
-
-    def record(name, tolerance, observed, ok):
-        checks.append({"name": name, "tolerance": tolerance,
-                       "observed": observed, "pass": bool(ok)})
-
-    from .specfun import regularized_upper_gamma, upper_incomplete_gamma
-
-    # elementary identities of the gamma kernel
-    xs = np.geomspace(1e-6, 50, 40)
-    err = max(abs(upper_incomplete_gamma(1, x) - math.exp(-x))
-              / (math.exp(-x) + 1e-300) for x in xs)
-    record("specfun.exp_identity", 1e-14, err, err <= 1e-14)
-
-    err = 0.0
-    for n in range(1, 31):
-        for x in np.geomspace(1e-3, 40, 12):
-            lhs = upper_incomplete_gamma(n + 1, x)
-            rhs = n * upper_incomplete_gamma(n, x) + x ** n * math.exp(-x)
-            err = max(err, abs(lhs - rhs) / rhs)
-    record("specfun.recurrence", 1e-12, err, err <= 1e-12)
-
-    # order statistics against the inclusion-exclusion oracle
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    err = 0.0
-    for _ in range(20):
-        means = rng.uniform(0.2, 8.0, size=rng.integers(1, 6))
-        oracle = 0.0
-        import itertools as it
-        for r in range(1, len(means) + 1):
-            for sub in it.combinations(means, r):
-                oracle += (-1.0) ** (r + 1) / sum(1.0 / m for m in sub)
-        val = linkstats.mean_max_inid(list(means))
-        err = max(err, abs(val - oracle) / oracle)
-    record("linkstats.max_oracle", 1e-9, err, err <= 1e-9)
-
-    # k tied means m make the sum an Erlang: tail Q(k, q / m)
-    err = max(abs(linkstats.hypoexp_ccdf(x * m, [m] * k) - regularized_upper_gamma(k, x))
-              for m in (0.3, 2.5) for k in range(1, 7) for x in (0.1, 1.0, 4.0, 15.0))
-    record("linkstats.tied_tail", 1e-12, err, err <= 1e-12)
-
-    err = 0.0
-    for means in ([1.0, 2.5], [0.5, 1.5, 4.0]):
-        val, _ = quad(lambda z: linkstats.sum_density_inid(z, means),
-                      0, 60 * max(means), limit=200)
-        err = max(err, abs(val - 1.0))
-    record("linkstats.density_normalization", 1e-6, err, err <= 1e-6)
-
-    # multiplier equation: closed form residual and quadrature oracle
-    res_err, quad_err = 0.0, 0.0
-    sols = []
-    for config, stats in _validation_configs():
-        sol = powalloc.solve_lambda(config, stats)
-        sols.append(sol)
-        res_err = max(res_err, abs(powalloc.mean_power(sol.lam, config, stats)
-                                   - sol.target_mean_power) / sol.target_mean_power)
-        shape = config.diversity_order
-        ex = stats.mean_x
-
-        def fx(x):
-            return (x ** (shape - 1) * math.exp(-x / ex)
-                    / (math.gamma(shape) * ex ** shape))
-
-        val, _ = quad(lambda x: (sol.slope - sol.offset / x) * fx(x),
-                      sol.c_threshold, np.inf, limit=200)
-        quad_err = max(quad_err, abs(val - sol.target_mean_power) / sol.target_mean_power)
-    record("powalloc.residual", 1e-10, res_err, res_err <= 1e-10)
-    record("powalloc.quadrature_oracle", 1e-8, quad_err, quad_err <= 1e-8)
-
-    # closed-form outage mixture against direct quadrature over the density,
-    # at distinct means, then at ties: all means equal, and two of three
-    def kernel_gap(points):
-        err = 0.0
-        for config, stats in points:
-            sol = powalloc.solve_lambda(config, stats)
-            a, bn = outage._cdf_coefficients(config, stats, sol.slope,
-                                             sol.c_threshold, config.gamma_th)
-            args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
-            err = max(err, abs(outage._mixed_outage(*args)
-                               - outage._mixed_outage_quadrature(*args)))
-        return err
-
-    configs = _validation_configs()
-    err = kernel_gap(configs[1:])
-    record("outage.closed_form_vs_quadrature", 1e-12, err, err <= 1e-12)
-    err = kernel_gap([configs[0], _validation_point(
-        4, 5, 3, 2, 18.0, (56.0, 56.0, 70.0), (60.0, 60.0))])
-    record("outage.tied_vs_quadrature", 1e-12, err, err <= 1e-12)
-
-    # outage reconstructed by mixing the power CDF over the interference
-    config, stats = configs[2]
-    sol = sols[2]
-    target = outage.outage_general(config, stats, sol).p_out
-
-    def integrand(z):
-        x = config.gamma_th * (config.p_p * z + config.n0)
-        return (outage.received_power_cdf(x, sol, config, stats)
-                * linkstats.sum_density_inid(z, list(stats.mean_z_per_pt)))
-
-    val, _ = quad(integrand, 0, 60 * max(stats.mean_z_per_pt), limit=300)
-    err = abs(val - target)
-    record("outage.cdf_mixture", 1e-6, err, err <= 1e-6)
-
-    # Monte-Carlo agreement
-    worst = 0.0
-    for (config, stats), sol in zip(configs[:3], sols[:3]):
-        est = mcharness.empirical_outage(config, stats, sol, trials, seed,
-                                         threads=threads)
-        ana = outage.outage_auto(config, stats, sol).p_out
-        worst = max(worst, abs(ana - est.value) / (3 * est.std_error))
-    record("outage.mc_agreement_3sigma", 1.0, worst, worst <= 1.0)
-
-    config, stats = configs[0]
-    sol = sols[0]
-    gains = mcharness.sample_stream_gains(config, stats, trials, seed, threads)
-    powers = powalloc.optimal_power(gains, sol)
-    se = float(np.std(powers, ddof=1) / math.sqrt(trials))
-    dev = abs(float(np.mean(powers)) - sol.target_mean_power) / (3 * se)
-    record("powalloc.mc_constraint_3sigma", 1.0, dev, dev <= 1.0)
-
-    exact = [(([1.0], [1.0], 1.0), math.exp(-1)),
-             (([1.0, 2.0], [1.0], 1.0), 2 * math.exp(-0.5) - math.exp(-1))]
-    err = max(abs(leakage.leakage_probability(*args) - want)
-              for args, want in exact)
-    record("leakage.anchor_values", 1e-9, err, err <= 1e-9)
-    worst = 0.0
-    for args, _ in exact:
-        est = mcharness.empirical_leakage(*args, trials, seed, threads=threads)
-        ana = leakage.leakage_probability(*args)
-        worst = max(worst, abs(ana - est.value) / (3 * est.std_error))
-    record("leakage.mc_agreement_3sigma", 1.0, worst, worst <= 1.0)
-
-    config, stats = configs[0]
-    sol = sols[0]
-    a = mcharness.empirical_outage(config, stats, sol, 20480, seed, threads=1)
-    b = mcharness.empirical_outage(config, stats, sol, 20480, seed, threads=4)
-    same = (a.value == b.value) and (a.std_error == b.std_error)
-    record("mc.thread_determinism", 0.0, 0.0 if same else 1.0, same)
-
-    return checks, all(c["pass"] for c in checks)
-
-
-def cmd_validate(scenario, trials, seed, threads, fmt, out):
-    checks, passed = run_validation(trials, seed, threads)
+def cmd_validate(trials, seed, threads, out):
+    checks, passed = validation.run_validation(trials, seed, threads)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{status} {c['name']}: observed {c['observed']:.3e} "
@@ -560,29 +380,20 @@ def main(argv=None):
             trials = args.trials if args.trials is not None else 200000
             seed = args.seed if args.seed is not None else 0
             _check_mc(trials, seed, 1)
-            return cmd_validate(scenario, trials, seed, args.threads,
-                                args.format, args.out)
+            return cmd_validate(trials, seed, args.threads, args.out)
         trials = args.trials if args.trials is not None else scenario.trials
         seed = args.seed if args.seed is not None else scenario.seed
         _check_mc(trials, seed, len(scenario.sweep_values()))
-        fmt = args.format
-        if fmt is None:
-            fmt = "csv" if scenario.sweep is not None else "json"
-        if args.command == "outage":
-            return cmd_outage(scenario, trials, seed, args.threads, fmt, args.out)
-        if args.command == "antennas":
-            return cmd_antennas(scenario, trials, seed, fmt, args.out)
-        if args.command == "rate":
-            return cmd_rate(scenario, trials, seed, args.threads, fmt, args.out)
         if args.command == "power":
-            return cmd_power(scenario, args.out)
+            return cmd_power(scenario, args.format or "json", args.out)
+        fmt = args.format or ("csv" if scenario.sweep is not None else "json")
+        return _sweep(scenario, args.command, trials, seed, args.threads, fmt, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except powalloc.RootFindingError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

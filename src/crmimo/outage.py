@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .linkstats import _finite_positive, sum_density_inid
+from .linkstats import _finite_positive
 from .powalloc import LN2
 from .specfun import erlang_tails, regularized_upper_gamma
 
@@ -52,28 +52,6 @@ def _quad_over(f, edges):
     (value, error estimate), each summed with `math.fsum`."""
     pieces = [quad(f, lo, hi, limit=200) for lo, hi in zip(edges, edges[1:])]
     return math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
-
-
-def _mixed_outage_quadrature(a, bn, n_terms, z_means):
-    """Pr[stream power CDF argument below threshold], mixed over the
-    interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
-
-    Same quantity as `_mixed_outage`, valid for any tie structure; kept as
-    the independent oracle that validation and the tests check it against.
-    """
-    means = np.asarray(z_means, dtype=float)
-
-    def integrand(z):
-        return ((1.0 - regularized_upper_gamma(n_terms, a * z + bn))
-                * sum_density_inid(z, means))
-
-    # the Chernoff bound at s = 1 / (2 max m) leaves under e^-40 of the
-    # mass of Z beyond 2 E[Z] + 80 max m
-    total = math.fsum(means)
-    val, err = _quad_over(integrand, (0.0, total, 2.0 * total + 80.0 * means.max()))
-    if err > 1e-7:
-        raise ArithmeticError(f"outage quadrature error {err:.2e} exceeds 1e-7")
-    return min(1.0, max(0.0, val))
 
 
 def _mixed_outage(a, bn, n_terms, z_means):

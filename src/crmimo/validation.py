@@ -1,0 +1,206 @@
+"""Validation grid: every closed form against an independent oracle.
+
+`run_validation` checks the gamma kernel's identities, the order-statistic
+and hypoexponential laws, the multiplier equation, the outage mixture and
+the Monte-Carlo agreement of the zero-forcing chain on a small grid of
+scenarios; `crmimo validate` prints its rows and writes them as a report.
+The oracles are written once, here, and the tests call them.  The library
+never imports this module.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+from . import leakage, linkstats, mcharness, outage, powalloc
+from .linkstats import sum_density_inid
+from .specfun import regularized_upper_gamma, upper_incomplete_gamma
+
+# (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
+# primary power 10 dB, power cap 20 dB and threshold 3 dB: both multiplier
+# branches, identical and distinct interference statistics and every
+# closed-form reduction; TIED makes two of three interferer means equal
+GRID = (
+    (4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
+    (3, 3, 2, 2, 25.0, (45.0, 70.0), (55.0, 75.0)),
+    (2, 6, 4, 1, 30.0, (45.0, 60.0, 75.0, 90.0), (65.0,)),
+    (1, 2, 2, 1, 35.0, (50.0, 80.0), (70.0,)),
+)
+TIED = (4, 5, 3, 2, 18.0, (56.0, 56.0, 70.0), (60.0, 60.0))
+
+
+def _point(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
+    """(SystemConfig, LinkStats, PowerSolution) at the validation powers."""
+    config = powalloc.SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=10.0, p_max=100.0,
+                                   q=10 ** 0.7, gamma_th=10 ** 0.3)
+    stats = linkstats.LinkStats.from_geometry(linkstats.Geometry(
+        d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
+    return config, stats, powalloc.solve_lambda(config, stats)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def max_mean_oracle(means):
+    """E[max] of independent exponentials by inclusion-exclusion: the sum
+    over non-empty subsets S of (-1)^(|S|+1) / sum_{i in S} 1/m_i."""
+    total = 0.0
+    for r in range(1, len(means) + 1):
+        for sub in itertools.combinations(means, r):
+            total += (-1.0) ** (r + 1) / sum(1.0 / m for m in sub)
+    return total
+
+
+def _mixed_outage_quadrature(a, bn, n_terms, z_means):
+    """Pr[stream power CDF argument below threshold], mixed over the
+    interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
+
+    Same quantity as `outage._mixed_outage`, valid for any tie structure.
+    """
+    means = np.asarray(z_means, dtype=float)
+
+    def integrand(z):
+        return ((1.0 - regularized_upper_gamma(n_terms, a * z + bn))
+                * sum_density_inid(z, means))
+
+    # the Chernoff bound at s = 1 / (2 max m) leaves under e^-40 of the
+    # mass of Z beyond 2 E[Z] + 80 max m
+    total = math.fsum(means)
+    val, err = outage._quad_over(integrand, (0.0, total, 2.0 * total + 80.0 * means.max()))
+    if err > 1e-7:
+        raise ArithmeticError(f"outage quadrature error {err:.2e} exceeds 1e-7")
+    return min(1.0, max(0.0, val))
+
+
+# ---------------------------------------------------------------------------
+# checks: each returns the observed error of one row
+# ---------------------------------------------------------------------------
+
+def _sigmas(analytic, est):
+    """|analytic - est.value| in units of three standard errors.  Too few
+    trials can leave every draw alike and the standard error 0: the gap
+    then reads 0 on exact agreement and inf otherwise."""
+    if est.std_error == 0.0:
+        return 0.0 if analytic == est.value else math.inf
+    return abs(analytic - est.value) / (3 * est.std_error)
+
+
+def _recurrence_gap(n, x):
+    """Relative gap of Gamma(n + 1, x) = n Gamma(n, x) + x^n e^-x."""
+    rhs = n * upper_incomplete_gamma(n, x) + x ** n * math.exp(-x)
+    return abs(upper_incomplete_gamma(n + 1, x) - rhs) / rhs
+
+
+def _max_oracle_gap(seed):
+    """mean_max_inid against inclusion-exclusion on 20 random mean sets."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    err = 0.0
+    for _ in range(20):
+        means = rng.uniform(0.2, 8.0, size=rng.integers(1, 6))
+        oracle = max_mean_oracle(means)
+        err = max(err, abs(linkstats.mean_max_inid(list(means)) - oracle) / oracle)
+    return err
+
+
+def _power_quadrature_gap(config, stats, sol):
+    """The enforced mean power against quadrature of the allocation over
+    the Erlang density of the stream gain."""
+    shape, ex = config.diversity_order, stats.mean_x
+
+    def integrand(x):
+        return (sol.slope - sol.offset / x) * (
+            x ** (shape - 1) * math.exp(-x / ex) / (math.gamma(shape) * ex ** shape))
+
+    val, _ = quad(integrand, sol.c_threshold, np.inf, limit=200)
+    return abs(val - sol.target_mean_power) / sol.target_mean_power
+
+
+def _kernel_gap(config, stats, sol):
+    """The outage kernel against its quadrature oracle."""
+    a, bn = outage._cdf_coefficients(config, stats, sol.slope,
+                                     sol.c_threshold, config.gamma_th)
+    args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
+    return abs(outage._mixed_outage(*args) - _mixed_outage_quadrature(*args))
+
+
+def _cdf_mixture_gap(config, stats, sol):
+    """The outage reconstructed by mixing the power CDF over the
+    interference density."""
+
+    def integrand(z):
+        x = config.gamma_th * (config.p_p * z + config.n0)
+        return (outage.received_power_cdf(x, sol, config, stats)
+                * sum_density_inid(z, list(stats.mean_z_per_pt)))
+
+    val, _ = quad(integrand, 0, 60 * max(stats.mean_z_per_pt), limit=300)
+    return abs(val - outage.outage_general(config, stats, sol).p_out)
+
+
+def _power_constraint_sigmas(config, stats, sol, trials, seed, threads):
+    """The enforced mean power against the mean of the allocation over
+    direct draws of the stream gain."""
+    gains = mcharness.sample_stream_gains(config, stats, trials, seed, threads)
+    est = mcharness._estimate([powalloc.optimal_power(gains, sol)], trials, seed)
+    return _sigmas(sol.target_mean_power, est)
+
+
+def _thread_gap(config, stats, sol, seed):
+    """0 when 1 and 4 threads give the same estimate, 1 otherwise."""
+    one, four = (mcharness.empirical_outage(config, stats, sol, 20480, seed, threads=t)
+                 for t in (1, 4))
+    return 0.0 if one == four else 1.0
+
+
+def run_validation(trials, seed, threads):
+    """Run the grid; returns (checks, passed).  Each check is a row
+    {name, tolerance, observed, pass} that passes when observed <= tolerance."""
+    points = [_point(*spec) for spec in GRID]
+    anchors = [(([1.0], [1.0], 1.0), math.exp(-1)),
+               (([1.0, 2.0], [1.0], 1.0), 2 * math.exp(-0.5) - math.exp(-1))]
+    rows = [
+        ("specfun.exp_identity", 1e-14,
+         max(abs(upper_incomplete_gamma(1, x) - math.exp(-x)) / (math.exp(-x) + 1e-300)
+             for x in np.geomspace(1e-6, 50, 40))),
+        ("specfun.recurrence", 1e-12,
+         max(_recurrence_gap(n, x) for n in range(1, 31) for x in np.geomspace(1e-3, 40, 12))),
+        ("linkstats.max_oracle", 1e-9, _max_oracle_gap(seed)),
+        # k tied means m make the sum an Erlang: tail Q(k, q / m)
+        ("linkstats.tied_tail", 1e-12,
+         max(abs(linkstats.hypoexp_ccdf(x * m, [m] * k) - regularized_upper_gamma(k, x))
+             for m in (0.3, 2.5) for k in range(1, 7) for x in (0.1, 1.0, 4.0, 15.0))),
+        ("linkstats.density_normalization", 1e-6,
+         max(abs(quad(lambda z: sum_density_inid(z, means), 0, 60 * max(means),
+                      limit=200)[0] - 1.0)
+             for means in ([1.0, 2.5], [0.5, 1.5, 4.0]))),
+        ("powalloc.residual", 1e-10,
+         max(abs(powalloc.mean_power(sol.lam, config, stats) - sol.target_mean_power)
+             / sol.target_mean_power for config, stats, sol in points)),
+        ("powalloc.quadrature_oracle", 1e-8,
+         max(_power_quadrature_gap(*point) for point in points)),
+        ("outage.closed_form_vs_quadrature", 1e-12,
+         max(_kernel_gap(*point) for point in points[1:])),
+        ("outage.tied_vs_quadrature", 1e-12,
+         max(_kernel_gap(*point) for point in (points[0], _point(*TIED)))),
+        ("outage.cdf_mixture", 1e-6, _cdf_mixture_gap(*points[2])),
+        ("outage.mc_agreement_3sigma", 1.0,
+         max(_sigmas(outage.outage_auto(config, stats, sol).p_out,
+                     mcharness.empirical_outage(config, stats, sol, trials, seed,
+                                                threads=threads))
+             for config, stats, sol in points[:3])),
+        ("powalloc.mc_constraint_3sigma", 1.0,
+         _power_constraint_sigmas(*points[0], trials, seed, threads)),
+        ("leakage.anchor_values", 1e-9,
+         max(abs(leakage.leakage_probability(*args) - want) for args, want in anchors)),
+        ("leakage.mc_agreement_3sigma", 1.0,
+         max(_sigmas(leakage.leakage_probability(*args),
+                     mcharness.empirical_leakage(*args, trials, seed, threads=threads))
+             for args, _ in anchors)),
+        ("mc.thread_determinism", 0.0, _thread_gap(*points[0], seed)),
+    ]
+    checks = [{"name": name, "tolerance": tolerance, "observed": observed,
+               "pass": bool(observed <= tolerance)}
+              for name, tolerance, observed in rows]
+    return checks, all(c["pass"] for c in checks)

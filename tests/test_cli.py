@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from crmimo.cli import ConfigError, Scenario, db_to_linear, main, run_validation
+from crmimo import outage
+from crmimo.cli import ConfigError, Scenario, db_to_linear, main
+from crmimo.validation import run_validation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -131,6 +136,8 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("mc.seed", False),
     ("system.p_p_db", True),
     ("geometry.d_pt_sr", [56.0, True]),
+    ("t_g", 0.0),
+    ("t_g", 1.5),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
@@ -154,6 +161,17 @@ def test_power_command_output_bytes(tmp_path, capsys):
     assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
     assert main(["power", "--config", path]) == 0
     assert capsys.readouterr().out == text
+
+
+def test_power_command_csv_format(capsys):
+    # an explicit --format is honoured; without it the record is JSON
+    path = str(SCENARIOS / "outage_vs_pr_distance.json")
+    assert main(["power", "--config", path]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert main(["power", "--config", path, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 1
+    assert {key: float(value) for key, value in rows[0].items()} == record
 
 
 def test_single_point_json_output(tmp_path, capsys):
@@ -219,6 +237,16 @@ def test_antennas_requires_threshold(tmp_path, capsys):
     assert "t_g" in capsys.readouterr().err
 
 
+def test_antennas_t_g_sweep_past_one_exit_code(tmp_path, capsys):
+    raw = base_scenario(sweep={"parameter": "t_g", "start": 0.5, "stop": 1.5,
+                               "steps": 3})
+    path = write_scenario(tmp_path, raw)
+    assert main(["antennas", "--config", path, "--trials", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: t_g: must lie in (0, 1]")
+
+
 def test_rate_command(tmp_path):
     raw = base_scenario()
     raw["mc"] = {"trials": 20000, "seed": 3}
@@ -246,3 +274,28 @@ def test_validation_grid_passes(tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["passed"] and len(report["checks"]) == len(checks)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_validate_with_few_trials_fails_cleanly(tmp_path, capsys, trials):
+    # every draw alike leaves a zero standard error: a FAIL row, not a crash
+    out = tmp_path / "report.json"
+    assert main(["validate", "--trials", str(trials), "--seed", "1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert captured.out.count("FAIL") == len(failed) >= 1
+    assert all(c["observed"] == float("inf") for c in failed)
+
+
+def test_library_import_leaves_validation_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, crmimo; "
+            "print(sorted(m for m in sys.modules if m in ('crmimo.cli', 'crmimo.validation')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout == "[]\n"
+    assert not hasattr(outage, "_mixed_outage_quadrature")

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import mpmath
@@ -21,20 +20,11 @@ from crmimo.linkstats import (
     pathloss_gain,
     sum_density_inid,
 )
+from crmimo.validation import max_mean_oracle
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112
 PATHLOSS_56M = 10.168289254477298  # (56/100)^-4, quoted rounded to 10 elsewhere
-
-
-def max_mean_oracle(means):
-    """Inclusion-exclusion for E[max]: sum over non-empty subsets of
-    (-1)^(|S|+1) / sum_{i in S} 1/m_i."""
-    total = 0.0
-    for r in range(1, len(means) + 1):
-        for sub in itertools.combinations(means, r):
-            total += (-1.0) ** (r + 1) / sum(1.0 / m for m in sub)
-    return total
 
 
 def test_pathloss_examples():

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from crmimo import outage
+from crmimo import validation
 from crmimo.linkstats import Geometry, LinkStats, sum_density_inid
 from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
 from crmimo.outage import (
     _cdf_coefficients,
     _mixed_outage,
-    _mixed_outage_quadrature,
     asymptotic_sinr,
     average_ser_binary,
     ergodic_capacity,
@@ -32,6 +31,7 @@ from crmimo.powalloc import (
     solve_lambda,
 )
 from crmimo.specfun import regularized_upper_gamma
+from crmimo.validation import _mixed_outage_quadrature
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -491,7 +491,7 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
     def refuse(*args):
         raise AssertionError("the outage fell back to quadrature")
 
-    monkeypatch.setattr(outage, "_mixed_outage_quadrature", refuse)
+    monkeypatch.setattr(validation, "_mixed_outage_quadrature", refuse)
     res = outage_auto(config, stats, sol)
     assert res.branch == "general"
     assert abs(res.p_out - want) <= 1e-12
