@@ -1,13 +1,13 @@
 """Command-line front end: parsing, dispatch and output.
 
 Parses scenario files (JSON; powers in dB at the boundary, linear
-internally).  `outage`, `rate` and `antennas` run one sweep loop that
-builds each point, solves its multiplier and evaluates one row; points run
-in order (point i draws with seed + i) and --threads spreads each point's
-Monte-Carlo blocks.  `power` prints the solved allocation and `validate`
-runs the grid of `crmimo.validation`.  Sweeps emit CSV, single points and
-`power` JSON, unless --format says otherwise; the validation report is
-JSON.
+internally) and builds every sweep point on load, so a bad swept value
+fails before any Monte-Carlo work.  `outage`, `rate` and `antennas` run
+one sweep loop that solves each point's multiplier and evaluates one row;
+points run in order (point i draws with seed + i) and --threads spreads
+each point's Monte-Carlo blocks.  `power` prints the solved allocation and
+`validate` runs the grid of `crmimo.validation` into a JSON report.  Sweeps
+emit CSV, single points and `power` JSON, unless --format says otherwise.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import leakage, mcharness, outage, powalloc, validation
+from . import leakage, mcharness, outage, powalloc
 from .linkstats import Geometry, LinkStats
 from .powalloc import SystemConfig
 
@@ -124,9 +124,10 @@ class Scenario:
         self.trials = _number(mc.get("trials", 100000), "mc.trials", int)
         self.seed = _number(mc.get("seed", 0), "mc.seed", int)
         self.t_g = _number(raw["t_g"], "t_g") if "t_g" in raw else None
-        # fail fast on invalid base parameters
-        self.sweep_values()
+        # fail fast: the base point and every sweep point are built before
+        # any Monte-Carlo work
         self.build_point()
+        self.points = [(value, *self.build_point(value)) for value in self.sweep_values()]
 
     @classmethod
     def load(cls, path):
@@ -291,8 +292,7 @@ def _sweep(scenario, command, trials, seed, threads, fmt, out):
     multiplier, evaluate the command's row with seed + point index."""
     row, columns = SWEEPS[command]
     rows = []
-    for idx, value in enumerate(scenario.sweep_values()):
-        config, stats, t_g = scenario.build_point(value)
+    for idx, (value, config, stats, t_g) in enumerate(scenario.points):
         sol = powalloc.solve_lambda(config, stats)
         rows.append(row(value, config, stats, sol, t_g, trials, seed + idx, threads))
     _emit_rows(columns, rows, fmt, out)
@@ -319,6 +319,8 @@ def cmd_power(scenario, fmt, out):
 
 
 def cmd_validate(trials, seed, threads, out):
+    from . import validation  # the library and the other commands never load it
+
     checks, passed = validation.run_validation(trials, seed, threads)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
@@ -354,14 +356,12 @@ def _build_parser():
         description="Underlay MIMO cognitive-radio link analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("outage", True), ("antennas", True),
-                               ("rate", True), ("power", True),
-                               ("validate", False)):
+    for name in ("outage", "antennas", "rate", "power", "validate"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config,
-                       help="scenario file (JSON)")
+        if name != "validate":  # validate runs its own grid and writes JSON
+            p.add_argument("--config", required=True, help="scenario file (JSON)")
+            p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--trials", type=int, default=None,
                        help="Monte-Carlo trials (overrides scenario)")
         p.add_argument("--seed", type=int, default=None,
@@ -375,15 +375,15 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        scenario = Scenario.load(args.config) if args.config else None
         if args.command == "validate":
             trials = args.trials if args.trials is not None else 200000
             seed = args.seed if args.seed is not None else 0
             _check_mc(trials, seed, 1)
             return cmd_validate(trials, seed, args.threads, args.out)
+        scenario = Scenario.load(args.config)
         trials = args.trials if args.trials is not None else scenario.trials
         seed = args.seed if args.seed is not None else scenario.seed
-        _check_mc(trials, seed, len(scenario.sweep_values()))
+        _check_mc(trials, seed, len(scenario.points))
         if args.command == "power":
             return cmd_power(scenario, args.format or "json", args.out)
         fmt = args.format or ("csv" if scenario.sweep is not None else "json")

@@ -2,22 +2,24 @@
 
 Builds all average channel gains from node geometry via power-law path
 loss, and evaluates the order-statistics mean of the strongest
-secondary-to-primary link together with the hypoexponential law (mean,
-density and tail) of the aggregate primary-to-secondary interference.  This
-module is the only home of that law's evaluator: one stage-chain matrix
-exponential over the means in ascending order, exact for any tie structure,
-whose running occupancy sums are the tails and whose last stage gives the
-density.  Means are never perturbed.  The outage mixture needs none of
-this: it is a positive sum over the means themselves (`outage`).
+secondary-to-primary link (one integral, for any number of receivers)
+together with the hypoexponential law (mean, density and tail) of the
+aggregate primary-to-secondary interference.  This module is the only home
+of that law's evaluator: one stage-chain matrix exponential over the means
+in ascending order, exact for any tie structure, whose running occupancy
+sums are the tails and whose last stage gives the density.  Means are never
+perturbed.  The outage mixture needs none of this: it is a positive sum
+over the means themselves (`outage`).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
+
+from .specfun import _exp_sinh
 
 
 def _finite_positive(x):
@@ -116,25 +118,21 @@ def mean_sum_inid(means):
 
 
 def mean_max_inid(means):
-    """E[max of independent exponentials] by the nested alternating sum.
+    """E[max of independent exponentials] = int_0^inf 1 - prod_j (1 - e^{-t/m_j}) dt.
 
-    Summing over the anchor index l and all subsets of the remaining
-    receivers: sum_l sum_S (-1)^|S| / (m_l (1/m_l + sum_{j in S} 1/m_j)^2).
-    Well defined at equal means (no difference terms appear).
+    The product is summed in log space, log(1 - e^{-x}) = log(-expm1(-x)),
+    and the exp-sinh rule of `specfun` on the scale of the largest mean is
+    good to 1e-13 relative for any number of means, tied or not.
     """
     ms = [float(m) for m in means]
-    if not ms:
-        raise ValueError("mean_max_inid requires at least one mean")
-    if not all(map(_finite_positive, ms)):
-        raise ValueError(f"means must be finite and positive, got {ms}")
-    terms = []
-    for l, m_l in enumerate(ms):
-        others = [1.0 / m for i, m in enumerate(ms) if i != l]
-        for k in range(len(ms)):
-            for combo in itertools.combinations(others, k):
-                rate = 1.0 / m_l + sum(combo)
-                terms.append((-1.0) ** k / (m_l * rate * rate))
-    return math.fsum(terms)
+    if not ms or not all(map(_finite_positive, ms)):
+        raise ValueError(f"mean_max_inid needs one or more finite positive means, got {ms}")
+    rates = 1.0 / np.array(ms)
+
+    def integrand(t):
+        return -np.expm1(np.log(-np.expm1(-np.multiply.outer(t, rates))).sum(axis=1))
+
+    return _exp_sinh(integrand, max(ms))
 
 
 def mean_max_iid(mean, l_r):

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .linkstats import checked_leakage_inputs
 from .powalloc import optimal_power
@@ -227,6 +226,7 @@ class DistributionCheck:
 
 
 def zf_distribution_check(config, stats, trials, seed, threads=1):
+    from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
     def worker(block, size):
         x_gain, z = _stream_stats_block(config, stats, seed, STREAM_KS_ZF, block, size)
         return x_gain[:, 0], z[:, 0]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crmimo import outage
+from crmimo import leakage, outage
 from crmimo.cli import ConfigError, Scenario, db_to_linear, main
 from crmimo.validation import run_validation
 
@@ -237,10 +237,15 @@ def test_antennas_requires_threshold(tmp_path, capsys):
     assert "t_g" in capsys.readouterr().err
 
 
-def test_antennas_t_g_sweep_past_one_exit_code(tmp_path, capsys):
+def test_antennas_t_g_sweep_past_one_exit_code(tmp_path, capsys, monkeypatch):
     raw = base_scenario(sweep={"parameter": "t_g", "start": 0.5, "stop": 1.5,
                                "steps": 3})
     path = write_scenario(tmp_path, raw)
+
+    def refuse(*args):
+        raise AssertionError("Monte-Carlo work ran before the bad sweep point failed")
+
+    monkeypatch.setattr(leakage, "antenna_pmf", refuse)
     assert main(["antennas", "--config", path, "--trials", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -259,11 +264,16 @@ def test_rate_command(tmp_path):
 
 
 def test_validate_rejects_corrupt_scenario(tmp_path, capsys):
+    # validate runs its own grid: it takes no scenario and writes only JSON,
+    # so argparse refuses both flags
     raw = base_scenario()
     raw["system"]["n"] = 1  # breaks n >= m
     path = write_scenario(tmp_path, raw)
-    assert main(["validate", "--config", path, "--trials", "1000"]) == 2
-    assert "n must be an integer >= m" in capsys.readouterr().err
+    for flags in (["--config", path], ["--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--trials", "1000"] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_validation_grid_passes(tmp_path):
@@ -299,3 +309,14 @@ def test_library_import_leaves_validation_unloaded():
                             capture_output=True, text=True)
     assert result.stdout == "[]\n"
     assert not hasattr(outage, "_mixed_outage_quadrature")
+
+
+def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, crmimo; from crmimo import cli; "
+            "print(sorted(m for m in sys.modules if m in ('scipy.stats', 'scipy.integrate')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -50,8 +51,23 @@ def test_mean_max_single_and_pairs():
 def test_mean_max_matches_inclusion_exclusion():
     rng = np.random.default_rng(101)
     for _ in range(50):
-        means = list(rng.uniform(0.1, 9.0, size=rng.integers(1, 7)))
-        assert mean_max_inid(means) == pytest.approx(max_mean_oracle(means), rel=1e-9)
+        means = list(rng.uniform(0.1, 9.0, size=rng.integers(1, 13)))
+        assert mean_max_inid(means) == pytest.approx(max_mean_oracle(means), rel=1e-12)
+
+
+def test_mean_max_of_64_receivers_against_mpmath():
+    # far past the reach of inclusion-exclusion (2^64 subsets)
+    means = list(np.random.default_rng(64).uniform(0.1, 9.0, size=64))
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda t: 1 - mpmath.fprod(1 - mpmath.exp(-t / m) for m in means),
+                           [0, max(means), 8 * max(means), mpmath.inf])
+    assert mean_max_inid(means) == pytest.approx(float(want), rel=1e-14)
+    best = math.inf
+    for _ in range(5):
+        start = time.perf_counter()
+        mean_max_inid(means)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
 
 
 def test_mean_max_iid_values():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -220,6 +221,22 @@ def test_outage_monotone_in_threshold_and_primary_power():
         val = outage_general(cfg, stats, s).p_out
         assert val >= prev - 1e-12
         prev = val
+
+
+def test_threshold_array_matches_scalar_calls():
+    # an array of thresholds is one kernel call, bit for bit the scalar calls
+    gammas = np.geomspace(1e-3, 1e4, 29)
+    for config, stats in (anchor_setup(), validation._point(
+            16, 80, 80, 1, 30.0, tuple(np.linspace(40.0, 90.0, 80)), (70.0,))[:2]):
+        sol = solve_lambda(config, stats)
+        power = conventional_power(config, stats)
+        for f in (lambda g: outage_auto(config, stats, sol, gamma_th=g).p_out,
+                  lambda g: outage_fixed_power(config, stats, power, g)):
+            vals = f(gammas)
+            assert isinstance(vals, np.ndarray) and vals.shape == gammas.shape
+            assert vals.tolist() == [f(g) for g in gammas]
+            assert isinstance(f(float(gammas[0])), float)
+    assert outage_fixed_power(config, stats, 0.0, gammas).tolist() == [1.0] * gammas.size
 
 
 def test_outage_improves_with_receive_antennas():
@@ -496,4 +513,92 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
     assert res.branch == "general"
     assert abs(res.p_out - want) <= 1e-12
     assert 0.0 < outage_fixed_power(config, stats, conventional_power(config, stats)) < 1.0
-    assert abs(ergodic_capacity(config, stats, sol) - TIED_CAPACITY) <= 1e-9
+    assert abs(ergodic_capacity(config, stats, sol) - TIED_CAPACITY) <= 1e-13
+
+
+def test_kernel_past_the_log_space_switch():
+    # bn past 700: the Erlang tails are summed in log space, for many terms
+    for args in ((0.01, 900.0, 1000, [1.0, 2.0, 5.0]), (0.05, 750.0, 800, [0.5] * 4),
+                 (1e-3, 1200.0, 1200, [3.0, 3.0, 7.0])):
+        assert abs(_mixed_outage(*args) - positive_sum_oracle(*args)) <= 2e-13
+
+
+# ---------------------------------------------------------------------------
+# capacity and SER against 30-digit quadrature
+# ---------------------------------------------------------------------------
+
+def negative_binomial_success(a, bn, n_terms, means):
+    """E_Z[Q(N, a Z + bn)] in the working precision, by a second route: the
+    tilted stage count of the c copies of one mean m is negative binomial,
+    C(c + j - 1, j) (1 - r)^c r^j with r = a m / (1 + a m); the counts of the
+    distinct means are convolved and mixed into the Erlang tails."""
+    pmf = None
+    for m, c in Counter(means).items():
+        r = a * m / (1 + a * m)
+        nb = [(1 + a * m) ** -c]
+        for j in range(1, n_terms):
+            nb.append(nb[-1] * r * (c + j - 1) / j)
+        pmf = nb if pmf is None else [mpmath.fsum(pmf[i] * nb[s - i] for i in range(s + 1))
+                                      for s in range(n_terms)]
+    sums = _mp_erlang_sums(bn, n_terms)
+    return mpmath.exp(-bn) * mpmath.fsum(pmf[s] * sums[n_terms - s] for s in range(n_terms))
+
+
+def quadrature_oracles(config, stats, sol, b=1.0):
+    """(ergodic_capacity, average_ser_binary at A = 1 and B = b) by 30-digit
+    adaptive mpmath quadrature of the negative-binomial success probability."""
+    with mpmath.workdps(30):
+        gain = mpmath.mpf(sol.slope) * stats.mean_x
+
+        def success(x):
+            return negative_binomial_success(
+                config.p_p * x / gain, config.n0 * x / gain + mpmath.mpf(sol.c_threshold)
+                / stats.mean_x, config.diversity_order, stats.mean_z_per_pt)
+
+        typical = gain * config.diversity_order / (config.p_p * stats.mean_z + config.n0)
+        cap = mpmath.quad(lambda x: success(x) / (1 + x), [0, typical, mpmath.inf])
+        ser = mpmath.quad(lambda t: mpmath.exp(-b * t * t) * (1 - success(t * t)),
+                          [0, 1 / mpmath.sqrt(b), mpmath.inf])
+        return float(cap / mpmath.log(2)), float(ser * mpmath.sqrt(b / mpmath.pi))
+
+
+@st.composite
+def receiver_systems(draw):
+    """(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at one primary receiver,
+    with interferer distances exactly tied in two groups (l_t up to 80),
+    distinct or 1e-8 apart (relative).  The oracle's cost grows with
+    (distinct means) x N^2, which bounds N = n - m + 1 here; the explicit
+    examples reach n - m = 64."""
+    tie = draw(st.sampled_from(["none", "exact", "near"]))
+    l_t = draw(st.integers(1, 80 if tie == "exact" else 24))
+    d = draw(st.floats(30.0, 100.0))
+    if tie == "exact":
+        k = draw(st.integers(0, l_t))
+        d_pt_sr = (d,) * k + (draw(st.floats(30.0, 100.0)),) * (l_t - k)
+    elif tie == "near":
+        d_pt_sr = tuple(d * (1.0 + 1e-8 * i) for i in range(l_t))
+    else:
+        d_pt_sr = tuple(draw(st.lists(st.floats(30.0, 100.0), min_size=l_t, max_size=l_t)))
+    shape = draw(st.integers(1, max(1, math.isqrt(200 // len(set(d_pt_sr))))))
+    m = draw(st.integers(1, 16))
+    return (m, m + shape - 1, l_t, 1, draw(st.floats(15.0, 45.0)), d_pt_sr,
+            (draw(st.floats(30.0, 100.0)),))
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(receiver_systems(), st.sampled_from([0.25, 1.0, 4.0]))
+# an analytic_curves geometry that adaptive quad had 2.0e-9 off
+@example((4, 4, 2, 1, 36.259, (35.258, 59.279), (85.586,)), 1.0)
+# a system whose SER adaptive quad could not converge
+@example((16, 40, 40, 1, 30.0, (60.0,) * 40, (70.0,)), 1.0)
+@example((2, 66, 2, 1, 20.0, (50.0, 50.0), (40.0,)), 1.0)
+@example((4, 5, 80, 1, 25.0, (40.0,) * 40 + (90.0,) * 40, (60.0,)), 1.0)
+# strong links, SER 1.1e-7 and 1.0e-8: the outage's rounding noise exceeds
+# 1e-13 of the SER there, so its gate is absolute
+@example((4, 8, 2, 1, 12.0, (70.0, 70.0), (80.0,)), 1.0)
+@example((2, 6, 2, 1, 15.0, (80.0, 90.0), (80.0,)), 1.0)
+def test_capacity_and_ser_match_mpmath_quadrature(spec, b):
+    config, stats, sol = validation._point(*spec)
+    cap, ser = quadrature_oracles(config, stats, sol, b)
+    assert abs(ergodic_capacity(config, stats, sol) - cap) <= 1e-13
+    assert abs(average_ser_binary(config, stats, sol, 1.0, b) - ser) <= 1e-13
