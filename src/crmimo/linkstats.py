@@ -7,9 +7,10 @@ together with the hypoexponential law (mean, density and tail) of the
 aggregate primary-to-secondary interference.  This module is the only home
 of that law's evaluator: one stage-chain matrix exponential over the means
 in ascending order, exact for any tie structure, whose running occupancy
-sums are the tails and whose last stage gives the density.  Means are never
-perturbed.  The outage mixture needs none of this: it is a positive sum
-over the means themselves (`outage`).
+sums are the tails and whose last stage gives the density.  Its first level
+is a positive uniformization series, so the library needs numpy only (scipy
+serves `validate`, the KS check and the tests).  Means are never perturbed.
+The outage mixture is a positive sum over the means themselves (`outage`).
 """
 
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .specfun import _exp_sinh
 
@@ -52,14 +52,21 @@ def _stage_chain(means, z):
     # shifts the sum by at most their total mean
     th = th[th > 1e-12 * th[-1]]
     rates, n = 1.0 / th, th.size
-    s = max(0, math.frexp(2 * z * rates.max())[1])  # 1-norm of G z / 2^s below 1
+    s = max(0, math.frexp(16 * z * rates.max())[1])  # L = z max(rates) / 2^s < 1/16
     diags = -np.outer(2.0 ** np.arange(-s, 1), rates * z)  # diagonal of G z / 2^s .. G z
     a, b = diags[:, :-1], diags[:, 1:]
     # exact superdiagonals t (e^b - e^a) / (b - a), t = -a, without cancellation
     d = np.abs(b - a)
     sups = -a * np.exp(np.maximum(a, b)) * np.divide(
         np.expm1(-d), -d, out=np.ones_like(d), where=d > 0)
-    x = expm(np.diag(diags[0]) + np.diag(-a[0], 1))
+    # first level by uniformization (Jensen, 1953): e^{-L} sum_{k<=10} M^k / k!
+    # over the nonnegative M = L I + G z / 2^s, by Horner's rule; no term is
+    # negative, and the terms past k = 10 sum to under 1e-20
+    big, eye = -diags[0].min(), np.eye(n)
+    m, x = np.diag(big + diags[0]) + np.diag(-a[0], 1), eye
+    for k in range(10, 0, -1):
+        x = eye + m @ x / k
+    x *= math.exp(-big)
     for k in range(s + 1):
         if k:
             x = x @ x

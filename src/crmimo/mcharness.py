@@ -140,7 +140,7 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
-        hp = _complex_gaussian(rng, (size, config.n, config.l_t), 1.0, scale)
+        hp = _complex_gaussian(rng, (size, config.n, scale.size), 1.0, scale)
         cross = hh @ hp
         del hp, hh
         row_norm2 = np.einsum("bii->bi", gram_inv).real

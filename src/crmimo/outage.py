@@ -97,11 +97,20 @@ def _cdf_coefficients(config, stats, slope, c_threshold, gamma_th):
     return config.p_p * c1, config.n0 * c1 + c_threshold / stats.mean_x
 
 
+def _threshold(config, gamma_th):
+    """gamma_th, the configured one when None, checked finite and >= 0 at
+    every element (0 gives the stream inactivity probability)."""
+    g = config.gamma_th if gamma_th is None else gamma_th
+    if not np.all((0.0 <= g) & (g < math.inf)):  # NaN fails both
+        raise ValueError(f"thresholds must be finite and >= 0, got {g}")
+    return g
+
+
 def _outage(config, stats, slope, c_threshold, gamma_th):
     """Outage of the received stream power slope (X - C) at threshold
     gamma_th (the configured one when None): a float, or an array for an
     array of thresholds."""
-    g = config.gamma_th if gamma_th is None else gamma_th
+    g = _threshold(config, gamma_th)
     a, bn = _cdf_coefficients(config, stats, slope, c_threshold, g)
     p = _mixed_outage(a, bn, config.diversity_order, stats.mean_z_per_pt)
     return p if np.ndim(g) else float(p[0])
@@ -146,7 +155,8 @@ def outage_fixed_power(config, stats, power, gamma_th=None):
     """Outage probability under a fixed per-stream power (the conventional
     baseline); returns the bare probability."""
     if power <= 0:
-        return np.ones(np.shape(gamma_th)) if np.ndim(gamma_th) else 1.0
+        g = _threshold(config, gamma_th)
+        return np.ones(np.shape(g)) if np.ndim(g) else 1.0
     return _outage(config, stats, power, 0.0, gamma_th)
 
 
@@ -182,6 +192,8 @@ def asymptotic_sinr(case, config, stats, sol, z_realization=None):
     """
     if case not in ASYMPTOTIC_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {ASYMPTOTIC_CASES}")
+    if z_realization is not None and not 0.0 <= z_realization < math.inf:
+        raise ValueError(f"z_realization must be finite and >= 0, got {z_realization}")
     shape = config.diversity_order
     if case == "rx_massive":
         if z_realization is None:
@@ -228,11 +240,11 @@ def average_ser_binary(config, stats, sol, a, b):
     The integrable endpoint is removed by x = t^2, giving
     (A sqrt(B) / sqrt(pi)) int_0^inf e^{-B t^2} P_out(t^2) dt: the exp-sinh
     rule of `specfun` on the scale 1/sqrt(B).  P_out = 1 - success carries
-    about 1e-16 absolute error, so the SER is good to 1e-13 absolute, not
+    a few 1e-15 absolute error, so the SER is good to 1e-13 absolute, not
     relative (ArithmeticError otherwise).
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"modulation constants must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"modulation constants must be finite and positive, got a={a}, b={b}")
     factor = a * math.sqrt(b) / math.sqrt(math.pi)
 
     def integrand(t):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import exp1, regularized_upper_gamma
+from .specfun import _check_int, exp1, regularized_upper_gamma
 
 LN2 = math.log(2.0)
 
@@ -35,14 +35,11 @@ class SystemConfig:
     n0: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.m != int(self.m):
-            raise ValueError("SystemConfig.m must be an integer >= 1")
-        if self.n < self.m or self.n != int(self.n):
-            raise ValueError("SystemConfig.n must be an integer >= m")
-        if self.l_t < 1 or self.l_t != int(self.l_t):
-            raise ValueError("SystemConfig.l_t must be an integer >= 1")
-        if self.l_r < 1 or self.l_r != int(self.l_r):
-            raise ValueError("SystemConfig.l_r must be an integer >= 1")
+        for name, least in (("m", "1"), ("n", "m"), ("l_t", "1"), ("l_r", "1")):
+            value = _check_int(getattr(self, name), f"SystemConfig.{name}")
+            if value < (self.m if least == "m" else 1):
+                raise ValueError(f"SystemConfig.{name} must be an integer >= {least}")
+            object.__setattr__(self, name, value)
         for name in ("p_p", "p_max", "q", "gamma_th", "n0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -97,7 +94,7 @@ def mean_power(lam, config, stats):
         first = slope * regularized_upper_gamma(shape, u)
         second = offset * regularized_upper_gamma(shape - 1, u) / ((shape - 1) * ex)
     else:
-        first = slope * math.exp(-u) if u < 745.0 else 0.0
+        first = slope * math.exp(-u)
         second = offset * exp1(u) / ex
     return first - second
 

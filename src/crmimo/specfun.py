@@ -47,8 +47,8 @@ def exp1(x):
     Power series below 1, modified-Lentz continued fraction above;
     relative error <= 1e-12 on both branches.
     """
-    if x <= 0.0:
-        raise ValueError(f"exp1 requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"exp1 requires a finite x > 0, got {x}")
     if x < 1.0:
         # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
         total = -_EULER_GAMMA - math.log(x)
@@ -146,8 +146,8 @@ def upper_incomplete_gamma(n, x):
     n = _check_int(n, "n")
     if n < 0:
         raise ValueError(f"upper_incomplete_gamma requires n >= 0, got {n}")
-    if x < 0.0:
-        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"upper_incomplete_gamma requires a finite x >= 0, got {x}")
     if n == 0:
         if x == 0.0:
             raise ValueError("upper_incomplete_gamma(0, 0) diverges")

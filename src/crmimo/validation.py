@@ -54,13 +54,6 @@ def max_mean_oracle(means):
     return total
 
 
-def _quad_over(f, edges):
-    """Integral of f over consecutive edges by adaptive `quad`, one piece
-    each: (value, error estimate), each summed with `math.fsum`."""
-    pieces = [quad(f, lo, hi, limit=200) for lo, hi in zip(edges, edges[1:])]
-    return math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
-
-
 def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     """Pr[stream power CDF argument below threshold], mixed over the
     interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
@@ -74,9 +67,11 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
                 * sum_density_inid(z, means))
 
     # the Chernoff bound at s = 1 / (2 max m) leaves under e^-40 of the
-    # mass of Z beyond 2 E[Z] + 80 max m
+    # mass of Z beyond 2 E[Z] + 80 max m; one adaptive `quad` per piece
     total = math.fsum(means)
-    val, err = _quad_over(integrand, (0.0, total, 2.0 * total + 80.0 * means.max()))
+    edges = (0.0, total, 2.0 * total + 80.0 * means.max())
+    pieces = [quad(integrand, lo, hi, limit=200) for lo, hi in zip(edges, edges[1:])]
+    val, err = math.fsum(v for v, _ in pieces), math.fsum(e for _, e in pieces)
     if err > 1e-7:
         raise ArithmeticError(f"outage quadrature error {err:.2e} exceeds 1e-7")
     return min(1.0, max(0.0, val))

@@ -287,6 +287,19 @@ def test_estimator_determinism():
     assert (n.value, n.std_error) == (a.value, a.std_error)
 
 
+def test_interferer_count_follows_the_means():
+    """h_p gets one column per interferer mean whatever config.l_t says, as
+    the closed form does: a mismatched l_t gives the matched estimate."""
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    for l_t in (1, 3):
+        other = SystemConfig(m=4, n=5, l_t=l_t, l_r=2, p_p=10.0, p_max=100.0,
+                             q=Q_7DB, gamma_th=GAMMA_3DB)
+        for estimator in (empirical_outage, empirical_rate):
+            assert estimator(other, stats, sol, trials=1500, seed=3) \
+                == estimator(config, stats, sol, trials=1500, seed=3)
+
+
 def test_distribution_check_small_arrays():
     geom = Geometry(d_st_sr=30.0, d_pt_sr=(56.0,), d_st_pr=(60.0,))
     stats = LinkStats.from_geometry(geom)

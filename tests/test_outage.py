@@ -31,7 +31,7 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
-from crmimo.specfun import regularized_upper_gamma
+from crmimo.specfun import exp1, regularized_upper_gamma, upper_incomplete_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
 Q_7DB = 10 ** 0.7
@@ -71,6 +71,9 @@ def test_received_power_cdf_endpoints():
     inactivity = 1.0 - regularized_upper_gamma(
         config.diversity_order, sol.c_threshold / stats.mean_x)
     assert received_power_cdf(0.0, sol, config, stats) == pytest.approx(inactivity, rel=1e-12)
+    # a zero threshold is in the outage's domain: the inactivity probability
+    assert outage_auto(config, stats, sol, gamma_th=0.0).p_out == pytest.approx(inactivity, rel=1e-12)
+    assert outage_fixed_power(config, stats, 0.0, gamma_th=0.0) == 1.0
     assert received_power_cdf(1e15, sol, config, stats) == pytest.approx(1.0, abs=1e-12)
     xs = np.linspace(0, 5000, 300)
     vals = [received_power_cdf(x, sol, config, stats) for x in xs]
@@ -315,6 +318,42 @@ def test_asymptotic_sinr_cases():
 
     with pytest.raises(ValueError):
         asymptotic_sinr("bogus", config, stats, sol)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, s, p: outage_auto(c, s, p, gamma_th=INF),
+    lambda c, s, p: outage_auto(c, s, p, gamma_th=-1.0),
+    lambda c, s, p: outage_auto(c, s, p, gamma_th=NAN),
+    lambda c, s, p: outage_general(c, s, p, gamma_th=np.array([1.0, NAN])),
+    lambda c, s, p: outage_iid_pts(c, s, p, gamma_th=np.array([0.5, -1e-300])),
+    lambda c, s, p: outage_fixed_power(c, s, 0.0, gamma_th=INF),
+    lambda c, s, p: outage_fixed_power(c, s, 1.0, gamma_th=-1.0),
+    lambda c, s, p: average_ser_binary(c, s, p, NAN, 1.0),
+    lambda c, s, p: average_ser_binary(c, s, p, 1.0, INF),
+    lambda c, s, p: average_ser_binary(c, s, p, INF, 1.0),
+    lambda c, s, p: asymptotic_sinr("rx_massive", c, s, p, z_realization=-0.1),
+    lambda c, s, p: asymptotic_sinr("rx_massive", c, s, p, z_realization=NAN),
+    lambda c, s, p: asymptotic_sinr("both_massive_lt_finite", c, s, p, z_realization=INF),
+    lambda c, s, p: exp1(NAN),
+    lambda c, s, p: exp1(INF),
+    lambda c, s, p: upper_incomplete_gamma(0, INF),
+    lambda c, s, p: upper_incomplete_gamma(3, INF),
+], ids=["gamma-inf", "gamma-negative", "gamma-nan", "gamma-array-nan", "iid-gamma-negative",
+        "fixed-silent-gamma-inf", "fixed-gamma-negative", "ser-a-nan", "ser-b-inf",
+        "ser-a-inf", "rx-massive-z-negative", "rx-massive-z-nan", "lt-finite-z-inf",
+        "exp1-nan", "exp1-inf", "gamma0-inf", "gamma3-inf"])
+def test_out_of_domain_thresholds_and_constants_raise(call):
+    """Thresholds lie in [0, inf) elementwise, the modulation constants and
+    the interference realization are finite, and E1 needs a finite x > 0:
+    outside that each call raises ValueError, never garbage or a numpy
+    warning (warnings are errors in this suite)."""
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    with pytest.raises(ValueError):
+        call(config, stats, sol)
 
 
 def test_case_iii_matches_limit_multiplier_substitution():
