@@ -2,7 +2,9 @@
 
 Parses scenario files (JSON; powers in dB at the boundary, linear
 internally) and builds every sweep point on load, so a bad swept value
-fails before any Monte-Carlo work.  `outage`, `rate` and `antennas` run
+fails before any Monte-Carlo work.  A sweep point is the scenario document
+with the fields its parameter sets (`SWEEPABLE`) replaced, parsed by the
+same code as the base point.  `outage`, `rate` and `antennas` run
 one sweep loop that solves each point's multiplier and evaluates one row;
 points run in order (point i draws with seed + i) and --threads spreads
 each point's Monte-Carlo blocks.  `power` prints the solved allocation and
@@ -23,14 +25,16 @@ from . import leakage, mcharness, outage, powalloc
 from .linkstats import Geometry, LinkStats
 from .powalloc import SystemConfig
 
-SWEEPABLE = (
-    "d_st_sr", "d_st_pr", "d_pt_sr",
-    "q_db", "p_p_db", "p_max_db", "gamma_th_db",
-    "m", "n", "m_n", "n_lt",
-    "t_g",
-)
-_INT_PARAMS = {"m", "n", "m_n", "n_lt"}
-_GEOM_PARAMS = {"d_st_sr", "d_st_pr", "d_pt_sr"}
+# sweep parameter -> the (section, field) entries a sweep point replaces in
+# the scenario document; section None is the top level
+SWEEPABLE = {
+    **{key: [("geometry", key)] for key in ("d_st_sr", "d_st_pr", "d_pt_sr")},
+    **{key: [("system", key)] for key in ("q_db", "p_p_db", "p_max_db", "gamma_th_db", "m", "n")},
+    "m_n": [("system", "m"), ("system", "n")],
+    "n_lt": [("system", "n"), ("system", "l_t")],
+    "t_g": [(None, "t_g")],
+}
+_SYSTEM_INTS = ("m", "n", "l_t", "l_r")
 
 
 class ConfigError(ValueError):
@@ -82,7 +86,9 @@ def _field(mapping, key, path, kind=float):
     return _number(_need(mapping, key, path), f"{path}.{key}", kind)
 
 
-def _as_list(value, length, path):
+def _as_list(mapping, key, path, length):
+    """The required number or list mapping[key] as `length` numbers."""
+    value, path = _need(mapping, key, path), f"{path}.{key}"
     if not isinstance(value, (list, tuple)):
         return [_number(value, path)] * length
     vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -98,35 +104,23 @@ class Scenario:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("scenario: top level must be an object")
-        system = _section(raw, "system")
-        self.system = {key: _field(system, key, "system", int)
-                       for key in ("m", "n", "l_t", "l_r")}
-        for key in ("p_p_db", "p_max_db", "q_db", "gamma_th_db"):
-            self.system[key] = _field(system, key, "system")
-        self.system["n0"] = _number(system.get("n0", 1.0), "system.n0")
-        has_geom = "geometry" in raw
-        has_means = "means" in raw
-        if has_geom == has_means:
-            raise ConfigError("scenario: exactly one of 'geometry' or 'means' must be present")
-        self.geometry = _section(raw, "geometry", required=False)
-        self.means = _section(raw, "means", required=False)
+        self.raw = raw
+        self.build_point()
         self.sweep = _section(raw, "sweep", required=False)
         if self.sweep is not None:
             param = _need(self.sweep, "parameter", "sweep")
             if param not in SWEEPABLE:
                 raise ConfigError(f"sweep.parameter: {param!r} is not sweepable "
                                   f"(choose from {', '.join(SWEEPABLE)})")
-            if param in _GEOM_PARAMS and not has_geom:
-                raise ConfigError(f"sweep.parameter: {param!r} requires a geometry block")
+            for section, _ in SWEEPABLE[param]:
+                if section is not None and section not in raw:
+                    raise ConfigError(f"sweep.parameter: {param!r} requires a {section} block")
             if self.sweep.get("scale", "linear") not in ("linear", "log"):
                 raise ConfigError("sweep.scale: must be 'linear' or 'log'")
         mc = _section(raw, "mc", required=False) or {}
         self.trials = _number(mc.get("trials", 100000), "mc.trials", int)
         self.seed = _number(mc.get("seed", 0), "mc.seed", int)
-        self.t_g = _number(raw["t_g"], "t_g") if "t_g" in raw else None
-        # fail fast: the base point and every sweep point are built before
-        # any Monte-Carlo work
-        self.build_point()
+        # fail fast: every sweep point is built before any Monte-Carlo work
         self.points = [(value, *self.build_point(value)) for value in self.sweep_values()]
 
     @classmethod
@@ -156,65 +150,54 @@ class Scenario:
             vals = [float(v) for v in np.geomspace(start, stop, steps)]
         else:
             vals = [float(v) for v in np.linspace(start, stop, steps)]
-        if self.sweep["parameter"] in _INT_PARAMS:
+        if all(key in _SYSTEM_INTS for _, key in SWEEPABLE[self.sweep["parameter"]]):
             vals = [int(round(v)) for v in vals]
         return vals
 
     def build_point(self, swept_value=None):
-        """Materialize (SystemConfig, LinkStats, t_g) at one sweep value."""
-        sysd = dict(self.system)
-        geom = dict(self.geometry) if self.geometry is not None else None
-        t_g = self.t_g
+        """Materialize (SystemConfig, LinkStats, t_g) at one sweep value: the
+        scenario document with the swept fields replaced, section by copy."""
+        raw = dict(self.raw)
         if swept_value is not None:
-            param = self.sweep["parameter"]
-            if param in _GEOM_PARAMS:
-                geom[param] = swept_value
-            elif param == "m_n":
-                sysd["m"] = swept_value
-                sysd["n"] = swept_value
-            elif param == "n_lt":
-                sysd["n"] = swept_value
-                sysd["l_t"] = swept_value
-            elif param == "t_g":
-                t_g = swept_value
-            else:
-                sysd[param] = swept_value
+            for section, key in SWEEPABLE[self.sweep["parameter"]]:
+                if section is None:
+                    raw[key] = swept_value
+                else:
+                    raw[section] = {**raw[section], key: swept_value}
+        system = _section(raw, "system")
+        ints = {key: _field(system, key, "system", int) for key in _SYSTEM_INTS}
+        linear = {key[:-3]: db_to_linear(_field(system, key, "system"))
+                  for key in ("p_p_db", "p_max_db", "q_db", "gamma_th_db")}
+        n0 = _number(system.get("n0", 1.0), "system.n0")
+        if ("geometry" in raw) == ("means" in raw):
+            raise ConfigError("scenario: exactly one of 'geometry' or 'means' must be present")
+        t_g = _number(raw["t_g"], "t_g") if "t_g" in raw else None
         if t_g is not None and not 0.0 < t_g <= 1.0:
             raise ConfigError(f"t_g: must lie in (0, 1], got {t_g}")
         try:
-            config = SystemConfig(
-                m=sysd["m"], n=sysd["n"], l_t=sysd["l_t"], l_r=sysd["l_r"],
-                p_p=db_to_linear(sysd["p_p_db"]),
-                p_max=db_to_linear(sysd["p_max_db"]),
-                q=db_to_linear(sysd["q_db"]),
-                gamma_th=db_to_linear(sysd["gamma_th_db"]),
-                n0=sysd["n0"],
-            )
+            config = SystemConfig(**ints, **linear, n0=n0)
         except ValueError as exc:
             raise ConfigError(f"system: {exc}") from exc
+        block = "geometry" if "geometry" in raw else "means"
+        fields = _section(raw, block)
         try:
-            if geom is not None:
-                g = Geometry(
-                    d_st_sr=_field(geom, "d_st_sr", "geometry"),
-                    d_pt_sr=_as_list(_need(geom, "d_pt_sr", "geometry"),
-                                     config.l_t, "geometry.d_pt_sr"),
-                    d_st_pr=_as_list(_need(geom, "d_st_pr", "geometry"),
-                                     config.l_r, "geometry.d_st_pr"),
-                    d_ref=_number(geom.get("d_ref", 100.0), "geometry.d_ref"),
-                    alpha=_number(geom.get("alpha", 4.0), "geometry.alpha"),
-                )
-                stats = LinkStats.from_geometry(g)
+            if block == "geometry":
+                stats = LinkStats.from_geometry(Geometry(
+                    d_st_sr=_field(fields, "d_st_sr", "geometry"),
+                    d_pt_sr=_as_list(fields, "d_pt_sr", "geometry", config.l_t),
+                    d_st_pr=_as_list(fields, "d_st_pr", "geometry", config.l_r),
+                    d_ref=_number(fields.get("d_ref", 100.0), "geometry.d_ref"),
+                    alpha=_number(fields.get("alpha", 4.0), "geometry.alpha"),
+                ))
             else:
-                m = self.means
                 stats = LinkStats(
-                    _field(m, "mean_x", "means"),
-                    _as_list(_need(m, "mean_y_per_pr", "means"), config.l_r, "means.mean_y_per_pr"),
-                    _as_list(_need(m, "mean_z_per_pt", "means"), config.l_t, "means.mean_z_per_pt"),
+                    _field(fields, "mean_x", "means"),
+                    _as_list(fields, "mean_y_per_pr", "means", config.l_r),
+                    _as_list(fields, "mean_z_per_pt", "means", config.l_t),
                 )
         except ConfigError:
             raise
         except ValueError as exc:
-            block = "geometry" if geom is not None else "means"
             raise ConfigError(f"{block}: {exc}") from exc
         return config, stats, t_g
 

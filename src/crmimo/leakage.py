@@ -7,6 +7,7 @@ transmit antennas until it is within a tolerated level, and estimates the
 law of the active-antenna count.  Antennas go by power, so a reduction is one
 stage chain per primary receiver, begun by a positive uniformization series
 (`linkstats`): numpy only; scipy serves `validate`, the KS check and tests.
+The active-antenna law draws and runs its blocks through `mcharness`.
 """
 
 import math
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkstats import checked_leakage_inputs, hypoexp_ccdf, hypoexp_prefix_ccdf
-from .mcharness import STREAM_ANTENNA, block_generator, block_sizes
+from .mcharness import STREAM_ANTENNA, _erlang_draw, run_blocks
 from .powalloc import optimal_power
 
 
@@ -85,7 +86,7 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
     if not 0.0 < t_g <= 1.0:
         raise ValueError(f"t_g must lie in (0, 1], got {t_g}")
     gains = np.asarray(x_gains, dtype=float)
-    if gains.shape != (config.m,) or not 0.0 <= gains.min() <= gains.max() < math.inf:
+    if gains.shape != (config.m,):  # optimal_power checks the values
         raise ValueError(f"expected {config.m} finite non-negative stream gains, got {gains}")
     powers = optimal_power(gains, sol)
     powered = np.sort(powers[powers > 0])
@@ -105,15 +106,19 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
 def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     """Distribution of the active-antenna count over independent stream-gain
     realizations (Erlang(n-m+1, E[X]) per antenna), obtained by running the
-    reduction on each draw.  Per-block keyed generators make the result
-    independent of scheduling for a fixed seed.
+    reduction on each draw.  Blocks run through `run_blocks` on one thread
+    (the per-trial reduction holds the interpreter lock) and add up their
+    integer counts.
     """
-    counts = np.zeros(config.m + 1, dtype=np.int64)
-    for block, size in enumerate(block_sizes(trials)):
-        rng = block_generator(seed, STREAM_ANTENNA, block)
-        draws = rng.gamma(config.diversity_order, stats.mean_x, size=(size, config.m))
-        for row in draws:
+    draw = _erlang_draw(config, stats, seed, STREAM_ANTENNA, (config.m,))
+
+    def worker(block, size):
+        counts = np.zeros(config.m + 1, dtype=np.int64)
+        for row in draw(block, size):
             counts[reduce_antennas(row, sol, config, stats, t_g).m_effective] += 1
+        return counts
+
+    counts = sum(run_blocks(trials, worker))
     levels = np.arange(config.m + 1)
     # exact integer sums, so the same floats as per-trial accumulation
     sum_l, sum_l2 = float(levels @ counts), float(levels ** 2 @ counts)

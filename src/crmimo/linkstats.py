@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _exp_sinh
+from .specfun import _check_int, _exp_sinh
 
 
 def _finite_positive(x):
@@ -147,9 +147,10 @@ def mean_max_iid(mean, l_r):
     number (Renyi: the spacings of the order statistics are exponential)."""
     if not _finite_positive(mean):
         raise ValueError(f"mean must be finite and positive, got {mean}")
-    if l_r < 1 or l_r != int(l_r):
+    l_r = _check_int(l_r, "l_r")
+    if l_r < 1:
         raise ValueError(f"l_r must be a positive integer, got {l_r}")
-    return mean * math.fsum(1.0 / k for k in range(1, int(l_r) + 1))
+    return mean * math.fsum(1.0 / k for k in range(1, l_r + 1))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ inverse Gram matrix, and measures outage, rate and leakage empirically.
 Trials are grouped into fixed-size blocks, each driven by a counter-based
 Philox generator keyed by (seed, stream id, block index) and reduced in
 block order, so estimates are bit-identical for a given seed regardless of
-how many worker threads process the blocks.
+how many worker threads process the blocks.  Every block loop (that of
+`leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
+one ZF SINR body shared by outage and rate.
 """
 
 import logging
@@ -153,43 +155,46 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
     raise ArithmeticError(f"persistent rank deficiency in block {block}")
 
 
+def _erlang_draw(config, stats, seed, stream, columns=()):
+    """worker(block, size) drawing the block's Erlang(n-m+1, E[X]) stream
+    gains directly, shape (size, *columns)."""
+    return lambda block, size: block_generator(seed, stream, block).gamma(
+        config.diversity_order, stats.mean_x, size=(size, *columns))
+
+
 def sample_stream_gains(config, stats, trials, seed, threads=1):
     """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
-
-    def worker(block, size):
-        rng = block_generator(seed, STREAM_GAINS, block)
-        return rng.gamma(config.diversity_order, stats.mean_x, size=size)
-
-    return np.concatenate(run_blocks(trials, worker, threads))
+    draw = _erlang_draw(config, stats, seed, STREAM_GAINS)
+    return np.concatenate(run_blocks(trials, draw, threads))
 
 
 # ---------------------------------------------------------------------------
 # empirical estimators
 # ---------------------------------------------------------------------------
 
+def _zf_estimate(config, stats, sol, trials, seed, threads, stream, score):
+    """Mean over trials of the per-trial stream mean of score(SINR), with the
+    ZF-chain SINR p(x) x / (p_p z + N0) under the allocation."""
+
+    def worker(block, size):
+        x_gain, z = _stream_stats_block(config, stats, seed, stream, block, size)
+        sinr = optimal_power(x_gain, sol) * x_gain / (config.p_p * z + config.n0)
+        return np.mean(score(sinr), axis=1)
+
+    return _estimate(run_blocks(trials, worker, threads), trials, seed)
+
+
 def empirical_outage(config, stats, sol, trials, seed, threads=1):
     """Fraction of (trial, stream) pairs whose ZF-chain SINR falls below
     gamma_th; streams with zero allocated power count as outage."""
-
-    def worker(block, size):
-        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size)
-        p = optimal_power(x_gain, sol)
-        sinr = p * x_gain / (config.p_p * z + config.n0)
-        return np.mean(sinr < config.gamma_th, axis=1)
-
-    return _estimate(run_blocks(trials, worker, threads), trials, seed)
+    return _zf_estimate(config, stats, sol, trials, seed, threads, STREAM_OUTAGE,
+                        lambda sinr: sinr < config.gamma_th)
 
 
 def empirical_rate(config, stats, sol, trials, seed, threads=1):
     """Mean of log2(1 + SINR) over the full ZF chain."""
-
-    def worker(block, size):
-        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_RATE, block, size)
-        p = optimal_power(x_gain, sol)
-        sinr = p * x_gain / (config.p_p * z + config.n0)
-        return np.mean(np.log2(1.0 + sinr), axis=1)
-
-    return _estimate(run_blocks(trials, worker, threads), trials, seed)
+    return _zf_estimate(config, stats, sol, trials, seed, threads, STREAM_RATE,
+                        lambda sinr: np.log2(1.0 + sinr))
 
 
 def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
@@ -235,10 +240,6 @@ def zf_distribution_check(config, stats, trials, seed, threads=1):
     x0 = np.concatenate([p[0] for p in parts])
     z0 = np.concatenate([p[1] for p in parts])
 
-    def gain_ref(block, size):
-        rng = block_generator(seed, STREAM_KS_GAIN_REF, block)
-        return rng.gamma(config.diversity_order, stats.mean_x, size=size)
-
     def int_ref(block, size):
         rng = block_generator(seed, STREAM_KS_INT_REF, block)
         draws = np.zeros(size)
@@ -246,6 +247,7 @@ def zf_distribution_check(config, stats, trials, seed, threads=1):
             draws += rng.exponential(ez, size=size)
         return draws
 
+    gain_ref = _erlang_draw(config, stats, seed, STREAM_KS_GAIN_REF)
     x_ref = np.concatenate(run_blocks(trials, gain_ref, threads))
     z_ref = np.concatenate(run_blocks(trials, int_ref, threads))
     ks_x = ks_2samp(x0, x_ref)

@@ -39,8 +39,8 @@ def received_power_cdf(x, sol, config, stats):
     u = x / (slope E[X]) + C / E[X]; the value at x = 0 is the stream
     inactivity probability Pr[X <= C].
     """
-    if x < 0:
-        raise ValueError(f"received power must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"received power must be finite and >= 0, got {x}")
     u = x / (sol.slope * stats.mean_x) + sol.c_threshold / stats.mean_x
     return 1.0 - regularized_upper_gamma(config.diversity_order, u)
 
@@ -153,7 +153,9 @@ def outage_auto(config, stats, sol, gamma_th=None):
 
 def outage_fixed_power(config, stats, power, gamma_th=None):
     """Outage probability under a fixed per-stream power (the conventional
-    baseline); returns the bare probability."""
+    baseline); returns the bare probability, 1 for a power <= 0."""
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power}")
     if power <= 0:
         g = _threshold(config, gamma_th)
         return np.ones(np.shape(g)) if np.ndim(g) else 1.0

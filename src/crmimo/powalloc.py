@@ -107,17 +107,13 @@ def solve_lambda(config, stats):
     when no bracket exists or the residual does not close.
     """
     ey = stats.mean_y
-    target = min(config.q / (config.m * ey), config.p_max / config.m)
+    target = conventional_power(config, stats)
     lam_asym = LN2 * ey * target
+    # f(lo) <= slope(lo) = 1e-6 target, so only the upper end may need widening
     lo, hi = lam_asym * 1e-6, lam_asym * 1e6
 
     f_lo = mean_power(lo, config, stats)
     f_hi = mean_power(hi, config, stats)
-    for _ in range(60):
-        if f_lo <= target:
-            break
-        lo /= 8.0
-        f_lo = mean_power(lo, config, stats)
     for _ in range(60):
         if f_hi >= target:
             break
@@ -171,9 +167,11 @@ def solve_lambda(config, stats):
 def optimal_power(x_i, sol):
     """Per-stream power max(0, slope - offset / x) for realized gain x.
 
-    Accepts scalars or arrays; a zero gain yields zero power.
+    Accepts scalars or arrays of finite gains >= 0; a zero gain gets zero.
     """
     x = np.asarray(x_i, dtype=float)
+    if not ((0.0 <= x) & (x < math.inf)).all():  # NaN fails both
+        raise ValueError(f"stream gains must be finite and >= 0, got {x_i}")
     with np.errstate(divide="ignore"):
         p = np.maximum(sol.slope - sol.offset / x, 0.0)
     if np.ndim(x_i) == 0:

@@ -25,9 +25,11 @@ _DE_W = _DE_X * np.cosh(_DE_T) * (np.pi / 128.0)
 
 
 def _check_int(n, name):
-    if isinstance(n, bool) or n != int(n):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    return int(n)
+    """n as an int (4.0 passes); bools, NaN, inf and non-numbers raise."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) \
+            or isinstance(n, (float, np.floating)) and n.is_integer():
+        return int(n)
+    raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
 def gamma(n):
@@ -91,8 +93,8 @@ def regularized_upper_gamma(n, x):
     tail of `erlang_tails`.
     """
     n = _check_int(n, "n")
-    if n < 1 or not x >= 0.0:
-        raise ValueError(f"the Erlang tail Q(n, x) requires n >= 1 and x >= 0, "
+    if n < 1 or not 0.0 <= x < math.inf:
+        raise ValueError(f"the Erlang tail Q(n, x) requires n >= 1 and a finite x >= 0, "
                          f"got n={n}, x={x}")
     if x > _LOG_SAFE_X:
         return float(erlang_tails(n, np.array([x]))[-1, 0])
@@ -105,11 +107,11 @@ def regularized_upper_gamma(n, x):
 
 def erlang_tails(n, x):
     """The (n, x.size) array of [Q(1, x_i), ..., Q(n, x_i)], the running sums
-    of the Poisson(x_i) pmf, for integer n >= 1 and a 1-d array of x >= 0,
+    of the Poisson(x_i) pmf, for integer n >= 1 and a 1-d array of finite x >= 0,
     in one pass of the finite series.  Past the underflow guard the terms
     x^k / k! are formed in log space, relative to the largest."""
-    if not (x >= 0.0).all():
-        raise ValueError(f"the Erlang tail Q(n, x) requires x >= 0, got {x}")
+    if not ((0.0 <= x) & (x < math.inf)).all():  # NaN fails both
+        raise ValueError(f"the Erlang tail Q(n, x) requires a finite x >= 0, got {x}")
     near = np.minimum(x, _LOG_SAFE_X)
     term, sums = 1.0, [np.ones_like(near)]
     for k in range(1, n):

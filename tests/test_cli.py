@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crmimo import leakage, outage
+from crmimo import leakage, mcharness, outage
 from crmimo.cli import ConfigError, Scenario, db_to_linear, main
 from crmimo.validation import run_validation
 
@@ -88,6 +88,10 @@ def test_sweep_values_scales():
                                "stop": 10.0, "steps": 5, "scale": "log"})
     with pytest.raises(ConfigError, match="log scale"):
         Scenario(raw)
+    # one step is the start value alone, on either scale
+    raw = base_scenario(sweep={"parameter": "q_db", "start": -3.0,
+                               "stop": 10.0, "steps": 1, "scale": "log"})
+    assert Scenario(raw).sweep_values() == [-3.0]
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -138,6 +142,8 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("geometry.d_pt_sr", [56.0, True]),
     ("t_g", 0.0),
     ("t_g", 1.5),
+    ("sweep.steps", 0),
+    ("sweep.scale", "cubic"),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
@@ -149,6 +155,55 @@ def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     assert main(["outage", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and field in err
+
+
+def test_document_errors_exit_code(tmp_path, capsys):
+    means = {"mean_x": 1.0, "mean_y_per_pr": [1.0, 2.0], "mean_z_per_pt": 1.0}
+    geometry_sweep_on_means = base_scenario(
+        means=means, sweep={"parameter": "d_st_pr", "start": 40.0, "stop": 80.0, "steps": 3})
+    del geometry_sweep_on_means["geometry"]
+    cases = [
+        ("[1, 2]", "scenario: top level must be an object"),
+        ('{"system": ', "is not valid JSON"),
+        (json.dumps(geometry_sweep_on_means),
+         "sweep.parameter: 'd_st_pr' requires a geometry block"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["outage", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+
+def test_system_sweep_rows_equal_single_points(tmp_path, capsys):
+    """A q_db sweep point is the scenario with system.q_db replaced: its row
+    equals a single-point run at that value and the point's seed."""
+    sweep = {"parameter": "q_db", "start": 4.0, "stop": 10.0, "steps": 3}
+    path = write_scenario(tmp_path, base_scenario(sweep=sweep))
+    assert main(["outage", "--config", path, "--trials", "1500"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["swept_value"]) for r in rows] == [4.0, 7.0, 10.0]
+    for idx, row in enumerate(rows):
+        raw = base_scenario(mc={"trials": 1500, "seed": 11 + idx})
+        raw["system"]["q_db"] = float(row["swept_value"])
+        assert main(["outage", "--config", write_scenario(tmp_path, raw)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert {key: float(value) for key, value in row.items()} \
+            == {**record, "swept_value": float(row["swept_value"])}
+
+
+def test_antenna_count_sweep_past_n_exits_before_monte_carlo(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Monte-Carlo work ran before the bad sweep point failed")
+
+    monkeypatch.setattr(mcharness, "empirical_outage", refuse)
+    sweep = {"parameter": "m", "start": 1, "stop": 4, "steps": 4}  # n = 3
+    path = write_scenario(tmp_path, base_scenario(sweep=sweep))
+    assert main(["outage", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: system: SystemConfig.n")
 
 
 def test_power_command_output_bytes(tmp_path, capsys):

@@ -31,7 +31,7 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
-from crmimo.specfun import exp1, regularized_upper_gamma, upper_incomplete_gamma
+from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma, upper_incomplete_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
 Q_7DB = 10 ** 0.7
@@ -341,19 +341,47 @@ NAN, INF = math.nan, math.inf
     lambda c, s, p: exp1(INF),
     lambda c, s, p: upper_incomplete_gamma(0, INF),
     lambda c, s, p: upper_incomplete_gamma(3, INF),
+    lambda c, s, p: regularized_upper_gamma(3, INF),
+    lambda c, s, p: erlang_tails(3, np.array([1.0, INF])),
+    lambda c, s, p: received_power_cdf(INF, p, c, s),
+    lambda c, s, p: received_power_cdf(NAN, p, c, s),
+    lambda c, s, p: outage_fixed_power(c, s, NAN),
+    lambda c, s, p: outage_fixed_power(c, s, INF),
+    lambda c, s, p: outage_fixed_power(c, s, -INF),
+    lambda c, s, p: optimal_power(-1.0, p),
+    lambda c, s, p: optimal_power(NAN, p),
+    lambda c, s, p: optimal_power(np.array([1.0, INF]), p),
 ], ids=["gamma-inf", "gamma-negative", "gamma-nan", "gamma-array-nan", "iid-gamma-negative",
         "fixed-silent-gamma-inf", "fixed-gamma-negative", "ser-a-nan", "ser-b-inf",
         "ser-a-inf", "rx-massive-z-negative", "rx-massive-z-nan", "lt-finite-z-inf",
-        "exp1-nan", "exp1-inf", "gamma0-inf", "gamma3-inf"])
+        "exp1-nan", "exp1-inf", "gamma0-inf", "gamma3-inf", "tail-inf", "tails-inf",
+        "received-inf", "received-nan", "fixed-power-nan", "fixed-power-inf",
+        "fixed-power-minus-inf", "gain-negative", "gain-nan", "gain-array-inf"])
 def test_out_of_domain_thresholds_and_constants_raise(call):
-    """Thresholds lie in [0, inf) elementwise, the modulation constants and
-    the interference realization are finite, and E1 needs a finite x > 0:
-    outside that each call raises ValueError, never garbage or a numpy
-    warning (warnings are errors in this suite)."""
+    """Thresholds, Erlang-tail arguments, received powers, fixed powers and
+    stream gains lie in [0, inf) elementwise (a fixed power may be <= 0),
+    the modulation constants and the interference realization are finite,
+    and E1 needs a finite x > 0: outside that each call raises ValueError,
+    never garbage or a numpy warning (warnings are errors in this suite)."""
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
     with pytest.raises(ValueError):
         call(config, stats, sol)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda c, s, p: received_power_cdf(NAN, p, c, s), "received power"),
+    (lambda c, s, p: outage_fixed_power(c, s, NAN), "power"),
+    (lambda c, s, p: optimal_power(-1.0, p), "stream gains"),
+], ids=["received-nan", "fixed-power-nan", "gain-negative"])
+def test_out_of_domain_errors_name_the_argument(call, name):
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(config, stats, sol)
+    # a power <= 0 is silence and a zero gain gets no power
+    assert outage_fixed_power(config, stats, -1.0) == 1.0
+    assert optimal_power(0.0, sol) == 0.0
 
 
 def test_case_iii_matches_limit_multiplier_substitution():

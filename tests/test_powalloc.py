@@ -142,6 +142,18 @@ def test_many_receive_antennas_multiplier_limit():
     assert sol.lam == pytest.approx(lam_limit, rel=0.02)
 
 
+def test_upper_bracket_expansion_converges():
+    # a weak link under a strong primary: the root lies past lam_asym * 1e6,
+    # so the upper end of the bracket is widened (five times) before bisection
+    config = SystemConfig(m=1, n=2, l_t=1, l_r=1, p_p=1e4, p_max=1e-3, q=1e-3,
+                          gamma_th=1.0)
+    stats = LinkStats(1e-3, [1.0], [10.0])
+    sol = solve_lambda(config, stats)
+    assert sol.lam > 1e6 * LN2 * stats.mean_y * sol.target_mean_power
+    assert mean_power(sol.lam, config, stats) == pytest.approx(
+        sol.target_mean_power, rel=1e-10, abs=0.0)
+
+
 def test_power_cap_branch():
     config, stats = anchor_setup()
     capped = SystemConfig(m=config.m, n=config.n, l_t=config.l_t, l_r=config.l_r,

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crmimo.linkstats import mean_max_iid
+from crmimo.powalloc import SystemConfig
 from crmimo.specfun import (
+    _exp_sinh,
     erlang_tails,
     exp1,
     gamma,
@@ -33,6 +36,36 @@ def test_gamma_domain_and_overflow():
         gamma(2.5)
     with pytest.raises(OverflowError):
         gamma(200)
+
+
+GOOD_CONFIG = dict(m=2, n=4, l_t=1, l_r=1, p_p=1.0, p_max=1.0, q=1.0, gamma_th=1.0)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: SystemConfig(**{**GOOD_CONFIG, "m": math.inf}), "SystemConfig.m"),
+    (lambda: SystemConfig(**{**GOOD_CONFIG, "n": -math.inf}), "SystemConfig.n"),
+    (lambda: SystemConfig(**{**GOOD_CONFIG, "m": math.nan}), "SystemConfig.m"),
+    (lambda: SystemConfig(**{**GOOD_CONFIG, "l_t": None}), "SystemConfig.l_t"),
+    (lambda: gamma(math.inf), "n"),
+    (lambda: gamma(None), "n"),
+    (lambda: regularized_upper_gamma(math.nan, 1.0), "n"),
+    (lambda: mean_max_iid(1.0, True), "l_r"),
+    (lambda: mean_max_iid(1.0, math.inf), "l_r"),
+], ids=["config-m-inf", "config-n-minus-inf", "config-m-nan", "config-l_t-none",
+        "gamma-inf", "gamma-none", "tail-n-nan", "max-l_r-bool", "max-l_r-inf"])
+def test_integer_inputs_name_the_field(call, field):
+    """One rule for integer inputs: bools, NaN, +-inf and non-numbers raise a
+    ValueError that names the field (integral floats and numpy integers
+    pass, as `test_config_validation` and the case below pin)."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        call()
+    assert gamma(np.int64(5)) == gamma(5.0) == 24.0
+
+
+def test_exp_sinh_gate_raises_on_slow_decay():
+    # 1 / (1 + x) is not integrable: the nested-rule gap is far past 1e-13
+    with pytest.raises(ArithmeticError, match="exp-sinh error estimate"):
+        _exp_sinh(lambda x: 1 / (1 + x), 1.0)
 
 
 def test_upper_incomplete_order_one_is_exponential():
