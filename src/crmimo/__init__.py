@@ -36,8 +36,6 @@ from .outage import (
     ergodic_capacity,
     outage_auto,
     outage_fixed_power,
-    outage_general,
-    outage_iid_pts,
     received_power_cdf,
 )
 from .powalloc import (
@@ -82,8 +80,6 @@ __all__ = [
     "optimal_power",
     "outage_auto",
     "outage_fixed_power",
-    "outage_general",
-    "outage_iid_pts",
     "pathloss_gain",
     "received_power_cdf",
     "reduce_antennas",

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,8 +42,11 @@ class ConfigError(ValueError):
     """Scenario file problem; the message carries the offending field path."""
 
 
-def db_to_linear(db):
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db, path="dB value"):
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError as exc:
+        raise ConfigError(f"{path}: {db!r} dB is past the float range") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ class Scenario:
                     raw[section] = {**raw[section], key: swept_value}
         system = _section(raw, "system")
         ints = {key: _field(system, key, "system", int) for key in _SYSTEM_INTS}
-        linear = {key[:-3]: db_to_linear(_field(system, key, "system"))
+        linear = {key[:-3]: db_to_linear(_field(system, key, "system"), f"system.{key}")
                   for key in ("p_p_db", "p_max_db", "q_db", "gamma_th_db")}
         n0 = _number(system.get("n0", 1.0), "system.n0")
         if ("geometry" in raw) == ("means" in raw):
@@ -333,6 +337,12 @@ def _check_mc(trials, seed, points):
                           f"in [0, 2^64), got seed {seed} with {points} sweep points")
 
 
+def _writable(path):
+    """A writable existing file, or a new name in a writable directory."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    return not os.path.isdir(path) and os.access(target, os.W_OK)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="crmimo",
@@ -358,6 +368,8 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+        if args.out and not _writable(args.out):
+            raise ConfigError(f"--out: cannot write {args.out}")
         if args.command == "validate":
             trials = args.trials if args.trials is not None else 200000
             seed = args.seed if args.seed is not None else 0

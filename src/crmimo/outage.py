@@ -4,9 +4,9 @@ Evaluates the exact outage under the water-filling allocation and under a
 fixed power, the large-array SINR equivalents, and the ergodic capacity and
 binary-modulation symbol error rate as integrals of the outage.  The outage
 is one sum of positive terms, exact for every tie structure of the
-interferer means, evaluated by one kernel over an array of thresholds; the
-co-located-transmitter case (all means equal) and the single term at equal
-antenna counts are special values of it.  A scalar outage is the kernel's
+interferer means, evaluated by one kernel over an array of thresholds.
+`outage_auto` is the one outage function for the optimal allocation, and
+its `branch` names the paper's case.  A scalar outage is the kernel's
 one-element case, and each integral is one kernel call on the nodes of the
 fixed exp-sinh rule of `specfun`.
 """
@@ -123,32 +123,18 @@ def _outage(config, stats, slope, c_threshold, gamma_th):
 # numpy overhead, however few thresholds it carries)
 # ---------------------------------------------------------------------------
 
-def outage_general(config, stats, sol, gamma_th=None):
-    """Exact outage for arbitrary per-transmitter interference means, tied
-    or not; no mean is perturbed.  At m == n it keeps one diversity term,
-    1 - e^{-bn} prod_k 1 / (1 + a E[Z_k])."""
+def outage_auto(config, stats, sol, gamma_th=None):
+    """Exact outage under the optimal allocation.  The paper's two cases come
+    from the one kernel, and `branch` names the case: "general" for randomly
+    placed primary transmitters (interferer means that differ; ties are
+    exact, no mean is perturbed), "iid_pts" for co-located ones (all means
+    equal), and "iid_pts_equal_antennas" for co-located ones at m == n,
+    where the sum is the single term 1 - e^{-bn} / (1 + a E_z)^{l_t}."""
     p = _outage(config, stats, sol.slope, sol.c_threshold, gamma_th)
-    return OutageResult(p_out=p, branch="general",
-                        lambda_used=sol.lam, c_used=sol.c_threshold)
-
-
-def outage_iid_pts(config, stats, sol, gamma_th=None):
-    """Outage for co-located primary transmit antennas (identical E[Z_k]);
-    reduces to a single term 1 - e^{-bn} / (1 + a E_z)^{l_t} when m == n."""
-    if not stats.iid_z:
-        raise ValueError("outage_iid_pts requires identical per-transmitter means (iid_z)")
-    p = _outage(config, stats, sol.slope, sol.c_threshold, gamma_th)
-    branch = "iid_pts_equal_antennas" if config.m == config.n else "iid_pts"
+    branch = ("general" if not stats.iid_z
+              else "iid_pts_equal_antennas" if config.m == config.n else "iid_pts")
     return OutageResult(p_out=p, branch=branch,
                         lambda_used=sol.lam, c_used=sol.c_threshold)
-
-
-def outage_auto(config, stats, sol, gamma_th=None):
-    """The co-located-transmitter branch when all interferer means are
-    equal, the general branch otherwise."""
-    if stats.iid_z:
-        return outage_iid_pts(config, stats, sol, gamma_th)
-    return outage_general(config, stats, sol, gamma_th)
 
 
 def outage_fixed_power(config, stats, power, gamma_th=None):

@@ -138,7 +138,7 @@ def _cdf_mixture_gap(config, stats, sol):
                 * sum_density_inid(z, list(stats.mean_z_per_pt)))
 
     val, _ = quad(integrand, 0, 60 * max(stats.mean_z_per_pt), limit=300)
-    return abs(val - outage.outage_general(config, stats, sol).p_out)
+    return abs(val - outage.outage_auto(config, stats, sol).p_out)
 
 
 def _power_constraint_sigmas(config, stats, sol, trials, seed, threads):

@@ -18,6 +18,8 @@ import crmimo as cr
 from crmimo.cli import main
 from crmimo.validation import _mixed_outage_quadrature, max_mean_oracle, run_validation
 
+from test_outage import colocated_double_sum
+
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,14 +86,11 @@ def test_criterion_1_outage_closed_form_vs_monte_carlo():
         est = cr.empirical_outage(config, stats, sol, trials=10 ** 6,
                                   seed=1000 + idx, threads=4)
         elapsed = time.time() - start
-        general = cr.outage_general(config, stats, sol).p_out
-        branch = cr.outage_auto(config, stats, sol)
-        dev = abs(general - est.value) / est.std_error
+        res = cr.outage_auto(config, stats, sol)
+        dev = abs(res.p_out - est.value) / est.std_error
         assert dev <= 3.0, (
-            f"grid {idx}: analytic {general:.6f} vs MC {est.value:.6f} "
-            f"({dev:.2f} standard errors)")
-        assert abs(branch.p_out - est.value) <= 3.0 * est.std_error, (
-            f"grid {idx}: branch {branch.branch}")
+            f"grid {idx} ({res.branch}): analytic {res.p_out:.6f} vs MC "
+            f"{est.value:.6f} ({dev:.2f} standard errors)")
         assert elapsed <= 60.0, f"grid {idx}: {elapsed:.1f} s"
         worst = max(worst, dev)
         slowest = max(slowest, elapsed)
@@ -137,7 +136,7 @@ def test_criterion_3_reduction_identities():
     sol = cr.solve_lambda(config, stats)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
-    gap_equal = abs(cr.outage_general(config, stats, sol).p_out
+    gap_equal = abs(cr.outage_auto(config, stats, sol).p_out
                     - _mixed_outage_quadrature(a, bn, config.diversity_order,
                                                stats.mean_z_per_pt))
     assert gap_equal <= 1e-12
@@ -148,17 +147,21 @@ def test_criterion_3_reduction_identities():
     sol = cr.solve_lambda(config, stats)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
-    reduced = cr.outage_iid_pts(config, stats, sol).p_out
+    reduced = cr.outage_auto(config, stats, sol).p_out
     single_term = 1.0 - math.exp(-bn) * (1.0 + a * stats.mean_z_per_pt[0]) ** -stats.l_t
     gap_iid = abs(reduced - single_term)
     assert gap_iid <= 1e-12
 
-    # a single primary transmitter collapses both branches
+    # a single primary transmitter: the paper's co-located double sum at
+    # l_t = 1
     config, stats = build(*REGRESSION_GRID[5])
     sol = cr.solve_lambda(config, stats)
-    gap_lt1 = abs(cr.outage_general(config, stats, sol).p_out
-                  - cr.outage_iid_pts(config, stats, sol).p_out)
-    assert gap_lt1 <= 1e-10
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
+    gap_lt1 = abs(cr.outage_auto(config, stats, sol).p_out
+                  - colocated_double_sum(a, bn, config.diversity_order,
+                                         stats.mean_z_per_pt[0], 1))
+    assert gap_lt1 <= 1e-12
     report(3, f"equal-antenna gap {gap_equal:.1e}, identical-transmitter gap "
               f"{gap_iid:.1e}, single-transmitter gap {gap_lt1:.1e}")
 

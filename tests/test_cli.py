@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from crmimo import leakage, mcharness, outage
+import crmimo
+from crmimo import leakage, mcharness, outage, validation
 from crmimo.cli import ConfigError, Scenario, db_to_linear, main
-from crmimo.validation import run_validation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -144,6 +145,8 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("t_g", 1.5),
     ("sweep.steps", 0),
     ("sweep.scale", "cubic"),
+    ("system.p_p_db", 4000.0),
+    ("sweep", {"parameter": "q_db", "start": 7.0, "stop": 4000.0, "steps": 3}),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
@@ -154,7 +157,9 @@ def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     path = write_scenario(tmp_path, raw)
     assert main(["outage", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and field in err
+    # a bad swept value is reported at the field it sets
+    named = "system.q_db" if field == "sweep" else field
+    assert err.startswith("configuration error: ") and named in err
 
 
 def test_document_errors_exit_code(tmp_path, capsys):
@@ -204,6 +209,21 @@ def test_antenna_count_sweep_past_n_exits_before_monte_carlo(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: system: SystemConfig.n")
+
+
+@pytest.mark.parametrize("command", ["outage", "validate"])
+def test_unwritable_out_exits_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the unwritable --out failed")
+
+    monkeypatch.setattr(mcharness, "empirical_outage", refuse)
+    monkeypatch.setattr(validation, "run_validation", refuse)
+    out = str(tmp_path / "missing" / "x.json")
+    flags = ["--config", write_scenario(tmp_path, base_scenario())] if command == "outage" else []
+    assert main([command, *flags, "--trials", "2000", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: --out: cannot write {out}\n"
 
 
 def test_power_command_output_bytes(tmp_path, capsys):
@@ -332,7 +352,7 @@ def test_validate_rejects_corrupt_scenario(tmp_path, capsys):
 
 
 def test_validation_grid_passes(tmp_path):
-    checks, passed = run_validation(trials=40000, seed=1, threads=2)
+    checks, passed = validation.run_validation(trials=40000, seed=1, threads=2)
     assert passed, [c for c in checks if not c["pass"]]
     out = tmp_path / "report.json"
     assert main(["validate", "--trials", "40000", "--seed", "1",
@@ -352,6 +372,18 @@ def test_validate_with_few_trials_fails_cleanly(tmp_path, capsys, trials):
     failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
     assert captured.out.count("FAIL") == len(failed) >= 1
     assert all(c["observed"] == float("inf") for c in failed)
+
+
+def test_public_namespace_is_all():
+    # every exported name resolves, once, and every public non-module name
+    # the package imports is exported: a deleted function cannot linger in
+    # either list
+    names = crmimo.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(crmimo, name) for name in names)
+    imported = {name for name, value in vars(crmimo).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == imported
 
 
 def test_library_import_leaves_validation_unloaded():

@@ -19,8 +19,6 @@ from crmimo.outage import (
     ergodic_capacity,
     outage_auto,
     outage_fixed_power,
-    outage_general,
-    outage_iid_pts,
     received_power_cdf,
 )
 from crmimo.powalloc import (
@@ -95,11 +93,27 @@ def test_received_power_cdf_against_sampled_allocation():
 def test_outage_limits_and_bounds():
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
-    assert outage_general(config, stats, sol, gamma_th=1e12).p_out == pytest.approx(1.0, abs=1e-9)
-    res = outage_general(config, stats, sol)
+    assert outage_auto(config, stats, sol, gamma_th=1e12).p_out == pytest.approx(1.0, abs=1e-9)
+    res = outage_auto(config, stats, sol)
     assert 0.0 <= res.p_out <= 1.0
-    assert res.branch == "general"
     assert res.lambda_used == sol.lam and res.c_used == sol.c_threshold
+
+
+@pytest.mark.parametrize("m, n, d_pt_sr, branch", [
+    (3, 6, (45.0, 60.0, 75.0, 90.0), "general"),
+    (3, 3, (45.0, 70.0), "general"),
+    (3, 6, (56.0, 56.0), "iid_pts"),
+    (3, 3, (56.0, 56.0, 56.0), "iid_pts_equal_antennas"),
+])
+def test_branch_names_the_paper_case(m, n, d_pt_sr, branch):
+    # randomly placed transmitters (means that differ) are "general" at any
+    # antenna counts; co-located ones (equal means) are "iid_pts", with the
+    # single-term label at m == n
+    geom = Geometry(d_st_sr=25.0, d_pt_sr=d_pt_sr, d_st_pr=(60.0, 75.0))
+    stats = LinkStats.from_geometry(geom)
+    config = SystemConfig(m=m, n=n, l_t=len(d_pt_sr), l_r=2, p_p=10.0,
+                          p_max=100.0, q=Q_7DB, gamma_th=GAMMA_3DB)
+    assert outage_auto(config, stats, solve_lambda(config, stats)).branch == branch
 
 
 def test_equal_antenna_reduction_identity():
@@ -112,8 +126,7 @@ def test_equal_antenna_reduction_identity():
     config = SystemConfig(m=3, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     sol = solve_lambda(config, stats)
-    general = outage_general(config, stats, sol)
-    assert outage_auto(config, stats, sol) == general
+    general = outage_auto(config, stats, sol)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
     m1, m2 = stats.mean_z_per_pt
@@ -123,17 +136,6 @@ def test_equal_antenna_reduction_identity():
     assert abs(general.p_out - single_sum) <= 1e-12
     quadrature = _mixed_outage_quadrature(a, bn, 1, stats.mean_z_per_pt)
     assert abs(general.p_out - quadrature) <= 1e-12
-
-
-def test_single_transmitter_collapses_branches():
-    geom = Geometry(d_st_sr=25.0, d_pt_sr=(56.0,), d_st_pr=(60.0, 75.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=2, n=4, l_t=1, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    sol = solve_lambda(config, stats)
-    a = outage_general(config, stats, sol).p_out
-    b = outage_iid_pts(config, stats, sol).p_out
-    assert a == pytest.approx(b, rel=1e-10)
 
 
 def colocated_double_sum(a, bn, n_terms, ez, l_t):
@@ -150,9 +152,26 @@ def colocated_double_sum(a, bn, n_terms, ez, l_t):
     return 1.0 - math.exp(-bn) * acc
 
 
+def test_single_transmitter_collapses_branches():
+    geom = Geometry(d_st_sr=25.0, d_pt_sr=(56.0,), d_st_pr=(60.0, 75.0))
+    stats = LinkStats.from_geometry(geom)
+    config = SystemConfig(m=2, n=4, l_t=1, l_r=2, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    sol = solve_lambda(config, stats)
+    # one transmitter is the co-located case at l_t = 1: the paper's double
+    # sum with an exponential interference
+    res = outage_auto(config, stats, sol)
+    assert res.branch == "iid_pts"
+    a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
+                              config.gamma_th)
+    want = colocated_double_sum(a, bn, config.diversity_order,
+                                stats.mean_z_per_pt[0], 1)
+    assert abs(res.p_out - want) <= 1e-12
+
+
 def test_tied_means_match_iid_branch_without_the_iid_flag():
-    # an exact tie needs no special case: the general branch and the
-    # fixed-power outage agree with the paper's co-located double sum
+    # an exact tie needs no special case: the outage and the fixed-power
+    # outage agree with the paper's co-located double sum
     config, stats = anchor_setup()
     assert stats.iid_z
     sol = solve_lambda(config, stats)
@@ -160,8 +179,7 @@ def test_tied_means_match_iid_branch_without_the_iid_flag():
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
     want = colocated_double_sum(a, bn, n_terms, ez, l_t)
-    assert abs(outage_general(config, stats, sol).p_out - want) <= 1e-12
-    assert abs(outage_iid_pts(config, stats, sol).p_out - want) <= 1e-12
+    assert abs(outage_auto(config, stats, sol).p_out - want) <= 1e-12
     power = conventional_power(config, stats)
     a, bn = _cdf_coefficients(config, stats, power, 0.0, config.gamma_th)
     assert abs(outage_fixed_power(config, stats, power)
@@ -192,7 +210,7 @@ def test_iid_equal_antenna_reduction():
     config = SystemConfig(m=4, n=4, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     sol = solve_lambda(config, stats)
-    res = outage_iid_pts(config, stats, sol)
+    res = outage_auto(config, stats, sol)
     assert res.branch == "iid_pts_equal_antennas"
     # the single term 1 - e^{-bn} (1 + a E_z)^{-l_t}
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
@@ -201,18 +219,11 @@ def test_iid_equal_antenna_reduction():
     assert res.p_out == pytest.approx(single, abs=1e-12)
 
 
-def test_iid_branch_requires_identical_means():
-    config, stats = inid_setup()
-    sol = solve_lambda(config, stats)
-    with pytest.raises(ValueError):
-        outage_iid_pts(config, stats, sol)
-
-
 def test_outage_monotone_in_threshold_and_primary_power():
     config, stats = inid_setup()
     sol = solve_lambda(config, stats)
     gammas = np.geomspace(0.05, 50, 25)
-    vals = [outage_general(config, stats, sol, gamma_th=g).p_out for g in gammas]
+    vals = [outage_auto(config, stats, sol, gamma_th=g).p_out for g in gammas]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     # raising the primary transmit power can only hurt
     prev = 0.0
@@ -221,7 +232,7 @@ def test_outage_monotone_in_threshold_and_primary_power():
                            p_p=p_p, p_max=config.p_max, q=config.q,
                            gamma_th=config.gamma_th)
         s = solve_lambda(cfg, stats)
-        val = outage_general(cfg, stats, s).p_out
+        val = outage_auto(cfg, stats, s).p_out
         assert val >= prev - 1e-12
         prev = val
 
@@ -247,7 +258,7 @@ def test_outage_improves_with_receive_antennas():
     for n in (3, 4, 6, 9):
         config, stats = inid_setup(n=n)
         sol = solve_lambda(config, stats)
-        val = outage_general(config, stats, sol).p_out
+        val = outage_auto(config, stats, sol).p_out
         assert val <= prev + 1e-12
         prev = val
 
@@ -256,13 +267,13 @@ def test_outage_matches_monte_carlo():
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
     est = empirical_outage(config, stats, sol, trials=200000, seed=8821)
-    ana = outage_iid_pts(config, stats, sol).p_out
+    ana = outage_auto(config, stats, sol).p_out
     assert abs(ana - est.value) <= 3 * est.std_error
 
     config, stats = inid_setup()
     sol = solve_lambda(config, stats)
     est = empirical_outage(config, stats, sol, trials=200000, seed=8822)
-    ana = outage_general(config, stats, sol).p_out
+    ana = outage_auto(config, stats, sol).p_out
     assert abs(ana - est.value) <= 3 * est.std_error
 
 
@@ -271,7 +282,7 @@ def test_outage_from_cdf_interference_mixture():
     # reconstructs the closed form
     config, stats = inid_setup()
     sol = solve_lambda(config, stats)
-    target = outage_general(config, stats, sol).p_out
+    target = outage_auto(config, stats, sol).p_out
 
     def integrand(z):
         x = config.gamma_th * (config.p_p * z + config.n0)
@@ -327,8 +338,8 @@ NAN, INF = math.nan, math.inf
     lambda c, s, p: outage_auto(c, s, p, gamma_th=INF),
     lambda c, s, p: outage_auto(c, s, p, gamma_th=-1.0),
     lambda c, s, p: outage_auto(c, s, p, gamma_th=NAN),
-    lambda c, s, p: outage_general(c, s, p, gamma_th=np.array([1.0, NAN])),
-    lambda c, s, p: outage_iid_pts(c, s, p, gamma_th=np.array([0.5, -1e-300])),
+    lambda c, s, p: outage_auto(c, s, p, gamma_th=np.array([1.0, NAN])),
+    lambda c, s, p: outage_auto(c, s, p, gamma_th=np.array([0.5, -1e-300])),
     lambda c, s, p: outage_fixed_power(c, s, 0.0, gamma_th=INF),
     lambda c, s, p: outage_fixed_power(c, s, 1.0, gamma_th=-1.0),
     lambda c, s, p: average_ser_binary(c, s, p, NAN, 1.0),
