@@ -11,7 +11,6 @@ from .leakage import AntennaPmf, LeakageReport, antenna_pmf, leakage_probability
 from .linkstats import (
     Geometry,
     LinkStats,
-    effective_mean_y,
     hypoexp_ccdf,
     mean_max_iid,
     mean_max_inid,
@@ -65,7 +64,6 @@ __all__ = [
     "asymptotic_sinr",
     "average_ser_binary",
     "conventional_power",
-    "effective_mean_y",
     "empirical_leakage",
     "empirical_outage",
     "empirical_rate",

@@ -4,12 +4,13 @@ Parses scenario files (JSON; powers in dB at the boundary, linear
 internally) and builds every sweep point on load, so a bad swept value
 fails before any Monte-Carlo work.  A sweep point is the scenario document
 with the fields its parameter sets (`SWEEPABLE`) replaced, parsed by the
-same code as the base point.  `outage`, `rate` and `antennas` run
-one sweep loop that solves each point's multiplier and evaluates one row;
-points run in order (point i draws with seed + i) and --threads spreads
-each point's Monte-Carlo blocks.  `power` prints the solved allocation and
-`validate` runs the grid of `crmimo.validation` into a JSON report.  Sweeps
-emit CSV, single points and `power` JSON, unless --format says otherwise.
+same code as the base point.  `outage`, `rate`, `antennas` and `power`
+run one sweep loop that solves each point's multiplier and evaluates one
+row; points run in order (point i draws with seed + i) and --threads
+spreads each point's Monte-Carlo blocks.  `power` is one row of that loop,
+the solved allocation on the base point alone, sweep or not.  `validate`
+runs the grid of `crmimo.validation` into a JSON report.  Sweeps emit CSV,
+single points and `power` JSON, unless --format says otherwise.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 """
@@ -109,7 +110,7 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ConfigError("scenario: top level must be an object")
         self.raw = raw
-        self.build_point()
+        self.base = self.build_point()
         self.sweep = _section(raw, "sweep", required=False)
         if self.sweep is not None:
             param = _need(self.sweep, "parameter", "sweep")
@@ -265,43 +266,33 @@ def _rate_row(value, config, stats, sol, t_g, trials, seed, threads):
             mc.value, outage.ergodic_capacity(config, stats, sol), det]
 
 
+def _power_row(value, config, stats, sol, t_g, trials, seed, threads):
+    """The solved allocation, the conventional fixed power and the link means."""
+    return [sol.lam, sol.c_threshold, sol.target_mean_power, sol.slope, sol.offset,
+            powalloc.conventional_power(config, stats),
+            stats.mean_x, stats.mean_y, stats.mean_z]
+
+
 # command -> (row function, CSV columns)
 SWEEPS = {
     "outage": (_outage_row, ["swept_value", "p_out_optimal", "p_out_conventional",
                              "p_out_mc", "mc_stderr"]),
     "antennas": (_antennas_row, ["swept_value", "mean_active", "stderr", "pmf"]),
     "rate": (_rate_row, ["n_value", "rate_mc", "rate_semianalytic", "rate_deterministic"]),
+    "power": (_power_row, ["lambda", "c_threshold", "target_mean_power", "slope", "offset",
+                           "conventional_power", "mean_x", "mean_y", "mean_z"]),
 }
 
 
-def _sweep(scenario, command, trials, seed, threads, fmt, out):
-    """One row per sweep point, in order: build the point, solve its
-    multiplier, evaluate the command's row with seed + point index."""
+def _sweep(points, command, trials, seed, threads, fmt, out):
+    """One row per point, in order: solve the point's multiplier, evaluate
+    the command's row with seed + point index."""
     row, columns = SWEEPS[command]
     rows = []
-    for idx, (value, config, stats, t_g) in enumerate(scenario.points):
+    for idx, (value, config, stats, t_g) in enumerate(points):
         sol = powalloc.solve_lambda(config, stats)
         rows.append(row(value, config, stats, sol, t_g, trials, seed + idx, threads))
     _emit_rows(columns, rows, fmt, out)
-    return 0
-
-
-def cmd_power(scenario, fmt, out):
-    """Print the solved power allocation for a single-point scenario."""
-    config, stats, _ = scenario.build_point()
-    sol = powalloc.solve_lambda(config, stats)
-    record = {
-        "lambda": sol.lam,
-        "c_threshold": sol.c_threshold,
-        "target_mean_power": sol.target_mean_power,
-        "slope": sol.slope,
-        "offset": sol.offset,
-        "conventional_power": powalloc.conventional_power(config, stats),
-        "mean_x": stats.mean_x,
-        "mean_y": stats.mean_y,
-        "mean_z": stats.mean_z,
-    }
-    _emit_rows(list(record), [list(record.values())], fmt, out)
     return 0
 
 
@@ -379,10 +370,11 @@ def main(argv=None):
         trials = args.trials if args.trials is not None else scenario.trials
         seed = args.seed if args.seed is not None else scenario.seed
         _check_mc(trials, seed, len(scenario.points))
-        if args.command == "power":
-            return cmd_power(scenario, args.format or "json", args.out)
+        points = scenario.points
         fmt = args.format or ("csv" if scenario.sweep is not None else "json")
-        return _sweep(scenario, args.command, trials, seed, args.threads, fmt, args.out)
+        if args.command == "power":  # the base point alone, sweep or not
+            points, fmt = [(None, *scenario.base)], args.format or "json"
+        return _sweep(points, args.command, trials, seed, args.threads, fmt, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

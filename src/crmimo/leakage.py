@@ -6,7 +6,8 @@ module gives the probability of that event for a power vector, drops
 transmit antennas until it is within a tolerated level, and estimates the
 law of the active-antenna count.  Antennas go by power, so a reduction is one
 stage chain per primary receiver, begun by a positive uniformization series
-(`linkstats`): numpy only; scipy serves `validate`, the KS check and tests.
+(`linkstats`), whose prefix tails multiply into one receiver product: numpy
+only; scipy serves `validate`, the KS check and tests.
 The active-antenna law draws and runs its blocks through `mcharness`.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkstats import checked_leakage_inputs, hypoexp_ccdf, hypoexp_prefix_ccdf
+from .linkstats import checked_leakage_inputs, hypoexp_prefix_ccdf
 from .mcharness import STREAM_ANTENNA, _erlang_draw, run_blocks
 from .powalloc import optimal_power
 
@@ -49,6 +50,16 @@ class AntennaPmf:
     trials: int
 
 
+def _receiver_tails(powered_ascending, mean_y_per_pr, q):
+    """Entry j: the product over primary receivers of the tail at q of the
+    aggregate interference from the j + 1 weakest powered antennas, the
+    prefix tails of one stage chain per receiver (`hypoexp_prefix_ccdf`)."""
+    tails = np.ones(powered_ascending.size)
+    for ey in mean_y_per_pr:
+        tails *= hypoexp_prefix_ccdf(q, powered_ascending * ey)
+    return tails
+
+
 def leakage_probability(powers, mean_y_per_pr, q):
     """Probability that every primary receiver sees aggregate interference
     above q:
@@ -56,19 +67,17 @@ def leakage_probability(powers, mean_y_per_pr, q):
         prod_j Pr[sum_i p_i E[Y^(j)] E_i > q],  E_i ~ Exp(1) independent:
 
     per receiver the aggregate is a sum of independent exponentials with
-    means p_i E[Y^(j)], whose tail is `hypoexp_ccdf`, the stage chain over
-    the sorted means.  It is the first step of `reduce_antennas` to the
-    bit.  Antennas with zero power are excluded; all-zero powers mean no
+    means p_i E[Y^(j)], the stage chain over the sorted means.  It is the
+    last entry of the receiver product `_receiver_tails` over all powered
+    antennas, so the first step of `reduce_antennas` by construction.
+    Antennas with zero power are excluded; all-zero powers mean no
     transmission and no leakage.
     """
-    p_all, _ = checked_leakage_inputs(powers, mean_y_per_pr, q)
-    p = p_all[p_all > 0]
-    if p.size == 0:
+    p_all, means = checked_leakage_inputs(powers, mean_y_per_pr, q)
+    powered = np.sort(p_all[p_all > 0])
+    if powered.size == 0:
         return 0.0
-    total = 1.0
-    for ey in mean_y_per_pr:
-        total *= hypoexp_ccdf(q, p * ey)
-    return total
+    return float(_receiver_tails(powered, means, q)[-1])
 
 
 def reduce_antennas(x_gains, sol, config, stats, t_g):
@@ -91,9 +100,7 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
     powers = optimal_power(gains, sol)
     powered = np.sort(powers[powers > 0])
     silent = config.m - powered.size
-    tails = np.ones(powered.size)
-    for ey in stats.mean_y_per_pr:
-        tails *= hypoexp_prefix_ccdf(config.q, powered * ey)
+    tails = _receiver_tails(powered, stats.mean_y_per_pr, config.q)
     steps = []
     for count in range(config.m, 0, -1):
         prob = float(tails[count - silent - 1]) if count > silent else 0.0

@@ -222,7 +222,9 @@ class LinkStats:
     @cached_property
     def mean_y(self):
         """E[strongest interfering gain seen by any primary receiver]."""
-        return effective_mean_y(self)
+        if self.iid_y:
+            return mean_max_iid(self.mean_y_per_pr[0], self.l_r)
+        return mean_max_inid(list(self.mean_y_per_pr))
 
     @cached_property
     def mean_z(self):
@@ -236,10 +238,3 @@ class LinkStats:
     @property
     def l_t(self):
         return len(self.mean_z_per_pt)
-
-
-def effective_mean_y(stats):
-    """Mean of the maximum interfering gain over all primary receivers."""
-    if stats.iid_y:
-        return mean_max_iid(stats.mean_y_per_pr[0], len(stats.mean_y_per_pr))
-    return mean_max_inid(list(stats.mean_y_per_pr))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linkstats import _finite_positive
-from .powalloc import LN2
+from .powalloc import LN2, optimal_power
 from .specfun import _exp_sinh, erlang_tails, regularized_upper_gamma
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
@@ -98,11 +98,16 @@ def _cdf_coefficients(config, stats, slope, c_threshold, gamma_th):
 
 
 def _threshold(config, gamma_th):
-    """gamma_th, the configured one when None, checked finite and >= 0 at
-    every element (0 gives the stream inactivity probability)."""
-    g = config.gamma_th if gamma_th is None else gamma_th
-    if not np.all((0.0 <= g) & (g < math.inf)):  # NaN fails both
-        raise ValueError(f"thresholds must be finite and >= 0, got {g}")
+    """gamma_th, the configured one when None, as a float scalar or 1-d
+    array checked finite and >= 0 at every element (0 gives the stream
+    inactivity probability)."""
+    try:
+        g = np.asarray(config.gamma_th if gamma_th is None else gamma_th, dtype=float)
+        ok = g.ndim <= 1 and np.all((0.0 <= g) & (g < math.inf))  # NaN fails both
+    except (TypeError, ValueError):  # ragged or not numeric
+        ok = False
+    if not ok:
+        raise ValueError(f"thresholds must be finite and >= 0, got {gamma_th}")
     return g
 
 
@@ -190,8 +195,7 @@ def asymptotic_sinr(case, config, stats, sol, z_realization=None):
         return AsymptoticSinr(limit=math.inf, pre_limit=pre)
     if case == "both_massive_lt_massive":
         mu_x = shape * stats.mean_x
-        p_det = max(0.0, sol.slope - sol.offset / mu_x)
-        val = p_det * mu_x / (config.p_p * stats.mean_z + config.n0)
+        val = optimal_power(mu_x, sol) * mu_x / (config.p_p * stats.mean_z + config.n0)
         return AsymptoticSinr(limit=val, pre_limit=val)
     if z_realization is None:
         raise ValueError("both_massive_lt_finite requires an interference realization z_realization")

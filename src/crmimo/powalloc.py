@@ -103,8 +103,9 @@ def solve_lambda(config, stats):
     """Solve mean_power(lam) = min(q/(m E[Y]), p_max/m) by bracketed bisection.
 
     The left side is monotone increasing in lam; monotonicity is verified
-    on the evaluated points rather than assumed.  Raises RootFindingError
-    when no bracket exists or the residual does not close.
+    on the evaluated points rather than assumed.  The root is the upper end
+    of the bracket, whose residual the bisection already holds.  Raises
+    RootFindingError when no bracket exists or the residual does not close.
     """
     ey = stats.mean_y
     target = conventional_power(config, stats)
@@ -126,7 +127,6 @@ def solve_lambda(config, stats):
         )
 
     slack = 1e-9 * (abs(f_lo) + abs(f_hi) + target)
-    lam = hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -141,12 +141,11 @@ def solve_lambda(config, stats):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-        lam = hi
         if abs(f_mid - target) <= 1e-12 * target:
-            lam = mid
+            hi, f_hi = mid, f_mid
             break
 
-    residual = abs(mean_power(lam, config, stats) - target)
+    lam, residual = hi, abs(f_hi - target)
     if residual > 1e-10 * target:
         raise RootFindingError(
             f"multiplier bisection did not converge: residual {residual:.3e} "

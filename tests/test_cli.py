@@ -283,6 +283,19 @@ def test_sweep_csv_and_thread_determinism(tmp_path, command, scenario, trials):
         assert all(o <= c for o, c in zip(p_opt, p_conv))
 
 
+def test_power_reports_the_base_point_of_a_sweep(tmp_path, capsys):
+    # the base d_st_pr is 60 m; the sweep starts at 30 m
+    raw = json.loads((SCENARIOS / "outage_vs_pr_distance.json").read_text())
+    assert main(["power", "--config", str(SCENARIOS / "outage_vs_pr_distance.json")]) == 0
+    swept = capsys.readouterr().out
+    del raw["sweep"]
+    assert main(["power", "--config", write_scenario(tmp_path, raw)]) == 0
+    assert swept == capsys.readouterr().out
+    raw["geometry"]["d_st_pr"] = 30.0
+    assert main(["power", "--config", write_scenario(tmp_path, raw)]) == 0
+    assert json.loads(swept) != json.loads(capsys.readouterr().out)
+
+
 def test_power_command(tmp_path, capsys):
     path = write_scenario(tmp_path, base_scenario())
     assert main(["power", "--config", path]) == 0

@@ -12,7 +12,6 @@ from crmimo.leakage import leakage_probability
 from crmimo.linkstats import (
     Geometry,
     LinkStats,
-    effective_mean_y,
     hypoexp_ccdf,
     hypoexp_prefix_ccdf,
     mean_max_iid,
@@ -208,11 +207,10 @@ def test_non_finite_inputs_rejected(build):
 
 def test_effective_mean_dispatch():
     iid = LinkStats(1.0, [1.0, 1.0], [1.0])
-    assert effective_mean_y(iid) == pytest.approx(1.5, rel=1e-12)
+    assert iid.mean_y == pytest.approx(1.5, rel=1e-12)
     single = LinkStats(1.0, [7.0], [1.0])
-    assert effective_mean_y(single) == pytest.approx(7.0, rel=1e-14)
+    assert single.mean_y == pytest.approx(7.0, rel=1e-14)
     inid = LinkStats(1.0, [1.0, 2.0], [1.0])
-    assert effective_mean_y(inid) == pytest.approx(7.0 / 3.0, rel=1e-12)
     assert inid.mean_y == pytest.approx(7.0 / 3.0, rel=1e-12)
 
 

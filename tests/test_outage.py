@@ -253,6 +253,20 @@ def test_threshold_array_matches_scalar_calls():
     assert outage_fixed_power(config, stats, 0.0, gammas).tolist() == [1.0] * gammas.size
 
 
+def test_threshold_sequences_act_as_arrays_and_two_dims_are_refused():
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    power = conventional_power(config, stats)
+    for f in (lambda g: outage_auto(config, stats, sol, gamma_th=g).p_out,
+              lambda g: outage_fixed_power(config, stats, power, g)):
+        want = f(np.array([1.0, 2.0]))
+        for seq in ([1.0, 2.0], (1.0, 2.0)):
+            assert f(seq).tolist() == want.tolist()
+        for bad in (np.ones((2, 2)), [[1.0], [1.0, 2.0]]):
+            with pytest.raises(ValueError, match="thresholds must be finite and >= 0"):
+                f(bad)
+
+
 def test_outage_improves_with_receive_antennas():
     prev = 1.0
     for n in (3, 4, 6, 9):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crmimo import powalloc
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.outage import outage_auto
 from crmimo.powalloc import (
@@ -117,6 +118,21 @@ def test_root_residual_and_quadrature_oracle():
         assert residual <= 1e-10 * sol.target_mean_power
         oracle = quadrature_mean_power(sol.lam, config, stats)
         assert oracle == pytest.approx(sol.target_mean_power, rel=1e-8)
+
+
+def test_solve_lambda_evaluates_no_multiplier_twice(monkeypatch):
+    # the root is the upper bracket end, whose mean power the bisection
+    # already holds; the multiplier is the one pinned before that change
+    calls = []
+
+    def recorded(lam, config, stats):
+        calls.append(lam)
+        return mean_power(lam, config, stats)
+
+    monkeypatch.setattr(powalloc, "mean_power", recorded)
+    sol = solve_lambda(*anchor_setup())
+    assert len(calls) == len(set(calls))
+    assert sol.lam == 2.0286894235662616
 
 
 def test_multiplier_matches_independent_quadrature_bisection():
