@@ -11,7 +11,6 @@ from .leakage import AntennaPmf, LeakageReport, antenna_pmf, leakage_probability
 from .linkstats import (
     Geometry,
     LinkStats,
-    hypoexp_ccdf,
     mean_max_iid,
     mean_max_inid,
     mean_sum_inid,
@@ -46,7 +45,7 @@ from .powalloc import (
     optimal_power,
     solve_lambda,
 )
-from .specfun import gamma, regularized_upper_gamma, upper_incomplete_gamma
+from .specfun import regularized_upper_gamma
 
 __all__ = [
     "AntennaPmf",
@@ -68,8 +67,6 @@ __all__ = [
     "empirical_outage",
     "empirical_rate",
     "ergodic_capacity",
-    "gamma",
-    "hypoexp_ccdf",
     "leakage_probability",
     "mean_max_iid",
     "mean_max_inid",
@@ -85,7 +82,6 @@ __all__ = [
     "sample_stream_gains",
     "solve_lambda",
     "sum_density_inid",
-    "upper_incomplete_gamma",
     "zf_distribution_check",
 ]
 

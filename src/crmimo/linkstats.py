@@ -7,9 +7,10 @@ together with the hypoexponential law (mean, density and tail) of the
 aggregate primary-to-secondary interference.  This module is the only home
 of that law's evaluator: one stage-chain matrix exponential over the means
 in ascending order, exact for any tie structure, whose running occupancy
-sums are the tails and whose last stage gives the density.  Its first level
-is a positive uniformization series, so the library needs numpy only (scipy
-serves `validate`, the KS check and the tests).  Means are never perturbed.
+sums are the prefix tails (the last is the tail of the whole sum) and whose
+last stage gives the density.  Its first level is a positive uniformization
+series, so the library needs numpy only (scipy serves `validate`, the KS
+check and the tests).  Means are never perturbed.
 The outage mixture is a positive sum over the means themselves (`outage`).
 """
 
@@ -80,6 +81,9 @@ def hypoexp_prefix_ccdf(q, means):
     leading j x j block of the bidiagonal generator evolves on its own.
     Leading stages that the chain drops as negligible get a chain of their own."""
     th = np.asarray(means, dtype=float)
+    if th.ndim != 1 or not 0.0 <= q < math.inf:
+        raise ValueError(f"hypoexp_prefix_ccdf needs 1-d means and a finite q >= 0, "
+                         f"got {th.tolist()}, q={q}")
     if th.size == 0:
         return th
     occupancy = _stage_chain(th, q)[0]
@@ -88,22 +92,14 @@ def hypoexp_prefix_ccdf(q, means):
     return np.clip(np.concatenate([head, np.cumsum(occupancy)]), 0.0, 1.0)
 
 
-def hypoexp_ccdf(q, means):
-    """Pr[sum of independent exponentials with the given means > q]: the
-    total occupancy at q of the stage chain over the sorted means, summed
-    as the last tail of `hypoexp_prefix_ccdf`."""
-    occupancy = _stage_chain(np.sort(means), q)[0]
-    return min(1.0, max(0.0, float(np.cumsum(occupancy)[-1])))
-
-
 def checked_leakage_inputs(powers, mean_y_per_pr, q):
-    """Powers and receiver means of a leakage query as float arrays, checked: powers
-    finite and >= 0, means non-empty, finite and positive, q finite and positive."""
+    """Powers and receiver means of a leakage query as 1-d float arrays, checked:
+    powers finite and >= 0, means non-empty, finite and positive, q too."""
     p, means = np.asarray(powers, dtype=float), np.asarray(mean_y_per_pr, dtype=float)
-    if not (np.isfinite(p).all() and (p >= 0).all() and means.size
-            and all(map(_finite_positive, [q, *means]))):
-        raise ValueError("leakage needs finite powers >= 0 and finite positive receiver means "
-                         f"and q, got {p.tolist()}, {means.tolist()}, q={q}")
+    if not (p.ndim == means.ndim == 1 and np.isfinite(p).all() and (p >= 0).all()
+            and means.size and all(map(_finite_positive, [q, *means]))):
+        raise ValueError("leakage needs 1-d finite powers >= 0, 1-d finite positive receiver "
+                         f"means and q, got {p.tolist()}, {means.tolist()}, q={q}")
     return p, means
 
 

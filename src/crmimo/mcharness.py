@@ -12,7 +12,6 @@ one ZF SINR body shared by outage and rate.
 
 import logging
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .linkstats import checked_leakage_inputs
 from .powalloc import optimal_power
+from .specfun import _check_int
 
 log = logging.getLogger(__name__)
 
@@ -46,22 +46,11 @@ class McEstimate:
     seed: int
 
 
-def _integer(value, name):
-    """`value` as an int; numpy integers pass, bools and floats raise
-    ValueError."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def block_generator(seed, stream, block, retry=0):
     """Philox generator keyed by (seed, stream, retry, block); disjoint
     streams for any distinct key tuple.  The seed must be an unsigned
     64-bit integer: wider values would alias other seeds."""
-    seed = _integer(seed, "seed")
+    seed = _check_int(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = (seed << 64) | ((stream & 0xFF) << 56) \
@@ -70,7 +59,7 @@ def block_generator(seed, stream, block, retry=0):
 
 
 def block_sizes(trials):
-    trials = _integer(trials, "trials")
+    trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
@@ -83,7 +72,7 @@ def run_blocks(trials, worker, threads=1):
     """Evaluate worker(block_index, size) for every block and return the
     results in block order; the reduction order never depends on threads."""
     sizes = block_sizes(trials)
-    threads = _integer(threads, "threads")
+    threads = _check_int(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1:

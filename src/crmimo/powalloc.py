@@ -22,7 +22,8 @@ class RootFindingError(RuntimeError):
 @dataclass(frozen=True)
 class SystemConfig:
     """Antenna counts, node counts and link-budget parameters (linear units,
-    noise-normalized)."""
+    noise-normalized).  l_t and l_r serve only the CLI's scalar broadcast;
+    computations count the nodes by the lengths of the `LinkStats` means."""
 
     m: int
     n: int

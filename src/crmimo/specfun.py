@@ -1,14 +1,14 @@
-"""Integer-order gamma kernels and the library's one quadrature rule.
+"""The Erlang tail, E1 and the library's one quadrature rule.
 
-Every closed form in this package reduces to the elementary finite series
-of the upper incomplete gamma function at integer order, plus the
-exponential integral E1 for order zero; every integral (capacity, SER,
-E[max]) is one fixed exp-sinh rule.  The scalar functions are pure Python
-and branch-free in their output so results are bit-stable across platforms;
-the outage kernel takes the Erlang tails of a whole array of arguments.
+Every closed form in this package reduces to the Erlang tail Q(n, x), the
+finite series of the regularized upper incomplete gamma at integer order,
+and the exponential integral E1; every integral (capacity, SER, E[max]) is
+one fixed exp-sinh rule.  The scalar functions are pure Python and bit-stable
+across platforms; `erlang_tails` gives every order at an array of arguments.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -25,22 +25,14 @@ _DE_W = _DE_X * np.cosh(_DE_T) * (np.pi / 128.0)
 
 
 def _check_int(n, name):
-    """n as an int (4.0 passes); bools, NaN, inf and non-numbers raise."""
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) \
-            or isinstance(n, (float, np.floating)) and n.is_integer():
-        return int(n)
+    """n as an int: integers and numpy integers pass; bools, floats (4.0
+    too), NaN, inf, None and strings raise ValueError naming the field."""
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be an integer, got {n!r}")
-
-
-def gamma(n):
-    """Gamma(n) = (n-1)! for integer n >= 1.
-
-    Raises OverflowError once (n-1)! exceeds the double range (n > 171).
-    """
-    n = _check_int(n, "n")
-    if n < 1:
-        raise ValueError(f"gamma requires n >= 1, got {n}")
-    return float(math.factorial(n - 1))
 
 
 def exp1(x):
@@ -138,20 +130,3 @@ def _exp_sinh(f, scale, atol=0.0):
         raise ArithmeticError(f"exp-sinh error estimate {err:.2e} too large for {scale * fine:.6e}")
     return scale * fine
 
-
-def upper_incomplete_gamma(n, x):
-    """Gamma(n, x) for integer n >= 0 and real x >= 0.
-
-    n >= 1 uses the elementary finite series (n-1)! e^-x sum x^k/k!;
-    n = 0 is the exponential integral E1(x), undefined at x = 0.
-    """
-    n = _check_int(n, "n")
-    if n < 0:
-        raise ValueError(f"upper_incomplete_gamma requires n >= 0, got {n}")
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"upper_incomplete_gamma requires a finite x >= 0, got {x}")
-    if n == 0:
-        if x == 0.0:
-            raise ValueError("upper_incomplete_gamma(0, 0) diverges")
-        return exp1(x)
-    return gamma(n) * regularized_upper_gamma(n, x)

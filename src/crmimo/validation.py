@@ -1,11 +1,11 @@
 """Validation grid: every closed form against an independent oracle.
 
-`run_validation` checks the gamma kernel's identities, the order-statistic
-and hypoexponential laws, the multiplier equation, the outage mixture and
-the Monte-Carlo agreement of the zero-forcing chain on a small grid of
-scenarios; `crmimo validate` prints its rows and writes them as a report.
-The oracles are written once, here, and the tests call them.  The library
-never imports this module.
+`run_validation` checks the Erlang-tail kernels' identities, the
+order-statistic and hypoexponential laws, the multiplier equation, the
+outage mixture and the Monte-Carlo agreement of the zero-forcing chain on a
+small grid of scenarios; `crmimo validate` prints its rows and writes them
+as a report.  The oracles are written once, here, and the tests call them.
+The library never imports this module.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from . import leakage, linkstats, mcharness, outage, powalloc
 from .linkstats import sum_density_inid
-from .specfun import regularized_upper_gamma, upper_incomplete_gamma
+from .specfun import erlang_tails, regularized_upper_gamma
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
 # primary power 10 dB, power cap 20 dB and threshold 3 dB: both multiplier
@@ -91,9 +91,18 @@ def _sigmas(analytic, est):
 
 
 def _recurrence_gap(n, x):
-    """Relative gap of Gamma(n + 1, x) = n Gamma(n, x) + x^n e^-x."""
-    rhs = n * upper_incomplete_gamma(n, x) + x ** n * math.exp(-x)
-    return abs(upper_incomplete_gamma(n + 1, x) - rhs) / rhs
+    """Relative gap of Q(n + 1, x) = Q(n, x) + e^-x x^n / n!."""
+    rhs = regularized_upper_gamma(n, x) + math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+    return abs(regularized_upper_gamma(n + 1, x) - rhs) / rhs
+
+
+def _tails_gap():
+    """erlang_tails against the scalar Q(n, x), n <= 30, across the log-space
+    switch at 700, where the two round n ln x - x apart (8.5e-14 at Q(23, 750))."""
+    xs = np.append(np.geomspace(1e-6, 50, 40), [650.0, 750.0, 1200.0])
+    tails = erlang_tails(30, xs)
+    return max(abs(tails[n - 1, i] - q) / (q + 1e-300) for n in range(1, 31)
+               for i, q in enumerate(regularized_upper_gamma(n, x) for x in xs))
 
 
 def _max_oracle_gap(seed):
@@ -163,15 +172,13 @@ def run_validation(trials, seed, threads):
     anchors = [(([1.0], [1.0], 1.0), math.exp(-1)),
                (([1.0, 2.0], [1.0], 1.0), 2 * math.exp(-0.5) - math.exp(-1))]
     rows = [
-        ("specfun.exp_identity", 1e-14,
-         max(abs(upper_incomplete_gamma(1, x) - math.exp(-x)) / (math.exp(-x) + 1e-300)
-             for x in np.geomspace(1e-6, 50, 40))),
-        ("specfun.recurrence", 1e-12,
+        ("specfun.erlang_tails", 1e-12, _tails_gap()),
+        ("specfun.tail_recurrence", 1e-12,
          max(_recurrence_gap(n, x) for n in range(1, 31) for x in np.geomspace(1e-3, 40, 12))),
         ("linkstats.max_oracle", 1e-9, _max_oracle_gap(seed)),
         # k tied means m make the sum an Erlang: tail Q(k, q / m)
         ("linkstats.tied_tail", 1e-12,
-         max(abs(linkstats.hypoexp_ccdf(x * m, [m] * k) - regularized_upper_gamma(k, x))
+         max(abs(linkstats.hypoexp_prefix_ccdf(x * m, [m] * k)[-1] - regularized_upper_gamma(k, x))
              for m in (0.3, 2.5) for k in range(1, 7) for x in (0.1, 1.0, 4.0, 15.0))),
         ("linkstats.density_normalization", 1e-6,
          max(abs(quad(lambda z: sum_density_inid(z, means), 0, 60 * max(means),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crmimo.leakage import antenna_pmf, leakage_probability, reduce_antennas
-from crmimo.linkstats import Geometry, LinkStats, hypoexp_ccdf
+from crmimo.linkstats import Geometry, LinkStats, hypoexp_prefix_ccdf
 from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
 
@@ -60,6 +60,10 @@ NAN, INF = float("nan"), float("inf")
     pytest.param([1.0], [0.0], 1.0, id="receiver-mean-zero"),
     pytest.param([1.0], [1.0], NAN, id="q-nan"),
     pytest.param([1.0], [1.0], INF, id="q-inf"),
+    pytest.param([[1.0, 2.0], [3.0, 4.0]], [1.0], 1.0, id="powers-2d"),
+    pytest.param([1.0, 2.0], [[1.0], [2.0]], 1.0, id="receiver-means-2d"),
+    pytest.param(3.0, [1.0], 1.0, id="power-scalar"),
+    pytest.param([1.0], 1.0, 1.0, id="receiver-mean-scalar"),
 ])
 @pytest.mark.parametrize("evaluate", [
     pytest.param(leakage_probability, id="closed-form"),
@@ -90,7 +94,7 @@ def test_stage_chain_tail_matches_sampling():
     for _ in range(20):
         th = rng.uniform(0.05, 2.0, size=rng.integers(1, 7))
         q = rng.uniform(0.5, 2.0) * th.sum()
-        val = hypoexp_ccdf(q, th)
+        val = hypoexp_prefix_ccdf(q, np.sort(th))[-1]
         draws = rng.exponential(th, size=(100000, th.size)).sum(axis=1)
         emp = float(np.mean(draws > q))
         se = math.sqrt(max(emp * (1 - emp), 1e-12) / draws.shape[0])
@@ -98,7 +102,7 @@ def test_stage_chain_tail_matches_sampling():
     # a clustered 24-stage tail (partial fractions would cancel to garbage)
     th = rng.uniform(0.1, 0.5, size=24)
     q = th.sum() * 1.2
-    val = hypoexp_ccdf(q, th)
+    val = hypoexp_prefix_ccdf(q, np.sort(th))[-1]
     draws = rng.exponential(th, size=(200000, th.size)).sum(axis=1)
     emp = float(np.mean(draws > q))
     se = math.sqrt(emp * (1 - emp) / draws.shape[0])

@@ -12,7 +12,6 @@ from crmimo.leakage import leakage_probability
 from crmimo.linkstats import (
     Geometry,
     LinkStats,
-    hypoexp_ccdf,
     hypoexp_prefix_ccdf,
     mean_max_iid,
     mean_max_inid,
@@ -25,6 +24,12 @@ from crmimo.validation import max_mean_oracle
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112
 PATHLOSS_56M = 10.168289254477298  # (56/100)^-4, quoted rounded to 10 elsewhere
+
+
+def tail(q, means):
+    """Pr[sum of independent exponentials with the given means > q]: the
+    last prefix tail over the sorted means."""
+    return hypoexp_prefix_ccdf(q, sorted(means))[-1]
 
 
 def test_pathloss_examples():
@@ -131,11 +136,12 @@ def test_density_nonnegative_and_normalized():
 
 def test_ties_go_to_the_stage_chain_unperturbed():
     # Exp(1) + Exp(1) is Erlang(2, 1): tail 2/e and density 1/e at 1
-    assert abs(hypoexp_ccdf(1.0, [1.0, 1.0]) - 2 * math.exp(-1)) <= 1e-15
+    assert abs(tail(1.0, [1.0, 1.0]) - 2 * math.exp(-1)) <= 1e-15
     assert abs(sum_density_inid(1.0, [1.0, 1.0]) - math.exp(-1)) <= 1e-15
-    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan], []):
+    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan]):
         with pytest.raises(ValueError):
-            hypoexp_ccdf(1.0, bad)
+            tail(1.0, bad)
+    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan], []):
         with pytest.raises(ValueError):
             sum_density_inid(1.0, bad)
 
@@ -182,12 +188,12 @@ MEANS = {"mean_x": 1.0, "mean_y_per_pr": (1.0,), "mean_z_per_pt": (1.0,)}
     pytest.param(lambda: pathloss_gain(NAN, 100.0, 4.0), id="pathloss-d"),
     pytest.param(lambda: pathloss_gain(50.0, INF, 4.0), id="pathloss-d_ref"),
     pytest.param(lambda: pathloss_gain(50.0, 100.0, INF), id="pathloss-alpha"),
-    pytest.param(lambda: hypoexp_ccdf(1.0, [INF, 1.0]), id="hypoexp_ccdf-inf"),
+    pytest.param(lambda: tail(1.0, [INF, 1.0]), id="hypoexp_ccdf-inf"),
     pytest.param(lambda: sum_density_inid(1.0, [1.0, NAN]), id="sum_density-nan"),
-    pytest.param(lambda: hypoexp_ccdf(-1.0, [1.0, 2.0]), id="hypoexp_ccdf-q-negative"),
-    pytest.param(lambda: hypoexp_ccdf(-1.0, [1.0, 1.0]), id="hypoexp_ccdf-q-negative-tied"),
-    pytest.param(lambda: hypoexp_ccdf(NAN, [1.0, 2.0]), id="hypoexp_ccdf-q-nan"),
-    pytest.param(lambda: hypoexp_ccdf(INF, [1.0, 2.0]), id="hypoexp_ccdf-q-inf"),
+    pytest.param(lambda: tail(-1.0, [1.0, 2.0]), id="hypoexp_ccdf-q-negative"),
+    pytest.param(lambda: tail(-1.0, [1.0, 1.0]), id="hypoexp_ccdf-q-negative-tied"),
+    pytest.param(lambda: tail(NAN, [1.0, 2.0]), id="hypoexp_ccdf-q-nan"),
+    pytest.param(lambda: tail(INF, [1.0, 2.0]), id="hypoexp_ccdf-q-inf"),
     pytest.param(lambda: hypoexp_prefix_ccdf(-1.0, [1.0, 2.0]), id="prefix_ccdf-q-negative"),
     pytest.param(lambda: hypoexp_prefix_ccdf(NAN, [1.0, 2.0]), id="prefix_ccdf-q-nan"),
     pytest.param(lambda: hypoexp_prefix_ccdf(INF, [1.0, 2.0]), id="prefix_ccdf-q-inf"),
@@ -321,7 +327,7 @@ def test_stage_chain_oracle_matches_mpmath_expm():
 def test_hypoexp_ccdf_and_density_match_oracle(case):
     means, q = case
     prefix, pdf = stage_chain_oracle(means, q)
-    assert abs(hypoexp_ccdf(q, means) - prefix[-1]) <= 1e-12
+    assert abs(tail(q, means) - prefix[-1]) <= 1e-12
     assert abs(sum_density_inid(q, means) - pdf) * math.fsum(means) <= 1e-12
 
 
@@ -340,13 +346,14 @@ def test_hypoexp_prefix_ccdf_matches_oracle(case):
 
 
 def test_hypoexp_prefix_ccdf_domain():
-    # the whole-sum tail is the last prefix
-    assert hypoexp_prefix_ccdf(1.0, [1.0, 2.0])[-1] == pytest.approx(
-        hypoexp_ccdf(1.0, [1.0, 2.0]), abs=1e-15)
     assert hypoexp_prefix_ccdf(1.0, []).size == 0
-    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF]):
+    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF], 3.0, [[1.0, 2.0]]):
         with pytest.raises(ValueError):
             hypoexp_prefix_ccdf(1.0, bad)
+    # the threshold is checked when there are no means too
+    for q in (NAN, -1.0, INF):
+        with pytest.raises(ValueError):
+            hypoexp_prefix_ccdf(q, [])
 
 
 @ORACLE

@@ -29,7 +29,7 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
-from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma, upper_incomplete_gamma
+from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
 Q_7DB = 10 ** 0.7
@@ -364,8 +364,8 @@ NAN, INF = math.nan, math.inf
     lambda c, s, p: asymptotic_sinr("both_massive_lt_finite", c, s, p, z_realization=INF),
     lambda c, s, p: exp1(NAN),
     lambda c, s, p: exp1(INF),
-    lambda c, s, p: upper_incomplete_gamma(0, INF),
-    lambda c, s, p: upper_incomplete_gamma(3, INF),
+    lambda c, s, p: exp1(-INF),
+    lambda c, s, p: regularized_upper_gamma(3, -INF),
     lambda c, s, p: regularized_upper_gamma(3, INF),
     lambda c, s, p: erlang_tails(3, np.array([1.0, INF])),
     lambda c, s, p: received_power_cdf(INF, p, c, s),

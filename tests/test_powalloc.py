@@ -60,17 +60,18 @@ def test_config_validation():
                          ("p_p", 0.0), ("q", -1.0), ("gamma_th", 0.0)]:
         with pytest.raises(ValueError):
             SystemConfig(**{**good, field: value})
-    # integral floats are stored as ints, so the outage runs on them;
-    # bools and fractions are refused
-    floats = SystemConfig(**{**good, "m": 4.0, "n": 4.0, "l_t": 1.0, "l_r": 1.0})
-    assert [(type(v), v) for v in (floats.m, floats.n, floats.l_t, floats.l_r)] \
+    # numpy integers are stored as ints, so the outage runs on them;
+    # bools and floats, integral ones too, are refused
+    numpy_ints = SystemConfig(**{**good, "m": np.int64(4), "n": np.int64(4),
+                                 "l_t": np.int64(1), "l_r": np.int64(1)})
+    assert [(type(v), v) for v in (numpy_ints.m, numpy_ints.n, numpy_ints.l_t, numpy_ints.l_r)] \
         == [(int, 4), (int, 4), (int, 1), (int, 1)]
     stats = LinkStats(1.0, [1.0], [1.0])
     ints = SystemConfig(**{**good, "m": 4, "n": 4})
-    assert outage_auto(floats, stats, solve_lambda(floats, stats)) \
+    assert outage_auto(numpy_ints, stats, solve_lambda(numpy_ints, stats)) \
         == outage_auto(ints, stats, solve_lambda(ints, stats))
     for field in ("m", "n", "l_t", "l_r"):
-        for bad in (True, 1.5):
+        for bad in (True, 1.5, 4.0):
             with pytest.raises(ValueError, match=f"SystemConfig.{field} must be an integer"):
                 SystemConfig(**{**good, field: bad})
 

@@ -5,61 +5,49 @@ import pytest
 from scipy.integrate import quad
 
 from crmimo.linkstats import mean_max_iid
+from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import SystemConfig
-from crmimo.specfun import (
-    _exp_sinh,
-    erlang_tails,
-    exp1,
-    gamma,
-    regularized_upper_gamma,
-    upper_incomplete_gamma,
-)
+from crmimo.specfun import _exp_sinh, erlang_tails, exp1, regularized_upper_gamma
 
 # frozen from the adaptive-quadrature oracles below
-GAMMA_3_2 = 1.3533528323661270   # int_2^inf t^2 e^-t dt
+GAMMA_3_2 = 1.3533528323661270   # int_2^inf t^2 e^-t dt = Gamma(3) Q(3, 2)
 E1_AT_1 = 0.21938393439552029    # int_1^inf e^-t / t dt
 
 
-def test_gamma_factorial_values():
-    assert gamma(1) == 1.0
-    assert gamma(3) == 2.0
-    assert gamma(5) == 24.0
-    assert gamma(171) == float(math.factorial(170))
-
-
-def test_gamma_domain_and_overflow():
-    with pytest.raises(ValueError):
-        gamma(0)
-    with pytest.raises(ValueError):
-        gamma(-2)
-    with pytest.raises(ValueError):
-        gamma(2.5)
-    with pytest.raises(OverflowError):
-        gamma(200)
-
-
 GOOD_CONFIG = dict(m=2, n=4, l_t=1, l_r=1, p_p=1.0, p_max=1.0, q=1.0, gamma_th=1.0)
+GOOD_MC = dict(trials=100, seed=1, threads=1)
+
+# every integer input of the library: (call on one value, field named in
+# the error, a valid value)
+INTEGER_INPUTS = {
+    **{f"config-{name}": (lambda v, name=name: SystemConfig(**{**GOOD_CONFIG, name: v}),
+                          f"SystemConfig.{name}", GOOD_CONFIG[name])
+       for name in ("m", "n", "l_t", "l_r")},
+    "tail-n": (lambda v: regularized_upper_gamma(v, 1.0), "n", 3),
+    "max-l_r": (lambda v: mean_max_iid(1.0, v), "l_r", 3),
+    **{name: (lambda v, name=name: empirical_leakage([1.0], [1.0], 1.0, **{**GOOD_MC, name: v}),
+              name, GOOD_MC[name])
+       for name in ("trials", "seed", "threads")},
+}
+NOT_INTEGERS = {"bool": True, "float": 4.0, "fraction": 2.5, "nan": math.nan,
+                "inf": math.inf, "minus-inf": -math.inf, "none": None, "str": "1"}
 
 
-@pytest.mark.parametrize("call, field", [
-    (lambda: SystemConfig(**{**GOOD_CONFIG, "m": math.inf}), "SystemConfig.m"),
-    (lambda: SystemConfig(**{**GOOD_CONFIG, "n": -math.inf}), "SystemConfig.n"),
-    (lambda: SystemConfig(**{**GOOD_CONFIG, "m": math.nan}), "SystemConfig.m"),
-    (lambda: SystemConfig(**{**GOOD_CONFIG, "l_t": None}), "SystemConfig.l_t"),
-    (lambda: gamma(math.inf), "n"),
-    (lambda: gamma(None), "n"),
-    (lambda: regularized_upper_gamma(math.nan, 1.0), "n"),
-    (lambda: mean_max_iid(1.0, True), "l_r"),
-    (lambda: mean_max_iid(1.0, math.inf), "l_r"),
-], ids=["config-m-inf", "config-n-minus-inf", "config-m-nan", "config-l_t-none",
-        "gamma-inf", "gamma-none", "tail-n-nan", "max-l_r-bool", "max-l_r-inf"])
-def test_integer_inputs_name_the_field(call, field):
-    """One rule for integer inputs: bools, NaN, +-inf and non-numbers raise a
-    ValueError that names the field (integral floats and numpy integers
-    pass, as `test_config_validation` and the case below pin)."""
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{kind}")
+    for entry in INTEGER_INPUTS for kind, value in NOT_INTEGERS.items()])
+def test_integer_inputs_name_the_field(entry, value):
+    """One rule for integer inputs: bools, floats (integral ones too), NaN,
+    +-inf, None and strings raise a ValueError that names the field."""
+    call, field, _ = INTEGER_INPUTS[entry]
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        call()
-    assert gamma(np.int64(5)) == gamma(5.0) == 24.0
+        call(value)
+
+
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_numpy_integers_pass(entry):
+    call, _, good = INTEGER_INPUTS[entry]
+    assert call(np.int64(good)) == call(good)
 
 
 def test_exp_sinh_gate_raises_on_slow_decay():
@@ -69,9 +57,9 @@ def test_exp_sinh_gate_raises_on_slow_decay():
 
 
 def test_upper_incomplete_order_one_is_exponential():
-    assert upper_incomplete_gamma(1, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert regularized_upper_gamma(1, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
     for x in np.geomspace(1e-6, 50, 60):
-        err = abs(upper_incomplete_gamma(1, x) - math.exp(-x))
+        err = abs(regularized_upper_gamma(1, x) - math.exp(-x))
         assert err <= 1e-14 * math.exp(-x) + 1e-300
 
 
@@ -79,16 +67,16 @@ def test_upper_incomplete_against_quadrature_oracle():
     oracle, est_err = quad(lambda t: t ** 2 * np.exp(-t), 2, np.inf)
     assert est_err < 1e-8
     assert oracle == pytest.approx(GAMMA_3_2, abs=1e-8)
-    assert upper_incomplete_gamma(3, 2) == pytest.approx(GAMMA_3_2, rel=1e-12)
-    # the elementary series value: 10 e^-2
-    assert upper_incomplete_gamma(3, 2) == pytest.approx(10 * math.exp(-2), rel=1e-14)
+    assert regularized_upper_gamma(3, 2) == pytest.approx(GAMMA_3_2 / 2, rel=1e-12)
+    # the elementary series value: 5 e^-2
+    assert regularized_upper_gamma(3, 2) == pytest.approx(5 * math.exp(-2), rel=1e-14)
 
 
 def test_order_zero_is_exponential_integral():
     oracle, est_err = quad(lambda t: np.exp(-t) / t, 1, np.inf)
     assert est_err < 1e-8
     assert oracle == pytest.approx(E1_AT_1, abs=1e-8)
-    assert upper_incomplete_gamma(0, 1) == pytest.approx(E1_AT_1, rel=1e-12)
+    assert exp1(1.0) == pytest.approx(E1_AT_1, rel=1e-12)
 
 
 def test_order_zero_accuracy_both_branches():
@@ -102,33 +90,34 @@ def test_order_zero_accuracy_both_branches():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(0, 0)
+        exp1(0.0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(-1, 1.0)
+        regularized_upper_gamma(0, 1.0)
     with pytest.raises(ValueError):
-        upper_incomplete_gamma(2, -0.5)
+        regularized_upper_gamma(2, -0.5)
 
 
 def test_reduces_to_gamma_at_zero():
+    # Gamma(n, 0) = Gamma(n): the regularized tail is 1
     for n in range(1, 31):
-        assert upper_incomplete_gamma(n, 0.0) == gamma(n)
+        assert regularized_upper_gamma(n, 0.0) == 1.0
 
 
 def test_recurrence_relation():
-    # Gamma(n+1, x) = n Gamma(n, x) + x^n e^-x
+    # Q(n+1, x) = Q(n, x) + x^n e^-x / n!
     for n in range(1, 31):
         for x in np.geomspace(1e-3, 40, 15):
-            lhs = upper_incomplete_gamma(n + 1, x)
-            rhs = n * upper_incomplete_gamma(n, x) + x ** n * math.exp(-x)
+            lhs = regularized_upper_gamma(n + 1, x)
+            rhs = regularized_upper_gamma(n, x) + math.exp(n * math.log(x) - x - math.lgamma(n + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_monotone_decreasing_in_x():
     # non-increasing within a ULP: at tiny x and larger n the decrease is
     # below float resolution
-    for n in [0, 1, 2, 5, 12]:
-        xs = np.geomspace(0.05, 30, 40)
-        vals = [upper_incomplete_gamma(n, x) for x in xs]
+    xs = np.geomspace(0.05, 30, 40)
+    for tail in [exp1, *(lambda x, n=n: regularized_upper_gamma(n, x) for n in [1, 2, 5, 12])]:
+        vals = [tail(x) for x in xs]
         assert all(b <= a * (1 + 5e-16) for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
 
