@@ -19,6 +19,7 @@ import numpy as np
 from .linkstats import checked_leakage_inputs, hypoexp_prefix_ccdf
 from .mcharness import STREAM_ANTENNA, _erlang_draw, run_blocks
 from .powalloc import optimal_power
+from .specfun import _check_int
 
 
 def __getattr__(name):  # scipy's expm, loaded when bench/tracer.py looks up leakage.expm
@@ -117,6 +118,7 @@ def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     (the per-trial reduction holds the interpreter lock) and add up their
     integer counts.
     """
+    trials = _check_int(trials, "trials")
     draw = _erlang_draw(config, stats, seed, STREAM_ANTENNA, (config.m,))
 
     def worker(block, size):

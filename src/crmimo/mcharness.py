@@ -85,7 +85,7 @@ def _estimate(per_trial, trials, seed):
     values = np.concatenate(per_trial)
     se = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(value=float(np.mean(values)), std_error=se,
-                      trials=trials, seed=seed)
+                      trials=_check_int(trials, "trials"), seed=_check_int(seed, "seed"))
 
 
 # ---------------------------------------------------------------------------

@@ -73,19 +73,10 @@ def conventional_power(config, stats):
     return min(config.q / (config.m * stats.mean_y), config.p_max / config.m)
 
 
-def mean_power(lam, config, stats):
-    """Average of the water-filling power over the stream-gain distribution.
-
-    Closed form of E[(lam/(ln2 E[Y]) - (p_p E[Z] + N0)/X)^+] with X an
-    Erlang of shape n-m+1 and scale E[X]:
-
-        n > m:  slope Q(n-m+1, u) - offset Q(n-m, u) / ((n-m) E[X])
-        n = m:  slope e^-u - offset E1(u) / E[X]
-
-    where u = C / E[X], C = offset / slope, slope = lam / (ln2 E[Y]).
-    """
+def _water_fill(lam, config, stats):
+    """(mean_power, its derivative Pr[X > C] / (ln2 E[Y]) = first / lam)."""
     if lam <= 0:
-        return 0.0
+        return 0.0, 0.0
     ex = stats.mean_x
     slope = lam / (LN2 * stats.mean_y)
     offset = config.p_p * stats.mean_z + config.n0
@@ -97,30 +88,51 @@ def mean_power(lam, config, stats):
     else:
         first = slope * math.exp(-u)
         second = offset * exp1(u) / ex
-    return first - second
+    return first - second, first / lam
+
+
+def mean_power(lam, config, stats):
+    """Average of the water-filling power over the stream-gain distribution.
+
+    Closed form of E[(lam/(ln2 E[Y]) - (p_p E[Z] + N0)/X)^+] with X an
+    Erlang of shape n-m+1 and scale E[X]:
+
+        n > m:  slope Q(n-m+1, u) - offset Q(n-m, u) / ((n-m) E[X])
+        n = m:  slope e^-u - offset E1(u) / E[X]
+
+    where u = C / E[X], C = offset / slope, slope = lam / (ln2 E[Y]).
+    Convex and increasing in lam, with derivative Pr[X > C] / (ln2 E[Y]).
+    """
+    return _water_fill(lam, config, stats)[0]
 
 
 def solve_lambda(config, stats):
-    """Solve mean_power(lam) = min(q/(m E[Y]), p_max/m) by bracketed bisection.
+    """Solve mean_power(lam) = min(q/(m E[Y]), p_max/m) by safeguarded Newton.
 
-    The left side is monotone increasing in lam; monotonicity is verified
-    on the evaluated points rather than assumed.  The root is the upper end
-    of the bracket, whose residual the bisection already holds.  Raises
-    RootFindingError when no bracket exists or the residual does not close.
+    mean_power < slope puts the bracket's lower end at lam_asym = ln2 E[Y]
+    target; for n > m, mean_power >= slope - offset / ((n-m) E[X]) gives its
+    upper end, which at n = m is widened eightfold.  From the upper end,
+    Newton runs on ln mean_power against ln lam (nearly linear where a weak
+    link makes the mean power fall like e^-u); a step leaving the bracket
+    bisects it.  Monotonicity is checked on every evaluated point.  Stops
+    once the Newton step is within 4 ulps of lam or the bracket collapses;
+    the root is the bracket end with the smaller residual.  Raises
+    RootFindingError if no bracket exists or the residual does not close.
     """
     ey = stats.mean_y
     target = conventional_power(config, stats)
-    lam_asym = LN2 * ey * target
-    # f(lo) <= slope(lo) = 1e-6 target, so only the upper end may need widening
-    lo, hi = lam_asym * 1e-6, lam_asym * 1e6
+    offset = config.p_p * stats.mean_z + config.n0
+    lo = LN2 * ey * target
+    hi = (LN2 * ey * (target + offset / ((config.n - config.m) * stats.mean_x))
+          if config.n > config.m else 8.0 * lo)
 
-    f_lo = mean_power(lo, config, stats)
-    f_hi = mean_power(hi, config, stats)
+    f_lo, _ = _water_fill(lo, config, stats)
+    f_hi, d_hi = _water_fill(hi, config, stats)
     for _ in range(60):
         if f_hi >= target:
             break
         hi *= 8.0
-        f_hi = mean_power(hi, config, stats)
+        f_hi, d_hi = _water_fill(hi, config, stats)
     if not (f_lo <= target <= f_hi):
         raise RootFindingError(
             f"no bracket for multiplier: f({lo:.3e})={f_lo:.3e}, "
@@ -128,33 +140,34 @@ def solve_lambda(config, stats):
         )
 
     slack = 1e-9 * (abs(f_lo) + abs(f_hi) + target)
+    lam, f, d = hi, f_hi, d_hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if abs(f - target) <= 4.0 * math.ulp(lam) * d:
             break
-        f_mid = mean_power(mid, config, stats)
-        if f_mid < f_lo - slack or f_mid > f_hi + slack:
+        step = (lam + lam * math.expm1(math.log(target / f) * f / (lam * d))
+                if f > 0 and d > 0 else lo)
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            break
+        f, d = _water_fill(lam, config, stats)
+        if f < f_lo - slack or f > f_hi + slack:
             raise RootFindingError(
-                f"mean power is not monotone near lam={mid:.6e} "
-                f"(f_lo={f_lo:.6e}, f_mid={f_mid:.6e}, f_hi={f_hi:.6e})"
+                f"mean power is not monotone near lam={lam:.6e} "
+                f"(f_lo={f_lo:.6e}, f={f:.6e}, f_hi={f_hi:.6e})"
             )
-        if f_mid < target:
-            lo, f_lo = mid, f_mid
+        if f < target:
+            lo, f_lo = lam, f
         else:
-            hi, f_hi = mid, f_mid
-        if abs(f_mid - target) <= 1e-12 * target:
-            hi, f_hi = mid, f_mid
-            break
+            hi, f_hi = lam, f
 
-    lam, residual = hi, abs(f_hi - target)
+    residual, lam = min((abs(f_lo - target), lo), (abs(f_hi - target), hi))
     if residual > 1e-10 * target:
         raise RootFindingError(
-            f"multiplier bisection did not converge: residual {residual:.3e} "
+            f"multiplier iteration did not converge: residual {residual:.3e} "
             f"exceeds {1e-10 * target:.3e}"
         )
 
     slope = lam / (LN2 * ey)
-    offset = config.p_p * stats.mean_z + config.n0
     return PowerSolution(
         lam=lam,
         c_threshold=offset / slope,

@@ -44,23 +44,27 @@ REGRESSION_GRID = [
 ]
 
 # (outage_auto, outage_fixed_power at conventional_power, ergodic_capacity)
-# per REGRESSION_GRID entry: the outages as computed before the outage
-# evaluator cached its per-interferer-tuple terms, the capacities by 30-digit
-# mpmath quadrature of the positive-term success probability; a speed-up of
-# the analytic chain must leave them unchanged
+# per REGRESSION_GRID entry.  outage_auto and the capacity are oracle values
+# at the PowerSolution of the 50-digit root of the multiplier equation:
+# test_outage's partial_fraction_oracle (distinct interferer means) or
+# positive_sum_oracle (tied ones) for the outage, and its 30-digit
+# quadrature_oracles for the capacity.  outage_fixed_power, which takes no
+# multiplier, is as computed before the outage evaluator cached its
+# per-interferer-tuple terms.  A speed-up of the analytic chain must leave
+# them unchanged.
 REGRESSION_PIN = [
-    (0.37279481390353486, 0.35996730896145346, 2.552589372823247),
-    (0.7281512650688229, 0.8422515973742776, 0.9936044034733623),
-    (0.8627651309416173, 0.9540430531921216, 0.5561099722254074),
-    (0.8081033629019354, 0.9477116223416876, 0.7276909964229841),
-    (0.8294283841029878, 0.9486817727582089, 0.6602499019698014),
-    (0.674178970231265, 0.7075607969387012, 1.321237408983552),
-    (0.6533400287146545, 0.7387455143151735, 1.2648290987099653),
-    (0.7868863632820458, 0.8840026654224434, 0.8629526130615834),
-    (0.6814759816552667, 0.7691424213865119, 1.2533375119272832),
-    (0.8940624388577967, 0.973188750046638, 0.5981826567462963),
-    (0.28992299979211567, 0.2780559844492635, 2.5604989411905166),
-    (0.513573093059478, 0.5415709311307544, 1.7290286544244928),
+    (0.37279481390336616, 0.35996730896145346, 2.552589372824108),
+    (0.7281512650687644, 0.8422515973742776, 0.9936044034735482),
+    (0.8627651309415463, 0.9540430531921216, 0.5561099722256516),
+    (0.8081033629019772, 0.9477116223416876, 0.7276909964228624),
+    (0.8294283841029378, 0.9486817727582089, 0.6602499019699585),
+    (0.6741789702310579, 0.7075607969387012, 1.3212374089842667),
+    (0.6533400287146564, 0.7387455143151735, 1.2648290987099606),
+    (0.7868863632821289, 0.8840026654224434, 0.8629526130613209),
+    (0.681475981655515, 0.7691424213865119, 1.2533375119267405),
+    (0.8940624388577886, 0.973188750046638, 0.5981826567463258),
+    (0.28992299979225555, 0.2780559844492635, 2.5604989411900103),
+    (0.5135730930594008, 0.5415709311307544, 1.729028654424746),
 ]
 
 

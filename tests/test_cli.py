@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crmimo
-from crmimo import leakage, mcharness, outage, validation
+from crmimo import leakage, mcharness, outage, powalloc, validation
 from crmimo.cli import ConfigError, Scenario, db_to_linear, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -303,6 +303,16 @@ def test_power_command(tmp_path, capsys):
     assert record["slope"] * record["c_threshold"] == pytest.approx(
         record["offset"], rel=1e-12)
     assert record["lambda"] > 0
+
+
+def test_power_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a multiplier equation with no bracket: the mean power never reaches the target
+    monkeypatch.setattr(powalloc, "_water_fill", lambda lam, config, stats: (0.0, 0.0))
+    path = write_scenario(tmp_path, base_scenario())
+    assert main(["power", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver error: no bracket for multiplier")
 
 
 def test_antennas_trivial_threshold(tmp_path):

@@ -237,7 +237,7 @@ def test_means_match_monte_carlo():
 # high-precision oracles
 # ---------------------------------------------------------------------------
 
-ORACLE = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=40)
 
 
 def stage_chain_oracle(means, z):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -234,6 +236,22 @@ def test_malformed_monte_carlo_arguments_rejected(name, value):
     if name != "threads":
         with pytest.raises(ValueError, match=name):
             antenna_pmf(config, stats, sol, 0.02, args["trials"], args["seed"])
+
+
+def test_numpy_integer_arguments_are_stored_as_int():
+    # the checked int is stored, so the records serialise as JSON
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    trials, seed = np.int64(100), np.int64(1)
+    results = (empirical_leakage([1.0], [1.0], 1.0, trials=trials, seed=seed),
+               empirical_outage(config, stats, sol, trials=trials, seed=seed),
+               antenna_pmf(config, stats, sol, 0.02, trials, seed))
+    for result in results:
+        assert type(result.trials) is int
+        json.dumps(dataclasses.asdict(result))
+    assert [type(result.seed) for result in results[:2]] == [int, int]
+    assert results[0] == empirical_leakage([1.0], [1.0], 1.0, trials=100, seed=1)
+    assert results[2] == antenna_pmf(config, stats, sol, 0.02, 100, 1)
 
 
 def test_seed_outside_u64_rejected():

@@ -483,7 +483,7 @@ def test_average_ser_matches_monte_carlo():
 # the positive-term kernel against high-precision oracles
 # ---------------------------------------------------------------------------
 
-ORACLE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=200)
 
 
 def _mp_erlang_sums(bn, n_terms):
@@ -677,7 +677,7 @@ def receiver_systems(draw):
             (draw(st.floats(30.0, 100.0)),))
 
 
-@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@settings(max_examples=4)
 @given(receiver_systems(), st.sampled_from([0.25, 1.0, 4.0]))
 # an analytic_curves geometry that adaptive quad had 2.0e-9 off
 @example((4, 4, 2, 1, 36.259, (35.258, 59.279), (85.586,)), 1.0)

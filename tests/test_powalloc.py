@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo import powalloc
@@ -9,6 +12,7 @@ from crmimo.linkstats import Geometry, LinkStats
 from crmimo.outage import outage_auto
 from crmimo.powalloc import (
     LN2,
+    RootFindingError,
     SystemConfig,
     conventional_power,
     mean_power,
@@ -122,18 +126,48 @@ def test_root_residual_and_quadrature_oracle():
 
 
 def test_solve_lambda_evaluates_no_multiplier_twice(monkeypatch):
-    # the root is the upper bracket end, whose mean power the bisection
-    # already holds; the multiplier is the one pinned before that change
+    # the root is a bracket end, whose mean power the iteration already
+    # holds; the multiplier is the 50-digit root 2.02868942356625467 of the
+    # same equation, correctly rounded (test_multiplier_matches_mpmath_root)
     calls = []
+    water_fill = powalloc._water_fill
 
     def recorded(lam, config, stats):
         calls.append(lam)
-        return mean_power(lam, config, stats)
+        return water_fill(lam, config, stats)
 
-    monkeypatch.setattr(powalloc, "mean_power", recorded)
+    monkeypatch.setattr(powalloc, "_water_fill", recorded)
     sol = solve_lambda(*anchor_setup())
     assert len(calls) == len(set(calls))
-    assert sol.lam == 2.0286894235662616
+    assert len(calls) <= 8
+    assert sol.lam == 2.0286894235662545
+
+
+def test_solver_guards_raise_root_finding_error(monkeypatch):
+    config, stats = anchor_setup()
+    target = conventional_power(config, stats)
+    water_fill = powalloc._water_fill
+    calls = []
+
+    def no_bracket(lam, config, stats):
+        return 0.0, 0.0
+
+    def bent(lam, config, stats):
+        # true values at both bracket ends, then a dip below the lower end
+        calls.append(lam)
+        f, d = water_fill(lam, config, stats)
+        return (f, d) if len(calls) <= 2 else (-f, d)
+
+    def stepped(lam, config, stats):
+        # jumps over the target by 1e-6 of it, with no slope to follow
+        f, _ = water_fill(lam, config, stats)
+        return target * (1.0 + math.copysign(1e-6, f - target)), 0.0
+
+    for fake, message in ((no_bracket, "no bracket"), (bent, "not monotone"),
+                          (stepped, "did not converge")):
+        monkeypatch.setattr(powalloc, "_water_fill", fake)
+        with pytest.raises(RootFindingError, match=message):
+            solve_lambda(config, stats)
 
 
 def test_multiplier_matches_independent_quadrature_bisection():
@@ -160,8 +194,7 @@ def test_many_receive_antennas_multiplier_limit():
 
 
 def test_upper_bracket_expansion_converges():
-    # a weak link under a strong primary: the root lies past lam_asym * 1e6,
-    # so the upper end of the bracket is widened (five times) before bisection
+    # a weak link under a strong primary: the root lies past lam_asym * 1e6
     config = SystemConfig(m=1, n=2, l_t=1, l_r=1, p_p=1e4, p_max=1e-3, q=1e-3,
                           gamma_th=1.0)
     stats = LinkStats(1e-3, [1.0], [10.0])
@@ -231,3 +264,84 @@ def test_mean_power_converges_with_receive_antennas():
         assert val > prev
         prev = val
     assert prev == pytest.approx(asym, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# the multiplier against a 50-digit root
+# ---------------------------------------------------------------------------
+
+def mp_mean_power(lam, config, stats):
+    """mean_power's closed form in the working mpmath precision, on
+    mpmath's incomplete gamma and E1."""
+    ex, ey = mpmath.mpf(stats.mean_x), mpmath.mpf(stats.mean_y)
+    slope = lam / (mpmath.log(2) * ey)
+    offset = mpmath.mpf(config.p_p) * mpmath.mpf(stats.mean_z) + mpmath.mpf(config.n0)
+    u = offset / (slope * ex)
+    shape = config.diversity_order
+    if shape > 1:
+        return slope * mpmath.gammainc(shape, u, regularized=True) \
+            - offset * mpmath.gammainc(shape - 1, u, regularized=True) / ((shape - 1) * ex)
+    return slope * mpmath.exp(-u) - offset * mpmath.e1(u) / ex
+
+
+def system_at(m, n, u, mean_x=1.0, mean_y=1.0, mean_z=1.0, p_p=10.0, q_limited=True):
+    """(config, stats) whose multiplier puts u = C / E[X] at the given value,
+    the target set by the interference cap q or by the power cap p_max."""
+    stats = LinkStats(mean_x, [mean_y], [mean_z])
+    config = SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, p_max=1.0, q=1.0, gamma_th=1.0)
+    with mpmath.workdps(30):
+        slope = (p_p * mean_z + config.n0) / (u * mean_x)
+        target = float(mp_mean_power(mpmath.log(2) * mean_y * slope, config, stats))
+    q, p_max = target * m * mean_y, m * target
+    caps = {"q": q, "p_max": 2.0 * p_max} if q_limited else {"q": 2.0 * q, "p_max": p_max}
+    return SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, gamma_th=1.0, **caps), stats
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def multiplier_systems(draw):
+    """n - m in [0, 40], u at the root in [1e-3, 50] (strong to weak links)."""
+    m = draw(st.integers(1, 8))
+    return system_at(m, m + draw(st.integers(0, 40)), draw(log_uniform(1e-3, 50.0)),
+                     draw(log_uniform(1e-2, 1e2)), draw(log_uniform(1e-2, 1e2)),
+                     draw(log_uniform(1e-3, 10.0)), draw(log_uniform(0.1, 1e3)),
+                     draw(st.booleans()))
+
+
+@settings(max_examples=60)
+@given(multiplier_systems())
+@example(anchor_setup())
+@example(equal_antenna_setup())
+# the weak link of test_upper_bracket_expansion_converges
+@example((SystemConfig(m=1, n=2, l_t=1, l_r=1, p_p=1e4, p_max=1e-3, q=1e-3, gamma_th=1.0),
+          LinkStats(1e-3, [1.0], [10.0])))
+# weak links: the most Newton steps (n - m = 1) and 18 bracket widenings (n = m)
+@example(system_at(1, 2, 50.0))
+@example(system_at(2, 2, 30.0))
+def test_multiplier_matches_mpmath_root(system):
+    config, stats = system
+    target = conventional_power(config, stats)
+    values = []
+    water_fill = powalloc._water_fill
+
+    def recorded(lam, config, stats):
+        f, d = water_fill(lam, config, stats)
+        values.append(f)
+        return f, d
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(powalloc, "_water_fill", recorded)
+        lam = solve_lambda(config, stats).lam
+    # at most 16 steps once the bracket closes (bisection took about 58)
+    bracketed = next(i for i, f in enumerate(values) if f >= target) + 1
+    assert len(values) - bracketed <= 16
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda x: mp_mean_power(x, config, stats) - target,
+                               mpmath.mpf(lam))
+        assert abs(lam - root) <= 1e-14 * root
+        # the derivative is the closed form's first term over lam
+        slope = mpmath.diff(lambda x: mp_mean_power(x, config, stats), mpmath.mpf(lam))
+        assert abs(water_fill(lam, config, stats)[1] - slope) <= 1e-14 * slope
