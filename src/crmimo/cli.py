@@ -247,8 +247,8 @@ def _outage_row(value, config, stats, sol, t_g, trials, seed, threads):
 
 def _antennas_row(value, config, stats, sol, t_g, trials, seed, threads):
     """Mean active-antenna count after reduction, its standard error, and
-    the full PMF (';'-joined, l = 0..m).  Runs on one thread: the per-trial
-    reduction holds the interpreter lock."""
+    the full PMF (';'-joined, l = 0..m).  Runs on one thread: each block's
+    reduction is short numpy calls that mostly hold the interpreter lock."""
     if t_g is None:
         raise ConfigError("t_g: required for the antennas command")
     pmf = leakage.antenna_pmf(config, stats, sol, t_g, trials, seed)

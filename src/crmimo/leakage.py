@@ -8,7 +8,9 @@ law of the active-antenna count.  Antennas go by power, so a reduction is one
 stage chain per primary receiver, begun by a positive uniformization series
 (`linkstats`), whose prefix tails multiply into one receiver product: numpy
 only; scipy serves `validate`, the KS check and tests.
-The active-antenna law draws and runs its blocks through `mcharness`.
+The active-antenna law draws and runs its blocks through `mcharness` and
+reduces each block at once: its rows are grouped by powered-antenna count,
+and each group and receiver is one stacked stage chain.
 """
 
 import math
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkstats import checked_leakage_inputs, hypoexp_prefix_ccdf
-from .mcharness import STREAM_ANTENNA, _erlang_draw, run_blocks
+from .linkstats import _prefix_tails, checked_leakage_inputs
+from .mcharness import STREAM_ANTENNA, _check_seed, _erlang_draw, run_blocks
 from .powalloc import optimal_power
 from .specfun import _check_int
 
@@ -51,14 +53,47 @@ class AntennaPmf:
     trials: int
 
 
-def _receiver_tails(powered_ascending, mean_y_per_pr, q):
-    """Entry j: the product over primary receivers of the tail at q of the
-    aggregate interference from the j + 1 weakest powered antennas, the
-    prefix tails of one stage chain per receiver (`hypoexp_prefix_ccdf`)."""
-    tails = np.ones(powered_ascending.size)
-    for ey in mean_y_per_pr:
-        tails *= hypoexp_prefix_ccdf(q, powered_ascending * ey)
+def _check_t_g(t_g):
+    """Raise ValueError naming t_g unless it lies in (0, 1] (NaN does not)."""
+    if not 0.0 < t_g <= 1.0:
+        raise ValueError(f"t_g must lie in (0, 1], got {t_g}")
+
+
+def _receiver_tails(powered, mean_y_per_pr, q):
+    """Entry (b, j): the product over primary receivers of the tail at q of
+    the aggregate interference from the j + 1 weakest powered antennas of
+    row b of the (B, n) ascending powers, the prefix tails of one stage
+    chain per receiver, stacked over the rows (`hypoexp_prefix_ccdf`)."""
+    tails = np.ones(powered.shape)
+    if powered.size:
+        for ey in mean_y_per_pr:
+            tails *= _prefix_tails(q, powered * ey)
     return tails
+
+
+def _powered_groups(gains, sol, config, stats):
+    """The rows of the (B, m) stream gains grouped by their count n of
+    powered antennas: yields each group's row indices and the receiver
+    tails of its rows' ascending powered antennas, shape (rows, n)."""
+    powers = np.sort(optimal_power(gains, sol), axis=1)
+    counts = np.count_nonzero(powers, axis=1)
+    for n in np.unique(counts):
+        rows = np.flatnonzero(counts == n)
+        yield rows, _receiver_tails(powers[rows, config.m - n:], stats.mean_y_per_pr, config.q)
+
+
+def _active_counts(gains, sol, config, stats, t_g):
+    """Final active count of the reduction for every row of the (B, m)
+    stream gains: the first count from m down whose leakage is within t_g.
+    The survivors are the weakest antennas, silent ones first, so the count
+    is the silent ones plus the longest powered prefix within t_g; silent
+    antennas leak nothing, so an all-silent row keeps all m."""
+    active = np.empty(len(gains), dtype=np.intp)
+    for rows, tails in _powered_groups(gains, sol, config, stats):
+        n = tails.shape[1]
+        longest = np.max((tails <= t_g) * np.arange(1, n + 1), axis=1, initial=0)
+        active[rows] = config.m - n + longest
+    return active
 
 
 def leakage_probability(powers, mean_y_per_pr, q):
@@ -78,7 +113,7 @@ def leakage_probability(powers, mean_y_per_pr, q):
     powered = np.sort(p_all[p_all > 0])
     if powered.size == 0:
         return 0.0
-    return float(_receiver_tails(powered, means, q)[-1])
+    return float(_receiver_tails(powered[None], means, q)[0, -1])
 
 
 def reduce_antennas(x_gains, sol, config, stats, t_g):
@@ -91,20 +126,18 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
     no antenna survives.  The survivors are the weakest antennas, silent
     ones first (the tie order leaves the same powers), so each step's
     leakage is a product over the receivers of prefix tails of one stage
-    chain over the ascending powers (`hypoexp_prefix_ccdf`).
+    chain over the ascending powers: the one-row case of the block
+    reduction that `antenna_pmf` runs, with every step kept.
     """
-    if not 0.0 < t_g <= 1.0:
-        raise ValueError(f"t_g must lie in (0, 1], got {t_g}")
+    _check_t_g(t_g)
     gains = np.asarray(x_gains, dtype=float)
     if gains.shape != (config.m,):  # optimal_power checks the values
         raise ValueError(f"expected {config.m} finite non-negative stream gains, got {gains}")
-    powers = optimal_power(gains, sol)
-    powered = np.sort(powers[powers > 0])
-    silent = config.m - powered.size
-    tails = _receiver_tails(powered, stats.mean_y_per_pr, config.q)
+    ((_, tails),) = _powered_groups(gains[None], sol, config, stats)
+    silent = config.m - tails.shape[1]
     steps = []
     for count in range(config.m, 0, -1):
-        prob = float(tails[count - silent - 1]) if count > silent else 0.0
+        prob = float(tails[0, count - silent - 1]) if count > silent else 0.0
         steps.append((count, prob))
         if prob <= t_g:
             return LeakageReport(steps=tuple(steps), m_effective=count, suspended=False)
@@ -114,18 +147,18 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
 def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     """Distribution of the active-antenna count over independent stream-gain
     realizations (Erlang(n-m+1, E[X]) per antenna), obtained by running the
-    reduction on each draw.  Blocks run through `run_blocks` on one thread
-    (the per-trial reduction holds the interpreter lock) and add up their
-    integer counts.
+    reduction on each draw.  t_g, trials and seed are checked before any
+    draw.  Each block of draws is reduced at once (`_active_counts`: one
+    stacked stage chain per powered count and receiver), and the blocks run
+    through `run_blocks` on one thread and add up their integer counts.
     """
+    _check_t_g(t_g)
     trials = _check_int(trials, "trials")
-    draw = _erlang_draw(config, stats, seed, STREAM_ANTENNA, (config.m,))
+    draw = _erlang_draw(config, stats, _check_seed(seed), STREAM_ANTENNA, (config.m,))
 
     def worker(block, size):
-        counts = np.zeros(config.m + 1, dtype=np.int64)
-        for row in draw(block, size):
-            counts[reduce_antennas(row, sol, config, stats, t_g).m_effective] += 1
-        return counts
+        active = _active_counts(draw(block, size), sol, config, stats, t_g)
+        return np.bincount(active, minlength=config.m + 1)
 
     counts = sum(run_blocks(trials, worker))
     levels = np.arange(config.m + 1)

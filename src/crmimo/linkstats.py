@@ -8,9 +8,10 @@ aggregate primary-to-secondary interference.  This module is the only home
 of that law's evaluator: one stage-chain matrix exponential over the means
 in ascending order, exact for any tie structure, whose running occupancy
 sums are the prefix tails (the last is the tail of the whole sum) and whose
-last stage gives the density.  Its first level is a positive uniformization
-series, so the library needs numpy only (scipy serves `validate`, the KS
-check and the tests).  Means are never perturbed.
+last stage gives the density; a stack of mean rows runs as one batch of
+matrix products.  Its first level is a positive uniformization series, so
+the library needs numpy only (scipy serves `validate`, the KS check and the
+tests).  Means are never perturbed.
 The outage mixture is a positive sum over the means themselves (`outage`).
 """
 
@@ -37,25 +38,60 @@ def pathloss_gain(d, d_ref, alpha):
     return (d / d_ref) ** (-alpha)
 
 
+# cap on the bytes of one (rows, K, K) matrix or (levels, rows, K) array of
+# a stacked stage chain; larger stacks run in slices of rows
+_STACK_BYTES = 1 << 17
+
+
+def _ascending_stack(means):
+    """means as a (B, K) float stack, a 1-d row being the stack of one;
+    raises unless every row is non-empty, finite, positive and ascending."""
+    th = np.asarray(means, dtype=float)
+    stack = np.atleast_2d(th)
+    if not (stack.size and (0.0 < stack[:, 0]).all() and (stack[:, -1] < math.inf).all()
+            and (np.diff(stack, axis=1) >= 0).all()):
+        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
+    return stack
+
+
+def _negligible_cuts(stack):
+    """Per row, the number of leading stages with mean at most 1e-12 of the
+    row's largest: they only stiffen the generator, and dropping them shifts
+    the sum by at most their total mean."""
+    return np.count_nonzero(stack <= 1e-12 * stack[:, -1:], axis=1)
+
+
 def _stage_chain(means, z):
     """Row 0 of expm(G z) for the bidiagonal generator G of the stage chain
     Exp(m_1) -> Exp(m_2) -> ... over ascending means: the probability of
     being in each stage at time z, exact for any tie structure; also returns
-    the stage rates.  Squaring keeps the diagonal and superdiagonal at their
-    exact values (Al-Mohy and Higham, 2009); plain squaring loses 1e-8 at
-    near ties."""
-    th = np.asarray(means, dtype=float)
-    if not (th.size and 0.0 < th[0] and th[-1] < math.inf and (np.diff(th) >= 0).all()):
-        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
+    the stage rates, one row each per row of a (B, K) stack of means (a 1-d
+    row is the stack of one).  Negligible leading stages are dropped; the
+    rows must drop equally many, and run as batches of matrix products
+    under one squaring count, the largest any row needs."""
+    stack = _ascending_stack(means)
     if not 0.0 <= z < math.inf:
         raise ValueError(f"threshold must be finite and >= 0, got {z}")
-    # negligible leading stages only stiffen the generator; dropping them
-    # shifts the sum by at most their total mean
-    th = th[th > 1e-12 * th[-1]]
-    rates, n = 1.0 / th, th.size
+    cuts = _negligible_cuts(stack)
+    if (cuts != cuts[0]).any():
+        raise ValueError(f"stacked rows must drop equally many stages, got {cuts.tolist()}")
+    rates = 1.0 / stack[:, cuts[0]:]
+    rows, n = rates.shape
     s = max(0, math.frexp(16 * z * rates.max())[1])  # L = z max(rates) / 2^s < 1/16
-    diags = -np.outer(2.0 ** np.arange(-s, 1), rates * z)  # diagonal of G z / 2^s .. G z
-    a, b = diags[:, :-1], diags[:, 1:]
+    step = max(1, _STACK_BYTES // (8 * n * max(n, s + 1)))
+    occupancy = np.concatenate([_squared_chain(rates[i:i + step] * z, s)
+                                for i in range(0, rows, step)])
+    return occupancy, rates
+
+
+def _squared_chain(rz, s):
+    """Row 0 of expm(G z) for each row of the (B, n) stage rates times z,
+    by s squarings.  Squaring keeps the diagonal and superdiagonal at their
+    exact values (Al-Mohy and Higham, 2009); plain squaring loses 1e-8 at
+    near ties."""
+    rows, n = rz.shape
+    diags = -np.multiply.outer(2.0 ** np.arange(-s, 1), rz)  # of G z / 2^s .. G z
+    a, b = diags[..., :-1], diags[..., 1:]
     # exact superdiagonals t (e^b - e^a) / (b - a), t = -a, without cancellation
     d = np.abs(b - a)
     sups = -a * np.exp(np.maximum(a, b)) * np.divide(
@@ -63,16 +99,36 @@ def _stage_chain(means, z):
     # first level by uniformization (Jensen, 1953): e^{-L} sum_{k<=10} M^k / k!
     # over the nonnegative M = L I + G z / 2^s, by Horner's rule; no term is
     # negative, and the terms past k = 10 sum to under 1e-20
-    big, eye = -diags[0].min(), np.eye(n)
-    m, x = np.diag(big + diags[0]) + np.diag(-a[0], 1), eye
+    big, eye = -diags[0].min(axis=1), np.eye(n)
+    m, x = np.zeros((rows, n, n)), eye
+    flat = m.reshape(rows, -1)
+    flat[:, ::n + 1], flat[:, 1::n + 1] = big[:, None] + diags[0], -a[0]
     for k in range(10, 0, -1):
-        x = eye + m @ x / k
-    x *= math.exp(-big)
+        x = m @ x
+        x /= k
+        x += eye
+    x *= np.array([math.exp(-v) for v in big])[:, None, None]
     for k in range(s + 1):
         if k:
             x = x @ x
-        x.flat[::n + 1], x.flat[1::n + 1] = np.exp(diags[k]), sups[k]
-    return x[0], rates
+        flat = x.reshape(rows, -1)
+        flat[:, ::n + 1], flat[:, 1::n + 1] = np.exp(diags[k]), sups[k]
+    return x[:, 0].copy()  # not a view that keeps all of x alive
+
+
+def _prefix_tails(q, means):
+    """`hypoexp_prefix_ccdf` of every row of a (B, K) stack of ascending
+    means: rows that drop equally many negligible stages share one stage
+    chain, and the dropped stages get stacks of their own."""
+    stack = _ascending_stack(means)
+    cuts = _negligible_cuts(stack)
+    tails = np.empty(stack.shape)
+    for cut in np.unique(cuts):
+        rows = np.flatnonzero(cuts == cut)
+        tails[rows, cut:] = np.cumsum(_stage_chain(stack[rows, cut:], q)[0], axis=1)
+        if cut:
+            tails[rows, :cut] = _prefix_tails(q, stack[rows, :cut])
+    return np.clip(tails, 0.0, 1.0)
 
 
 def hypoexp_prefix_ccdf(q, means):
@@ -84,12 +140,7 @@ def hypoexp_prefix_ccdf(q, means):
     if th.ndim != 1 or not 0.0 <= q < math.inf:
         raise ValueError(f"hypoexp_prefix_ccdf needs 1-d means and a finite q >= 0, "
                          f"got {th.tolist()}, q={q}")
-    if th.size == 0:
-        return th
-    occupancy = _stage_chain(th, q)[0]
-    cut = th.size - occupancy.size
-    head = hypoexp_prefix_ccdf(q, th[:cut])
-    return np.clip(np.concatenate([head, np.cumsum(occupancy)]), 0.0, 1.0)
+    return _prefix_tails(q, th[None])[0] if th.size else th
 
 
 def checked_leakage_inputs(powers, mean_y_per_pr, q):
@@ -109,7 +160,7 @@ def sum_density_inid(z, means):
     sorted means, whose largest mean the negligible-stage cut never drops.
     """
     occupancy, rates = _stage_chain(np.sort(means), z)
-    return max(0.0, float(occupancy[-1] * rates[-1]))
+    return max(0.0, float(occupancy[0, -1] * rates[0, -1]))
 
 
 def mean_sum_inid(means):

@@ -46,13 +46,19 @@ class McEstimate:
     seed: int
 
 
-def block_generator(seed, stream, block, retry=0):
-    """Philox generator keyed by (seed, stream, retry, block); disjoint
-    streams for any distinct key tuple.  The seed must be an unsigned
-    64-bit integer: wider values would alias other seeds."""
+def _check_seed(seed):
+    """seed as an int, checked: an unsigned 64-bit integer, since wider
+    values would alias other seeds."""
     seed = _check_int(seed, "seed")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
+def block_generator(seed, stream, block, retry=0):
+    """Philox generator keyed by (seed, stream, retry, block); disjoint
+    streams for any distinct key tuple (`_check_seed` checks the seed)."""
+    seed = _check_seed(seed)
     key = (seed << 64) | ((stream & 0xFF) << 56) \
         | ((retry & 0xF) << 52) | (block & ((1 << 52) - 1))
     return np.random.Generator(np.random.Philox(key=key))

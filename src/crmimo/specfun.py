@@ -16,6 +16,8 @@ _EULER_GAMMA = 0.57721566490153286060651209008240243
 
 # exp(-x) underflows to subnormal/zero past ~745; switch to log-space there
 _LOG_SAFE_X = 700.0
+# math.exp(-x) is 0.0 from here on
+_E1_UNDERFLOW_X = 746.0
 
 # the exp-sinh rule (Takahasi and Mori, 1974): the trapezoid rule at step
 # 2^-6 in t for x = exp(pi/2 sinh t), |t| <= 4.5 (x from 2e-31 to 5e30)
@@ -39,10 +41,13 @@ def exp1(x):
     """Exponential integral E1(x) = int_x^inf e^-t / t dt, x > 0.
 
     Power series below 1, modified-Lentz continued fraction above;
-    relative error <= 1e-12 on both branches.
+    relative error <= 1e-12 on both branches.  From x = 746 on, e^-x and
+    with it E1(x) < e^-x underflow to 0.0.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"exp1 requires a finite x > 0, got {x}")
+    if x >= _E1_UNDERFLOW_X:
+        return 0.0
     if x < 1.0:
         # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
         total = -_EULER_GAMMA - math.log(x)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crmimo.leakage import antenna_pmf, leakage_probability, reduce_antennas
+from crmimo.leakage import _active_counts, antenna_pmf, leakage_probability, reduce_antennas
 from crmimo.linkstats import Geometry, LinkStats, hypoexp_prefix_ccdf
 from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
@@ -213,6 +213,40 @@ def test_reduce_antennas_matches_brute_force(t_g, l_r, equal_receivers):
             assert abs(got - want) <= 1e-12, (kind, m, q, got, want)
         seen.add("suspended" if report.suspended
                  else "reduced" if m_eff < m else "kept")
+    assert seen == {"suspended", "reduced", "kept"}
+
+
+@pytest.mark.parametrize("t_g", [1e-6, 0.02, 0.1])
+@pytest.mark.parametrize("l_r", [1, 2, 3])
+def test_block_reduction_matches_brute_force(t_g, l_r):
+    # one block mixes powered counts, so it runs one stacked chain per count
+    # and receiver; a near-cutoff gain C (1 + 1e-14) gives a power below
+    # 1e-12 of its row's largest, so the negligible-stage cut runs in a stack
+    sol = PowerSolution(lam=1.0, c_threshold=1.0, target_mean_power=1.0,
+                        slope=1.0, offset=1.0)
+    rng = np.random.default_rng([l_r, int(1e6 * t_g), 18])
+    ey = list(rng.uniform(0.2, 3.0, size=l_r))
+    stats = LinkStats(1.0, ey, [1.0])
+    seen = set()
+    for m in (1, 4, 9, 17):
+        for q in 10 ** rng.uniform(-2.0, 2.0, size=2):
+            config = SystemConfig(m=m, n=m, l_t=1, l_r=l_r, p_p=1.0, p_max=1.0,
+                                  q=q, gamma_th=1.0)
+            block = rng.uniform(1.05, 20.0, size=(15, m))
+            block[1::5] = block[1::5, :1]                                      # tied
+            block[2::5, : m // 2] = rng.uniform(0.0, 1.0, size=(3, m // 2))   # half-silent
+            block[3::5] = rng.uniform(0.0, 1.0, size=(3, m))                  # all-silent
+            block[4::5, -1] = 1.0 + 1e-14                                     # near-cutoff
+            for row in block:
+                rng.shuffle(row)
+            got = _active_counts(block, sol, config, stats, t_g)
+            want = [brute_force_reduction(g, sol, ey, q, t_g)[1] for g in block]
+            assert got.tolist() == want, (m, q)
+            assert (got[3::5] == m).all()
+            assert [reduce_antennas(g, sol, config, stats, t_g).m_effective
+                    for g in block] == want
+            seen.update("suspended" if c == 0 else "reduced" if c < m else "kept"
+                        for c in want)
     assert seen == {"suspended", "reduced", "kept"}
 
 

@@ -19,6 +19,7 @@ from crmimo.linkstats import (
     pathloss_gain,
     sum_density_inid,
 )
+from crmimo.linkstats import _prefix_tails, _stage_chain
 from crmimo.validation import max_mean_oracle
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
@@ -343,6 +344,85 @@ def test_hypoexp_prefix_ccdf_matches_oracle(case):
     means, q = sorted(case[0]), case[1]
     prefix, _ = stage_chain_oracle(means, q)
     assert np.max(np.abs(hypoexp_prefix_ccdf(q, means) - prefix)) <= 1e-12
+
+
+def one_row_stage_chain(means, z):
+    """The stage chain of one ascending row on its own, as it was evaluated
+    before chains were stacked: the reference that a stack of one must
+    match bit for bit."""
+    th = np.asarray(means, dtype=float)
+    th = th[th > 1e-12 * th[-1]]
+    rates, n = 1.0 / th, th.size
+    s = max(0, math.frexp(16 * z * rates.max())[1])
+    diags = -np.outer(2.0 ** np.arange(-s, 1), rates * z)
+    a, b = diags[:, :-1], diags[:, 1:]
+    d = np.abs(b - a)
+    sups = -a * np.exp(np.maximum(a, b)) * np.divide(
+        np.expm1(-d), -d, out=np.ones_like(d), where=d > 0)
+    big, eye = -diags[0].min(), np.eye(n)
+    m, x = np.diag(big + diags[0]) + np.diag(-a[0], 1), eye
+    for k in range(10, 0, -1):
+        x = eye + m @ x / k
+    x *= math.exp(-big)
+    for k in range(s + 1):
+        if k:
+            x = x @ x
+        x.flat[::n + 1], x.flat[1::n + 1] = np.exp(diags[k]), sups[k]
+    return x[0], rates
+
+
+def test_stacked_stage_chain_matches_oracle():
+    # a stack runs under the squaring count of its stiffest row: beside a
+    # mean scaled by 1e-4 the other rows take about 13 squarings more than
+    # their own chains would, and must still meet the oracle
+    rng = np.random.default_rng(2024)
+    for k in (1, 2, 5, 12, 24):
+        stiff = rng.uniform(0.2, 3.0, size=k)
+        stiff[0] *= 1e-4
+        rows = [np.sort(rng.uniform(0.2, 3.0, size=k)) for _ in range(3)]
+        rows += [np.full(k, 0.7), np.sort(NEAR_TIED_PAIRS[:k] + GRID[:max(0, k - 8)])]
+        stack = np.array(rows + [np.sort(stiff)])
+        z = 0.6 * float(np.median(stack.sum(axis=1)))
+        occupancy, rates = _stage_chain(stack, z)
+        assert np.array_equal(rates, 1.0 / stack)
+        for row, occ in zip(stack[:-1], occupancy):
+            prefix, pdf = stage_chain_oracle(row, z)
+            assert np.max(np.abs(np.cumsum(occ) - prefix)) <= 1e-12, (k, row)
+            assert abs(occ[-1] / row[-1] - pdf) * row.sum() <= 1e-12, (k, row)
+        # the stiffest row keeps its own squaring count, so its own bits
+        assert np.array_equal(occupancy[-1], one_row_stage_chain(stack[-1], z)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_of_one_is_the_one_row_chain_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for k in (1, 2, 3, 8, 20, 40):
+        row = np.sort(rng.uniform(0.05, 3.0, size=k) * 10.0 ** rng.uniform(-6, 6))
+        if seed == 1:
+            row[:] = row[0] * (1 + 1e-9 * rng.integers(0, 3, size=k))  # exact and near ties
+        elif seed == 2:
+            row[: k // 2] *= 1e-13  # negligible leading stages
+        row.sort()
+        z = float(row.sum() * 10.0 ** rng.uniform(-3, 1))
+        occupancy, rates = _stage_chain(row, z)
+        want_occupancy, want_rates = one_row_stage_chain(row, z)
+        assert np.array_equal(occupancy[0], want_occupancy), (k, row, z)
+        assert np.array_equal(rates[0], want_rates)
+        assert sum_density_inid(z, row) == max(0.0, float(want_occupancy[-1] * want_rates[-1]))
+
+
+def test_stacked_prefix_tails_mix_negligible_cuts():
+    # rows that drop 2, 1, 0 and 1 negligible leading stages in one call
+    stack = np.array([[1e-13, 2e-13, 0.5, 2.0], [1e-13, 0.4, 0.5, 2.0],
+                      [0.3, 0.4, 0.5, 2.0], [1e-14, 1.0, 1.0, 1.0]])
+    for q in (1e-13, 0.5, 3.0):
+        tails = _prefix_tails(q, stack)
+        for row, got in zip(stack, tails):
+            assert np.max(np.abs(got - hypoexp_prefix_ccdf(q, row))) <= 1e-12
+            if q < 1e-12:  # the oracle's series is as long as q over the least mean
+                assert np.max(np.abs(got - stage_chain_oracle(row, q)[0])) <= 1e-12
+    with pytest.raises(ValueError, match="equally many"):
+        _stage_chain(stack, 1.0)
 
 
 def test_hypoexp_prefix_ccdf_domain():

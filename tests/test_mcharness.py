@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from crmimo import mcharness
 from crmimo.leakage import antenna_pmf
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import (
@@ -224,18 +225,26 @@ def test_zero_trials_rejected():
     ("trials", 2000.0), ("trials", True), ("trials", 0), ("trials", -3),
     ("threads", 0), ("threads", -2), ("threads", 2.5), ("threads", True),
     ("seed", 1.5), ("seed", -1), ("seed", 2 ** 64), ("seed", "1"),
+    ("t_g", 0.0), ("t_g", math.nan), ("t_g", 1.5),
 ])
-def test_malformed_monte_carlo_arguments_rejected(name, value):
+def test_malformed_monte_carlo_arguments_rejected(name, value, monkeypatch):
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
-    args = {"trials": 2000, "seed": 1, "threads": 2, name: value}
-    with pytest.raises(ValueError, match=name):
-        empirical_outage(config, stats, sol, **args)
-    with pytest.raises(ValueError, match=name):
-        empirical_leakage([1.0], [1.0], 1.0, **args)
-    if name != "threads":
+    args = {"trials": 2000, "seed": 1, "threads": 2, "t_g": 0.02, name: value}
+    t_g = args.pop("t_g")
+    if name != "t_g":
         with pytest.raises(ValueError, match=name):
-            antenna_pmf(config, stats, sol, 0.02, args["trials"], args["seed"])
+            empirical_outage(config, stats, sol, **args)
+        with pytest.raises(ValueError, match=name):
+            empirical_leakage([1.0], [1.0], 1.0, **args)
+    if name != "threads":
+        # antenna_pmf checks its arguments before any draw
+        def no_draw(*_):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(mcharness, "block_generator", no_draw)
+        with pytest.raises(ValueError, match=name):
+            antenna_pmf(config, stats, sol, t_g, args["trials"], args["seed"])
 
 
 def test_numpy_integer_arguments_are_stored_as_int():

@@ -204,6 +204,17 @@ def test_upper_bracket_expansion_converges():
         sol.target_mean_power, rel=1e-10, abs=0.0)
 
 
+def test_vanishing_target_solves_past_e1_underflow():
+    # m = n with a target of 1.9e-23: the lower bracket end evaluates E1 at
+    # u = 1.05e23, where it underflows to 0, not a stray ArithmeticError
+    config = SystemConfig(m=1, n=1, l_t=1, l_r=1, p_p=1.0, p_max=1.0,
+                          q=2.0 / 1.0471285480508985e23, gamma_th=1.0)
+    stats = LinkStats(1.0, [1.0], [1.0])
+    sol = solve_lambda(config, stats)
+    assert mean_power(sol.lam, config, stats) == pytest.approx(
+        sol.target_mean_power, rel=1e-10, abs=0.0)
+
+
 def test_power_cap_branch():
     config, stats = anchor_setup()
     capped = SystemConfig(m=config.m, n=config.n, l_t=config.l_t, l_r=config.l_r,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -86,6 +87,18 @@ def test_order_zero_accuracy_both_branches():
         oracle, _ = quad(lambda t, x=x: np.exp(-t) / t, x, np.inf,
                          epsabs=1e-300, epsrel=1e-13, limit=400)
         assert exp1(x) == pytest.approx(oracle, rel=1e-10)
+
+
+def test_exp1_on_log_grid_to_1e30():
+    # past x = 746, e^-x and E1(x) underflow to 0.0; the continued fraction
+    # used to stall there (147 of these points raised, the first at 1.1e19)
+    for x in np.logspace(0.0, 30.0, 3001):
+        with mpmath.workdps(30):
+            oracle = float(mpmath.e1(x))
+        got = exp1(float(x))
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-300), x
+        if x >= 746.0:
+            assert got == 0.0
 
 
 def test_domain_errors():
