@@ -24,7 +24,8 @@ from .specfun import _check_int
 log = logging.getLogger(__name__)
 
 BLOCK_TRIALS = 1024
-# Gaussian draws pass through a buffer of whole trials of at most this size
+# Gaussian draws, and the projection of h_p, go through slabs of whole
+# trials of at most this size
 SLAB_BYTES = 1 << 20
 
 # sub-stream ids keep draws of different estimators disjoint under one seed
@@ -110,9 +111,11 @@ def _complex_gaussian(rng, shape, variance, scale=None):
             slab = buf[:shape[0] - start]
             rng.standard_normal(out=slab)
             out = part[start:start + len(slab)]
-            np.multiply(slab, s, out=out)
-            if scale is not None:
-                out *= scale
+            if scale is None:
+                np.multiply(slab, s, out=out)
+            else:
+                np.multiply(slab, s, out=slab)
+                np.multiply(slab, scale, out=out)
     return z
 
 
@@ -122,8 +125,11 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
     unit powers (the power matrix scales out of both quantities).
 
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
-    h is released before h_p is drawn, and h_p once it is projected, so one
-    large channel array is alive at a time.
+    h and its Gram matrix are released before h_p is drawn, and h_p is
+    projected through the ZF block in slabs of whole trials holding at most
+    SLAB_BYTES of it, so the block peaks at h_p, h^H and the inverse Gram
+    matrices.  Each trial makes the same matrix products as in a whole-block
+    projection, so the bits are those of one.
     """
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
     for retry in range(4):
@@ -137,12 +143,15 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
+        del gram
         hp = _complex_gaussian(rng, (size, config.n, scale.size), 1.0, scale)
-        cross = hh @ hp
-        del hp, hh
+        cross2 = np.empty((size, config.m))
+        step = max(1, SLAB_BYTES // (16 * config.n * scale.size))
+        for start in range(0, size, step):
+            rows = slice(start, start + step)
+            w = gram_inv[rows] @ (hh[rows] @ hp[rows])
+            cross2[rows] = np.sum(np.abs(w) ** 2, axis=2)
         row_norm2 = np.einsum("bii->bi", gram_inv).real
-        w = gram_inv @ cross
-        cross2 = np.sum(np.abs(w) ** 2, axis=2)
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
             x_gain = 1.0 / row_norm2
             return x_gain, cross2 * x_gain
