@@ -7,7 +7,9 @@ Philox generator keyed by (seed, stream id, block index) and reduced in
 block order, so estimates are bit-identical for a given seed regardless of
 how many worker threads process the blocks.  Every block loop (that of
 `leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
-one ZF SINR body shared by outage and rate.
+one ZF SINR body shared by outage and rate.  The per-trial matrix products
+of a ZF block are cut small enough that the BLAS starts no threads of its
+own, so `run_blocks`' worker threads are the only parallelism.
 """
 
 import logging
@@ -27,6 +29,12 @@ BLOCK_TRIALS = 1024
 # Gaussian draws, and the projection of h_p, go through slabs of whole
 # trials of at most this size
 SLAB_BYTES = 1 << 20
+# OpenBLAS (0.3.31, bundled with numpy 2.4) hands a complex gemm of more than
+# 65 536 multiply-adds to helper threads: on a 2-vCPU host a stack of
+# (16x80)@(80x48) products ran at CPU time = wall time, (16x80)@(80x52) to
+# @(80x80) at 1.9-2.3 times wall time with no wall-time gain, and the helpers
+# then spin against the worker threads.  Per-trial products stay under this.
+SERIAL_GEMM_MADDS = 1 << 16
 
 # sub-stream ids keep draws of different estimators disjoint under one seed
 STREAM_OUTAGE = 1
@@ -119,6 +127,25 @@ def _complex_gaussian(rng, shape, variance, scale=None):
     return z
 
 
+def _serial_matmul(a, b):
+    """a @ b for stacks of matrices, in column chunks of b holding at most
+    SERIAL_GEMM_MADDS multiply-adds per matrix product, so the BLAS keeps
+    each product on the calling thread.  Chunks are whole 8-column groups,
+    the remainder under 8 folded into the last, which keeps the bits of one
+    call; a product under the cutoff, or too narrow to split so, is one
+    call."""
+    m, k = a.shape[-2:]
+    width = b.shape[-1]
+    if m * k * width <= SERIAL_GEMM_MADDS or width < 16:
+        return np.matmul(a, b)
+    step = 8 * max(1, (SERIAL_GEMM_MADDS // (m * k) - 7) // 8)
+    edges = list(range(0, width - 7, step)) + [width]
+    out = np.empty(a.shape[:-1] + (width,), dtype=np.result_type(a, b))
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
+    return out
+
+
 def _stream_stats_block(config, stats, seed, stream, block, size):
     """Effective gains x_i = ||row_i(H+)||^-2 and interference ratios
     z_i = ||row_i(H+) h_p||^2 / ||row_i(H+)||^2 for one block, computed with
@@ -128,15 +155,17 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
     h and its Gram matrix are released before h_p is drawn, and h_p is
     projected through the ZF block in slabs of whole trials holding at most
     SLAB_BYTES of it, so the block peaks at h_p, h^H and the inverse Gram
-    matrices.  Each trial makes the same matrix products as in a whole-block
-    projection, so the bits are those of one.
+    matrices.  The Gram, projection and inverse-Gram products go through
+    `_serial_matmul`, so each runs on the calling worker thread.  Each trial
+    makes the same matrix products as in a whole-block projection, so the
+    bits are those of one.
     """
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
     for retry in range(4):
         rng = block_generator(seed, stream, block, retry)
         h = _complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
         hh = np.conj(np.transpose(h, (0, 2, 1)))
-        gram = hh @ h
+        gram = _serial_matmul(hh, h)
         del h
         try:
             gram_inv = np.linalg.inv(gram)
@@ -149,7 +178,7 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
         step = max(1, SLAB_BYTES // (16 * config.n * scale.size))
         for start in range(0, size, step):
             rows = slice(start, start + step)
-            w = gram_inv[rows] @ (hh[rows] @ hp[rows])
+            w = _serial_matmul(gram_inv[rows], _serial_matmul(hh[rows], hp[rows]))
             cross2[rows] = np.sum(np.abs(w) ** 2, axis=2)
         row_norm2 = np.einsum("bii->bi", gram_inv).real
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
@@ -261,5 +290,5 @@ def zf_distribution_check(config, stats, trials, seed, threads=1):
         gain_pvalue=float(ks_x.pvalue),
         interference_stat=float(ks_z.statistic),
         interference_pvalue=float(ks_z.pvalue),
-        trials=trials,
+        trials=_check_int(trials, "trials"),
     )

@@ -14,6 +14,7 @@ from crmimo.mcharness import (
     STREAM_OUTAGE,
     STREAM_RATE,
     _complex_gaussian,
+    _serial_matmul,
     _stream_stats_block,
     block_generator,
     empirical_leakage,
@@ -194,6 +195,8 @@ def test_slab_draw_matches_whole_array_draw(size, shape):
 @pytest.mark.parametrize("m, n, l_t, sizes", [
     (16, 80, 80, (1, 9, 10, 11, 1024)),  # 10 trials a slab
     (16, 40, 3, (1024,)),  # 546 trials a slab
+    (64, 80, 17, (1, 47, 48, 49, 100)),  # 48 trials a slab; every product split
+    (16, 80, 53, (1, 14, 15, 16, 100)),  # 15 trials a slab; h^H h_p split 40 + 13
 ])
 def test_slab_projection_matches_whole_block(m, n, l_t, sizes):
     # the slab-by-slab projection of h_p rounds exactly as the whole-block
@@ -214,6 +217,49 @@ def test_slab_projection_matches_whole_block(m, n, l_t, sizes):
         want_x = 1.0 / np.einsum("bii->bi", gram_inv).real
         assert np.array_equal(x_gain, want_x)
         assert np.array_equal(z, cross2 * want_x)
+
+
+@pytest.mark.parametrize("m, k, width", [
+    *((16, 80, w) for w in range(56, 64)),  # 40 + 16..23: remainders 0-7
+    (16, 80, 80),  # 40 + 40
+    (64, 80, 17), (64, 80, 23), (64, 80, 64),  # the 8-column floor: 8 + 8 + ...
+    (16, 16, 80),  # under the cutoff: one call
+    (16, 80, 1), (300, 300, 1), (300, 300, 15),  # too narrow to split
+])
+def test_serial_matmul_matches_one_product(m, k, width):
+    # column chunks of whole 8-column groups round as one product, with the
+    # transposed left operand of the Gram and the projection of h_p
+    rng = block_generator(9, STREAM_RATE, 1)
+    h = complex_gaussian(rng, (5, k, m), 1.0)
+    b = complex_gaussian(rng, (5, k, width), 1.0)
+    for a in (np.conj(np.transpose(h, (0, 2, 1))), np.conj(h).transpose(0, 2, 1).copy()):
+        got = _serial_matmul(a, b)
+        assert got.shape == (5, m, width)
+        assert np.array_equal(got, a @ b)
+
+
+@pytest.mark.parametrize("m, n, l_t", [(16, 20, 20), (16, 40, 40), (16, 80, 80), (64, 80, 17)])
+def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
+    # every per-trial product of the ZF block is small enough that the BLAS
+    # keeps it on the worker thread, and together they do the block's whole
+    # Gram, projection and inverse-Gram work
+    madds, work = [], []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        madds.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        work.append(madds[-1] * math.prod(a.shape[:-2]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(mcharness.np, "matmul", spy)
+    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
+                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    size = 64
+    _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size)
+    assert max(madds) <= mcharness.SERIAL_GEMM_MADDS
+    assert sum(work) == size * m * (n * m + n * l_t + m * l_t)
 
 
 def test_large_block_memory_peak():
@@ -280,7 +326,8 @@ def test_numpy_integer_arguments_are_stored_as_int():
     trials, seed = np.int64(100), np.int64(1)
     results = (empirical_leakage([1.0], [1.0], 1.0, trials=trials, seed=seed),
                empirical_outage(config, stats, sol, trials=trials, seed=seed),
-               antenna_pmf(config, stats, sol, 0.02, trials, seed))
+               antenna_pmf(config, stats, sol, 0.02, trials, seed),
+               zf_distribution_check(config, stats, trials, seed))
     for result in results:
         assert type(result.trials) is int
         json.dumps(dataclasses.asdict(result))
