@@ -23,7 +23,6 @@ from .mcharness import (
     empirical_leakage,
     empirical_outage,
     empirical_rate,
-    sample_stream_gains,
     zf_distribution_check,
 )
 from .outage import (
@@ -79,7 +78,6 @@ __all__ = [
     "received_power_cdf",
     "reduce_antennas",
     "regularized_upper_gamma",
-    "sample_stream_gains",
     "solve_lambda",
     "sum_density_inid",
     "zf_distribution_check",

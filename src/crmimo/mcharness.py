@@ -7,9 +7,9 @@ Philox generator keyed by (seed, stream id, block index) and reduced in
 block order, so estimates are bit-identical for a given seed regardless of
 how many worker threads process the blocks.  Every block loop (that of
 `leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
-one ZF SINR body shared by outage and rate.  The per-trial matrix products
-of a ZF block are cut small enough that the BLAS starts no threads of its
-own, so `run_blocks`' worker threads are the only parallelism.
+one ZF SINR body shared by outage and rate.  A ZF block uses its channel
+draws slab by slab and keeps each matrix product small enough that the BLAS
+starts no threads, so `run_blocks`' workers are the only parallelism.
 """
 
 import logging
@@ -26,8 +26,8 @@ from .specfun import _check_int
 log = logging.getLogger(__name__)
 
 BLOCK_TRIALS = 1024
-# Gaussian draws, and the projection of h_p, go through slabs of whole
-# trials of at most this size
+# a ZF block's complex Gaussian draws come, and are used, in slabs of whole
+# trials of at most this many bytes; only their real halves exist whole
 SLAB_BYTES = 1 << 20
 # OpenBLAS (0.3.31, bundled with numpy 2.4) hands a complex gemm of more than
 # 65 536 multiply-adds to helper threads: on a 2-vCPU host a stack of
@@ -107,40 +107,42 @@ def _estimate(per_trial, trials, seed):
 # channel sampling
 # ---------------------------------------------------------------------------
 
-def _complex_gaussian(rng, shape, variance, scale=None):
-    """((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit, for whole-array
-    draws of re then im, but drawn through one buffer of at most SLAB_BYTES."""
-    z = np.empty(shape, dtype=complex)
+def _complex_slabs(rng, shape, variance, scale=None):
+    """Yield (rows, slab) over slabs of whole trials, of at most SLAB_BYTES,
+    of ((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit as whole-array
+    draws of re then im: re is drawn whole, each slab's im as the slab is
+    taken, so rng may draw nothing else until all slabs are taken."""
     s = math.sqrt(variance / 2.0)
-    step = max(1, SLAB_BYTES // (8 * math.prod(shape[1:])))
-    buf = np.empty((min(step, shape[0]),) + shape[1:])
-    for part in (z.real, z.imag):
-        for start in range(0, shape[0], step):
-            slab = buf[:shape[0] - start]
-            rng.standard_normal(out=slab)
-            out = part[start:start + len(slab)]
-            if scale is None:
-                np.multiply(slab, s, out=out)
-            else:
-                np.multiply(slab, s, out=slab)
-                np.multiply(slab, scale, out=out)
-    return z
+    re = rng.standard_normal(shape)
+    step = max(1, SLAB_BYTES // (16 * math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        x = re[rows]
+        slab = np.empty(x.shape, dtype=complex)
+        for i, half in enumerate((slab.real, slab.imag)):
+            if i:  # im is drawn into the rows of re just used
+                rng.standard_normal(out=x)
+            if scale is not None:
+                np.multiply(x, s, out=x)
+            np.multiply(x, s if scale is None else scale, out=half)
+        yield rows, slab
 
 
-def _serial_matmul(a, b):
+def _serial_matmul(a, b, out=None):
     """a @ b for stacks of matrices, in column chunks of b holding at most
     SERIAL_GEMM_MADDS multiply-adds per matrix product, so the BLAS keeps
     each product on the calling thread.  Chunks are whole 8-column groups,
     the remainder under 8 folded into the last, which keeps the bits of one
     call; a product under the cutoff, or too narrow to split so, is one
-    call."""
+    call.  The product is written to out if given."""
     m, k = a.shape[-2:]
     width = b.shape[-1]
     if m * k * width <= SERIAL_GEMM_MADDS or width < 16:
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
     step = 8 * max(1, (SERIAL_GEMM_MADDS // (m * k) - 7) // 8)
     edges = list(range(0, width - 7, step)) + [width]
-    out = np.empty(a.shape[:-1] + (width,), dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty(a.shape[:-1] + (width,), dtype=np.result_type(a, b))
     for lo, hi in zip(edges, edges[1:]):
         np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
     return out
@@ -152,33 +154,31 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
     unit powers (the power matrix scales out of both quantities).
 
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
-    h and its Gram matrix are released before h_p is drawn, and h_p is
-    projected through the ZF block in slabs of whole trials holding at most
-    SLAB_BYTES of it, so the block peaks at h_p, h^H and the inverse Gram
-    matrices.  The Gram, projection and inverse-Gram products go through
-    `_serial_matmul`, so each runs on the calling worker thread.  Each trial
-    makes the same matrix products as in a whole-block projection, so the
-    bits are those of one.
+    h and h_p come from `_complex_slabs` and are used slab by slab, never
+    whole, so the block peaks at the real half of h_p, h^H, the inverse Gram
+    matrices and two slabs.  The Gram, projection and inverse-Gram products
+    go through `_serial_matmul`, so each runs on the calling worker thread.
+    Each trial makes the same matrix products, on operands of the same
+    layout, as a whole-block computation, so the bits are those of one.
     """
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
+    n, m = config.n, config.m
     for retry in range(4):
         rng = block_generator(seed, stream, block, retry)
-        h = _complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
-        hh = np.conj(np.transpose(h, (0, 2, 1)))
-        gram = _serial_matmul(hh, h)
-        del h
+        hh = np.empty((size, n, m), dtype=complex).transpose(0, 2, 1)
+        gram = np.empty((size, m, m), dtype=complex)
+        for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x):
+            np.conj(h.transpose(0, 2, 1), out=hh[rows])
+            _serial_matmul(hh[rows], h, out=gram[rows])
         try:
             gram_inv = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
-        del gram
-        hp = _complex_gaussian(rng, (size, config.n, scale.size), 1.0, scale)
-        cross2 = np.empty((size, config.m))
-        step = max(1, SLAB_BYTES // (16 * config.n * scale.size))
-        for start in range(0, size, step):
-            rows = slice(start, start + step)
-            w = _serial_matmul(gram_inv[rows], _serial_matmul(hh[rows], hp[rows]))
+        del gram, h
+        cross2 = np.empty((size, m))
+        for rows, hp in _complex_slabs(rng, (size, n, scale.size), 1.0, scale):
+            w = _serial_matmul(gram_inv[rows], _serial_matmul(hh[rows], hp))
             cross2[rows] = np.sum(np.abs(w) ** 2, axis=2)
         row_norm2 = np.einsum("bii->bi", gram_inv).real
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
@@ -193,12 +193,6 @@ def _erlang_draw(config, stats, seed, stream, columns=()):
     gains directly, shape (size, *columns)."""
     return lambda block, size: block_generator(seed, stream, block).gamma(
         config.diversity_order, stats.mean_x, size=(size, *columns))
-
-
-def sample_stream_gains(config, stats, trials, seed, threads=1):
-    """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
-    draw = _erlang_draw(config, stats, seed, STREAM_GAINS)
-    return np.concatenate(run_blocks(trials, draw, threads))
 
 
 # ---------------------------------------------------------------------------

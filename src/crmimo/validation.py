@@ -150,10 +150,16 @@ def _cdf_mixture_gap(config, stats, sol):
     return abs(val - outage.outage_auto(config, stats, sol).p_out)
 
 
+def sample_stream_gains(config, stats, trials, seed, threads=1):
+    """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
+    draw = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_GAINS)
+    return np.concatenate(mcharness.run_blocks(trials, draw, threads))
+
+
 def _power_constraint_sigmas(config, stats, sol, trials, seed, threads):
     """The enforced mean power against the mean of the allocation over
     direct draws of the stream gain."""
-    gains = mcharness.sample_stream_gains(config, stats, trials, seed, threads)
+    gains = sample_stream_gains(config, stats, trials, seed, threads)
     est = mcharness._estimate([powalloc.optimal_power(gains, sol)], trials, seed)
     return _sigmas(sol.target_mean_power, est)
 

@@ -16,7 +16,12 @@ from scipy.integrate import quad
 
 import crmimo as cr
 from crmimo.cli import main
-from crmimo.validation import _mixed_outage_quadrature, max_mean_oracle, run_validation
+from crmimo.validation import (
+    _mixed_outage_quadrature,
+    max_mean_oracle,
+    run_validation,
+    sample_stream_gains,
+)
 
 from test_outage import colocated_double_sum
 
@@ -107,7 +112,7 @@ def test_criterion_2_mean_power_constraint_closure():
     sol = cr.solve_lambda(config, stats)
     target = sol.target_mean_power
 
-    gains = cr.sample_stream_gains(config, stats, 10 ** 6, seed=2000)
+    gains = sample_stream_gains(config, stats, 10 ** 6, seed=2000)
     powers = cr.optimal_power(gains, sol)
     se = float(np.std(powers, ddof=1) / math.sqrt(powers.size))
     dev = abs(float(np.mean(powers)) - target)
@@ -242,7 +247,7 @@ def test_criterion_7_large_array_limits():
     # deterministic per-stream power at n = 512
     config, stats = build(4, 512, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0))
     sol = cr.solve_lambda(config, stats)
-    gains = cr.sample_stream_gains(config, stats, 10 ** 6, seed=700)
+    gains = sample_stream_gains(config, stats, 10 ** 6, seed=700)
     mc_mean = float(np.mean(cr.optimal_power(gains, sol)))
     asym = cr.conventional_power(config, stats)
     power_dev = abs(mc_mean - asym) / asym

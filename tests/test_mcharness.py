@@ -13,18 +13,18 @@ from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import (
     STREAM_OUTAGE,
     STREAM_RATE,
-    _complex_gaussian,
+    _complex_slabs,
     _serial_matmul,
     _stream_stats_block,
     block_generator,
     empirical_leakage,
     empirical_outage,
     empirical_rate,
-    sample_stream_gains,
     zf_distribution_check,
 )
 from crmimo.outage import ergodic_capacity, received_power_cdf
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
+from crmimo.validation import sample_stream_gains
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -178,18 +178,23 @@ def test_batched_block_matches_per_draw_zf():
 @pytest.mark.parametrize("shape", [(5, 4), (80, 16), (80, 80)])
 @pytest.mark.parametrize("size", [1, 7, 476, 1024])
 def test_slab_draw_matches_whole_array_draw(size, shape):
-    # the slab-by-slab draw consumes the stream and rounds exactly as the
-    # whole-array expression, with and without the per-column scale
+    # the slabs consume the stream and round exactly as the whole-array
+    # expression, with and without the per-column scale, and leave the
+    # generator where the whole-array draw does: the draws after h start there
     scale = np.sqrt(np.linspace(0.05, 3.0, shape[1]))
     for s in (None, scale):
-        got = _complex_gaussian(block_generator(3, STREAM_RATE, 5),
-                                (size,) + shape, 2.5, s)
-        want = complex_gaussian(block_generator(3, STREAM_RATE, 5),
-                                (size,) + shape, 2.5)
+        rng = block_generator(3, STREAM_RATE, 5)
+        slabs = list(_complex_slabs(rng, (size,) + shape, 2.5, s))
+        ref = block_generator(3, STREAM_RATE, 5)
+        want = complex_gaussian(ref, (size,) + shape, 2.5)
         if s is not None:
             want = want * s[None, None, :]
-        assert got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        assert [i for rows, _ in slabs for i in range(size)[rows]] == list(range(size))
+        for rows, slab in slabs:
+            assert slab.flags.c_contiguous and len(slab) == len(range(size)[rows])
+            assert slab.nbytes <= max(mcharness.SLAB_BYTES, slab[:1].nbytes)
+        assert np.array_equal(np.concatenate([slab for _, slab in slabs]), want)
+        assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
 @pytest.mark.parametrize("m, n, l_t, sizes", [
@@ -264,9 +269,10 @@ def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
 
 def test_large_block_memory_peak():
     # two 1024-trial m=16, n=l_t=80 blocks run at once under --threads 2;
-    # each may hold at most 1.3 times its interfering channel array: h_p,
-    # h^H and the inverse Gram matrices, with h_p projected in slabs (the
-    # whole-block projection peaked at 1.48 times, the whole-array draw at 2.2)
+    # each may hold at most 0.85 times its interfering channel array: the
+    # real half of h_p, h^H, the inverse Gram matrices and two slabs, with
+    # neither h nor h_p ever whole (it measured 0.77; whole-array draws of
+    # both peaked at 1.26 times, and a whole-block projection at 1.48)
     config = SystemConfig(m=16, n=80, l_t=80, l_r=1, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
@@ -279,7 +285,40 @@ def test_large_block_memory_peak():
     finally:
         tracemalloc.stop()
     assert x_gain.shape == z.shape == (1024, config.m)
-    assert peak <= 1.3 * hp_bytes, peak / hp_bytes
+    assert peak <= 0.85 * hp_bytes, peak / hp_bytes
+
+
+def test_rank_deficient_block_is_redrawn(monkeypatch, caplog):
+    # a singular Gram stack abandons the block's draws and redraws the whole
+    # block under retry key 1, whose statistics are those of a whole-array
+    # computation keyed so
+    inv, calls = np.linalg.inv, []
+
+    def singular_once(a):
+        calls.append(len(a))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(mcharness.np.linalg, "inv", singular_once)
+    m, n, l_t, size = 16, 80, 80, 23  # 10 trials a slab: h_p in three slabs
+    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
+                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    with caplog.at_level("WARNING", logger=mcharness.__name__):
+        x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size)
+    assert calls == [size, size]
+    assert "rank-deficient channel block 3 (retry 0)" in caplog.text
+    rng = block_generator(4, STREAM_RATE, 3, retry=1)
+    h = complex_gaussian(rng, (size, n, m), stats.mean_x)
+    hh = np.conj(np.transpose(h, (0, 2, 1)))
+    gram_inv = inv(hh @ h)
+    hp = complex_gaussian(rng, (size, n, l_t), 1.0) \
+        * np.sqrt(np.asarray(stats.mean_z_per_pt))
+    want_x = 1.0 / np.einsum("bii->bi", gram_inv).real
+    assert np.array_equal(x_gain, want_x)
+    assert np.array_equal(z, np.sum(np.abs(gram_inv @ (hh @ hp)) ** 2, axis=2) * want_x)
 
 
 def test_zero_trials_rejected():

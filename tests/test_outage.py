@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from crmimo import validation
 from crmimo.linkstats import Geometry, LinkStats, sum_density_inid
-from crmimo.mcharness import empirical_outage, empirical_rate, sample_stream_gains
+from crmimo.mcharness import empirical_outage, empirical_rate
 from crmimo.outage import (
     _cdf_coefficients,
     _mixed_outage,
@@ -82,7 +82,7 @@ def test_received_power_cdf_endpoints():
 def test_received_power_cdf_against_sampled_allocation():
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
-    gains = sample_stream_gains(config, stats, 200000, seed=17)
+    gains = validation.sample_stream_gains(config, stats, 200000, seed=17)
     received = optimal_power(gains, sol) * gains
     for x in [0.0, 50.0, 200.0, 800.0]:
         emp = float(np.mean(received <= x))
@@ -311,7 +311,7 @@ def test_fixed_power_outage_against_sampling():
     config, stats = anchor_setup()
     p_fix = conventional_power(config, stats)
     ana = outage_fixed_power(config, stats, p_fix)
-    gains = sample_stream_gains(config, stats, 200000, seed=5150)
+    gains = validation.sample_stream_gains(config, stats, 200000, seed=5150)
     rng = np.random.default_rng(5151)
     z = np.zeros(gains.size)
     for ez in stats.mean_z_per_pt:
