@@ -15,7 +15,6 @@ from .linkstats import (
     mean_max_inid,
     mean_sum_inid,
     pathloss_gain,
-    sum_density_inid,
 )
 from .mcharness import (
     DistributionCheck,
@@ -33,7 +32,6 @@ from .outage import (
     ergodic_capacity,
     outage_auto,
     outage_fixed_power,
-    received_power_cdf,
 )
 from .powalloc import (
     PowerSolution,
@@ -75,11 +73,9 @@ __all__ = [
     "outage_auto",
     "outage_fixed_power",
     "pathloss_gain",
-    "received_power_cdf",
     "reduce_antennas",
     "regularized_upper_gamma",
     "solve_lambda",
-    "sum_density_inid",
     "zf_distribution_check",
 ]
 

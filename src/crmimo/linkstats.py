@@ -3,7 +3,7 @@
 Builds all average channel gains from node geometry via power-law path
 loss, and evaluates the order-statistics mean of the strongest
 secondary-to-primary link (one integral, for any number of receivers)
-together with the hypoexponential law (mean, density and tail) of the
+together with the hypoexponential law (mean and tail) of the
 aggregate primary-to-secondary interference.  This module is the only home
 of that law's evaluator: one stage-chain matrix exponential over the means
 in ascending order, exact for any tie structure, whose running occupancy
@@ -152,15 +152,6 @@ def checked_leakage_inputs(powers, mean_y_per_pr, q):
         raise ValueError("leakage needs 1-d finite powers >= 0, 1-d finite positive receiver "
                          f"means and q, got {p.tolist()}, {means.tolist()}, q={q}")
     return p, means
-
-
-def sum_density_inid(z, means):
-    """Density of a sum of independent exponentials with the given means:
-    the absorption flow out of the last stage of the stage chain over the
-    sorted means, whose largest mean the negligible-stage cut never drops.
-    """
-    occupancy, rates = _stage_chain(np.sort(means), z)
-    return max(0.0, float(occupancy[0, -1] * rates[0, -1]))
 
 
 def mean_sum_inid(means):

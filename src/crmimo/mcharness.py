@@ -9,11 +9,16 @@ how many worker threads process the blocks.  Every block loop (that of
 `leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
 one ZF SINR body shared by outage and rate.  A ZF block uses its channel
 draws slab by slab and keeps each matrix product small enough that the BLAS
-starts no threads, so `run_blocks`' workers are the only parallelism.
+starts no threads, so `run_blocks`' workers are the only parallelism.  Each
+worker thread fills one workspace of flat buffers in place, block after
+block of an estimator call, so a small block does not fault fresh pages in
+for its arrays; the workspaces are freed when the call returns, and a block
+peaks at about 0.8 times the bytes of its complex interfering channel.
 """
 
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -107,18 +112,31 @@ def _estimate(per_trial, trials, seed):
 # channel sampling
 # ---------------------------------------------------------------------------
 
-def _complex_slabs(rng, shape, variance, scale=None):
+def _buffer(work, name, shape, dtype=float):
+    """A C-contiguous array of shape over the leading elements of the flat
+    buffer work[name], which is allocated anew only when too small."""
+    count = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < count:
+        buf = work[name] = np.empty(count, dtype)
+    return buf[:count].reshape(shape)
+
+
+def _complex_slabs(rng, shape, variance, scale=None, work=None):
     """Yield (rows, slab) over slabs of whole trials, of at most SLAB_BYTES,
     of ((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit as whole-array
     draws of re then im: re is drawn whole, each slab's im as the slab is
-    taken, so rng may draw nothing else until all slabs are taken."""
+    taken, so rng may draw nothing else until all slabs are taken.  re and
+    every slab are views of the workspace work's "re" and "slab" buffers,
+    so a slab holds its values only until the next is taken."""
+    work = {} if work is None else work
     s = math.sqrt(variance / 2.0)
-    re = rng.standard_normal(shape)
+    re = rng.standard_normal(out=_buffer(work, "re", shape))
     step = max(1, SLAB_BYTES // (16 * math.prod(shape[1:])))
     for start in range(0, shape[0], step):
         rows = slice(start, start + step)
         x = re[rows]
-        slab = np.empty(x.shape, dtype=complex)
+        slab = _buffer(work, "slab", x.shape, complex)
         for i, half in enumerate((slab.real, slab.imag)):
             if i:  # im is drawn into the rows of re just used
                 rng.standard_normal(out=x)
@@ -148,26 +166,35 @@ def _serial_matmul(a, b, out=None):
     return out
 
 
-def _stream_stats_block(config, stats, seed, stream, block, size):
+def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
     """Effective gains x_i = ||row_i(H+)||^-2 and interference ratios
     z_i = ||row_i(H+) h_p||^2 / ||row_i(H+)||^2 for one block, computed with
     unit powers (the power matrix scales out of both quantities).
 
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
     h and h_p come from `_complex_slabs` and are used slab by slab, never
-    whole, so the block peaks at the real half of h_p, h^H, the inverse Gram
-    matrices and two slabs.  The Gram, projection and inverse-Gram products
-    go through `_serial_matmul`, so each runs on the calling worker thread.
-    Each trial makes the same matrix products, on operands of the same
-    layout, as a whole-block computation, so the bits are those of one.
+    whole.  Every array but the inverse Gram matrices and the returned
+    statistics is a view of a buffer of the workspace work (a dict, fresh
+    when None) that a worker thread carries from block to block of an
+    estimator call.  h and h_p share the real-half buffer, sized for the
+    larger before h is drawn, so a block peaks at the real half of h_p,
+    h^H, the Gram and inverse Gram matrices and a few slabs.  The
+    Gram, projection and inverse-Gram products go through `_serial_matmul`,
+    so each runs on the calling worker thread.  Each trial makes the same
+    matrix products, on operands of the same layout, as a whole-block
+    computation, so the bits are those of one.
     """
+    work = {} if work is None else work
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
-    n, m = config.n, config.m
+    n, m, l_t = config.n, config.m, scale.size
+    # sized once: grown from h's size to h_p's, it would hold both at once
+    _buffer(work, "re", (size, n, max(m, l_t)))
+    hh = _buffer(work, "hh", (size, n, m), complex).transpose(0, 2, 1)
+    gram = _buffer(work, "gram", (size, m, m), complex)
+    cross2 = _buffer(work, "cross2", (size, m))
     for retry in range(4):
         rng = block_generator(seed, stream, block, retry)
-        hh = np.empty((size, n, m), dtype=complex).transpose(0, 2, 1)
-        gram = np.empty((size, m, m), dtype=complex)
-        for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x):
+        for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x, work=work):
             np.conj(h.transpose(0, 2, 1), out=hh[rows])
             _serial_matmul(hh[rows], h, out=gram[rows])
         try:
@@ -175,11 +202,12 @@ def _stream_stats_block(config, stats, seed, stream, block, size):
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
-        del gram, h
-        cross2 = np.empty((size, m))
-        for rows, hp in _complex_slabs(rng, (size, n, scale.size), 1.0, scale):
-            w = _serial_matmul(gram_inv[rows], _serial_matmul(hh[rows], hp))
-            cross2[rows] = np.sum(np.abs(w) ** 2, axis=2)
+        for rows, hp in _complex_slabs(rng, (size, n, l_t), 1.0, scale, work=work):
+            shape = hp.shape[:1] + (m, l_t)
+            c = _serial_matmul(hh[rows], hp, out=_buffer(work, "c", shape, complex))
+            w = _serial_matmul(gram_inv[rows], c, out=_buffer(work, "w", shape, complex))
+            w2 = np.abs(w, out=_buffer(work, "w2", shape))
+            np.sum(np.square(w2, out=w2), axis=2, out=cross2[rows])
         row_norm2 = np.einsum("bii->bi", gram_inv).real
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
             x_gain = 1.0 / row_norm2
@@ -199,16 +227,29 @@ def _erlang_draw(config, stats, seed, stream, columns=()):
 # empirical estimators
 # ---------------------------------------------------------------------------
 
+def _zf_blocks(config, stats, trials, seed, threads, stream, reduce):
+    """reduce(x_gain, z) of every ZF block, in block order.  Each worker
+    thread carries one workspace through its blocks of this call; the
+    workspaces are freed when the call returns."""
+    local = threading.local()  # its attribute dict is the calling thread's own
+
+    def worker(block, size):
+        return reduce(*_stream_stats_block(config, stats, seed, stream, block, size,
+                                           vars(local)))
+
+    return run_blocks(trials, worker, threads)
+
+
 def _zf_estimate(config, stats, sol, trials, seed, threads, stream, score):
     """Mean over trials of the per-trial stream mean of score(SINR), with the
     ZF-chain SINR p(x) x / (p_p z + N0) under the allocation."""
 
-    def worker(block, size):
-        x_gain, z = _stream_stats_block(config, stats, seed, stream, block, size)
+    def mean_score(x_gain, z):
         sinr = optimal_power(x_gain, sol) * x_gain / (config.p_p * z + config.n0)
         return np.mean(score(sinr), axis=1)
 
-    return _estimate(run_blocks(trials, worker, threads), trials, seed)
+    return _estimate(_zf_blocks(config, stats, trials, seed, threads, stream, mean_score),
+                     trials, seed)
 
 
 def empirical_outage(config, stats, sol, trials, seed, threads=1):
@@ -259,11 +300,8 @@ class DistributionCheck:
 
 def zf_distribution_check(config, stats, trials, seed, threads=1):
     from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
-    def worker(block, size):
-        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_KS_ZF, block, size)
-        return x_gain[:, 0], z[:, 0]
-
-    parts = run_blocks(trials, worker, threads)
+    parts = _zf_blocks(config, stats, trials, seed, threads, STREAM_KS_ZF,
+                       lambda x_gain, z: (x_gain[:, 0], z[:, 0]))
     x0 = np.concatenate([p[0] for p in parts])
     z0 = np.concatenate([p[1] for p in parts])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linkstats import _finite_positive
 from .powalloc import LN2, optimal_power
-from .specfun import _exp_sinh, erlang_tails, regularized_upper_gamma
+from .specfun import _exp_sinh, erlang_tails
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 
@@ -30,19 +30,6 @@ class OutageResult:
     branch: str
     lambda_used: float
     c_used: float
-
-
-def received_power_cdf(x, sol, config, stats):
-    """CDF of the instantaneous received stream power p(X) * X.
-
-    Equals the Erlang tail complement 1 - Q(n-m+1, u) at
-    u = x / (slope E[X]) + C / E[X]; the value at x = 0 is the stream
-    inactivity probability Pr[X <= C].
-    """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"received power must be finite and >= 0, got {x}")
-    u = x / (sol.slope * stats.mean_x) + sol.c_threshold / stats.mean_x
-    return 1.0 - regularized_upper_gamma(config.diversity_order, u)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import leakage, linkstats, mcharness, outage, powalloc
-from .linkstats import sum_density_inid
 from .specfun import erlang_tails, regularized_upper_gamma
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
@@ -52,6 +51,28 @@ def max_mean_oracle(means):
         for sub in itertools.combinations(means, r):
             total += (-1.0) ** (r + 1) / sum(1.0 / m for m in sub)
     return total
+
+
+def sum_density_inid(z, means):
+    """Density of a sum of independent exponentials with the given means:
+    the absorption flow out of the last stage of the stage chain over the
+    sorted means, whose largest mean the negligible-stage cut never drops.
+    """
+    occupancy, rates = linkstats._stage_chain(np.sort(means), z)
+    return max(0.0, float(occupancy[0, -1] * rates[0, -1]))
+
+
+def received_power_cdf(x, sol, config, stats):
+    """CDF of the instantaneous received stream power p(X) * X.
+
+    Equals the Erlang tail complement 1 - Q(n-m+1, u) at
+    u = x / (slope E[X]) + C / E[X]; the value at x = 0 is the stream
+    inactivity probability Pr[X <= C].
+    """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"received power must be finite and >= 0, got {x}")
+    u = x / (sol.slope * stats.mean_x) + sol.c_threshold / stats.mean_x
+    return 1.0 - regularized_upper_gamma(config.diversity_order, u)
 
 
 def _mixed_outage_quadrature(a, bn, n_terms, z_means):
@@ -143,7 +164,7 @@ def _cdf_mixture_gap(config, stats, sol):
 
     def integrand(z):
         x = config.gamma_th * (config.p_p * z + config.n0)
-        return (outage.received_power_cdf(x, sol, config, stats)
+        return (received_power_cdf(x, sol, config, stats)
                 * sum_density_inid(z, list(stats.mean_z_per_pt)))
 
     val, _ = quad(integrand, 0, 60 * max(stats.mean_z_per_pt), limit=300)

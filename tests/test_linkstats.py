@@ -17,10 +17,9 @@ from crmimo.linkstats import (
     mean_max_inid,
     mean_sum_inid,
     pathloss_gain,
-    sum_density_inid,
 )
 from crmimo.linkstats import _prefix_tails, _stage_chain
-from crmimo.validation import max_mean_oracle
+from crmimo.validation import max_mean_oracle, sum_density_inid
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112

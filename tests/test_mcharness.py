@@ -1,8 +1,13 @@
 import dataclasses
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +27,9 @@ from crmimo.mcharness import (
     empirical_rate,
     zf_distribution_check,
 )
-from crmimo.outage import ergodic_capacity, received_power_cdf
+from crmimo.outage import ergodic_capacity
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
-from crmimo.validation import sample_stream_gains
+from crmimo.validation import received_power_cdf, sample_stream_gains
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -184,15 +189,16 @@ def test_slab_draw_matches_whole_array_draw(size, shape):
     scale = np.sqrt(np.linspace(0.05, 3.0, shape[1]))
     for s in (None, scale):
         rng = block_generator(3, STREAM_RATE, 5)
-        slabs = list(_complex_slabs(rng, (size,) + shape, 2.5, s))
+        slabs = []
+        for rows, slab in _complex_slabs(rng, (size,) + shape, 2.5, s):
+            assert slab.flags.c_contiguous and len(slab) == len(range(size)[rows])
+            assert slab.nbytes <= max(mcharness.SLAB_BYTES, slab[:1].nbytes)
+            slabs.append((rows, slab.copy()))  # the next slab reuses its buffer
         ref = block_generator(3, STREAM_RATE, 5)
         want = complex_gaussian(ref, (size,) + shape, 2.5)
         if s is not None:
             want = want * s[None, None, :]
         assert [i for rows, _ in slabs for i in range(size)[rows]] == list(range(size))
-        for rows, slab in slabs:
-            assert slab.flags.c_contiguous and len(slab) == len(range(size)[rows])
-            assert slab.nbytes <= max(mcharness.SLAB_BYTES, slab[:1].nbytes)
         assert np.array_equal(np.concatenate([slab for _, slab in slabs]), want)
         assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
@@ -270,22 +276,78 @@ def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
 def test_large_block_memory_peak():
     # two 1024-trial m=16, n=l_t=80 blocks run at once under --threads 2;
     # each may hold at most 0.85 times its interfering channel array: the
-    # real half of h_p, h^H, the inverse Gram matrices and two slabs, with
-    # neither h nor h_p ever whole (it measured 0.77; whole-array draws of
-    # both peaked at 1.26 times, and a whole-block projection at 1.48)
+    # real half of h_p, h^H, the Gram and inverse Gram matrices and a few
+    # slabs, with neither h nor h_p ever whole.  A second block on the same
+    # workspace holds no more (0.77 without a workspace; whole-array draws
+    # of both peaked at 1.26 times, a whole-block projection at 1.48, and a
+    # real-half buffer grown from h's size to h_p's at 0.90)
     config = SystemConfig(m=16, n=80, l_t=80, l_r=1, p_p=10.0, p_max=100.0,
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
                       mean_z_per_pt=tuple(np.linspace(0.1, 1.0, 80)))
     hp_bytes = 1024 * config.n * config.l_t * np.dtype(complex).itemsize
+    work, peaks = {}, []
     tracemalloc.start()
     try:
-        x_gain, z = _stream_stats_block(config, stats, 1, STREAM_RATE, 0, 1024)
-        _, peak = tracemalloc.get_traced_memory()
+        for block in range(2):
+            tracemalloc.reset_peak()
+            x_gain, z = _stream_stats_block(config, stats, 1, STREAM_RATE, block, 1024, work)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert x_gain.shape == z.shape == (1024, config.m)
-    assert peak <= 0.85 * hp_bytes, peak / hp_bytes
+    assert max(peaks) <= 0.85 * hp_bytes, [peak / hp_bytes for peak in peaks]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimator_call_frees_its_workspaces(threads):
+    # the per-thread workspaces live for one estimator call: nothing of the
+    # worker threads' buffers outlives it, also where the calling thread is
+    # the worker and lives on
+    config = SystemConfig(m=16, n=80, l_t=80, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
+                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, 80)))
+    sol = solve_lambda(config, stats)
+    hp_bytes = 1024 * config.n * config.l_t * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        empirical_rate(config, stats, sol, trials=2048, seed=1, threads=threads)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before >= 0.75 * hp_bytes  # a workspace was traced
+    assert abs(after - before) <= 1 << 20, after - before
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="no per-thread rusage")
+def test_small_blocks_reuse_their_arrays():
+    # after a warm-up call, the 64 (4, 5, 2) blocks of one call fault at most
+    # 16 fresh pages in each, the workspace's first filling included; blocks
+    # that allocated their own arrays faulted about 1 MiB each back in.  A
+    # fresh interpreter, since the allocator's state depends on its history
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import resource
+        from crmimo.linkstats import Geometry, LinkStats
+        from crmimo.mcharness import empirical_outage
+        from crmimo.powalloc import SystemConfig, solve_lambda
+        stats = LinkStats.from_geometry(Geometry(18.0, (56.0, 56.0), (60.0, 60.0)))
+        config = SystemConfig(m=4, n=5, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
+                              q=10 ** 0.7, gamma_th=10 ** 0.3)
+        sol = solve_lambda(config, stats)
+        empirical_outage(config, stats, sol, trials=4096, seed=1, threads=1)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        empirical_outage(config, stats, sol, trials=64 * 1024, seed=2, threads=1)
+        print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+    """
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    faults = int(result.stdout)
+    assert faults <= 16 * 64, faults / 64
 
 
 def test_rank_deficient_block_is_redrawn(monkeypatch, caplog):
@@ -319,6 +381,47 @@ def test_rank_deficient_block_is_redrawn(monkeypatch, caplog):
     want_x = 1.0 / np.einsum("bii->bi", gram_inv).real
     assert np.array_equal(x_gain, want_x)
     assert np.array_equal(z, np.sum(np.abs(gram_inv @ (hh @ hp)) ** 2, axis=2) * want_x)
+
+
+@pytest.mark.parametrize("m, n, l_t", [
+    (4, 5, 2),  # l_t < m
+    (3, 5, 6),  # l_t > m: h_p's real half fills the shared buffer
+    (64, 80, 17),  # every product split
+])
+def test_workspace_reuse_is_bit_identical(m, n, l_t, monkeypatch):
+    # one workspace carried through full, short-last and tiny blocks, and a
+    # rank-deficient redraw of the third, gives the bits of fresh workspaces
+    # and allocates no buffer after the first block
+    inv = np.linalg.inv
+
+    def singular_at(k, calls):
+        def singular(a):
+            calls.append(len(a))
+            if len(calls) == k:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return inv(a)
+
+        return singular
+
+    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
+                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    sizes = (1024, 424, 7, 1024)
+    calls = []
+    monkeypatch.setattr(mcharness.np.linalg, "inv", singular_at(3, calls))
+    work, reused = {}, []
+    for block, size in enumerate(sizes):
+        reused.append(_stream_stats_block(config, stats, 4, STREAM_RATE, block, size, work))
+        if not block:
+            first = dict(work)
+    assert calls == [1024, 424, 7, 7, 1024]
+    assert work.keys() == first.keys()
+    assert all(work[name] is buf for name, buf in first.items())
+    for block, size in enumerate(sizes):
+        monkeypatch.setattr(mcharness.np.linalg, "inv", singular_at(1, []) if block == 2 else inv)
+        fresh = _stream_stats_block(config, stats, 4, STREAM_RATE, block, size)
+        assert all(np.array_equal(a, b) for a, b in zip(reused[block], fresh))
 
 
 def test_zero_trials_rejected():

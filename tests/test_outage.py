@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo import validation
-from crmimo.linkstats import Geometry, LinkStats, sum_density_inid
+from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import empirical_outage, empirical_rate
 from crmimo.outage import (
     _cdf_coefficients,
@@ -19,7 +19,6 @@ from crmimo.outage import (
     ergodic_capacity,
     outage_auto,
     outage_fixed_power,
-    received_power_cdf,
 )
 from crmimo.powalloc import (
     LN2,
@@ -30,7 +29,7 @@ from crmimo.powalloc import (
     solve_lambda,
 )
 from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
-from crmimo.validation import _mixed_outage_quadrature
+from crmimo.validation import _mixed_outage_quadrature, received_power_cdf, sum_density_inid
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
