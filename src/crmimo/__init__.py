@@ -16,14 +16,7 @@ from .linkstats import (
     mean_sum_inid,
     pathloss_gain,
 )
-from .mcharness import (
-    DistributionCheck,
-    McEstimate,
-    empirical_leakage,
-    empirical_outage,
-    empirical_rate,
-    zf_distribution_check,
-)
+from .mcharness import McEstimate, empirical_outage, empirical_rate
 from .outage import (
     AsymptoticSinr,
     OutageResult,
@@ -47,7 +40,6 @@ from .specfun import regularized_upper_gamma
 __all__ = [
     "AntennaPmf",
     "AsymptoticSinr",
-    "DistributionCheck",
     "Geometry",
     "LeakageReport",
     "LinkStats",
@@ -60,7 +52,6 @@ __all__ = [
     "asymptotic_sinr",
     "average_ser_binary",
     "conventional_power",
-    "empirical_leakage",
     "empirical_outage",
     "empirical_rate",
     "ergodic_capacity",
@@ -76,7 +67,6 @@ __all__ = [
     "reduce_antennas",
     "regularized_upper_gamma",
     "solve_lambda",
-    "zf_distribution_check",
 ]
 
 __version__ = "0.1.0"

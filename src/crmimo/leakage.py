@@ -7,7 +7,7 @@ transmit antennas until it is within a tolerated level, and estimates the
 law of the active-antenna count.  Antennas go by power, so a reduction is one
 stage chain per primary receiver, begun by a positive uniformization series
 (`linkstats`), whose prefix tails multiply into one receiver product: numpy
-only; scipy serves `validate`, the KS check and tests.
+only; scipy serves `validate` and the tests.
 The active-antenna law draws and runs its blocks through `mcharness` and
 reduces each block at once: its rows are grouped by powered-antenna count,
 and each group and receiver is one stacked stage chain.
@@ -21,7 +21,7 @@ import numpy as np
 from .linkstats import _prefix_tails, checked_leakage_inputs
 from .mcharness import STREAM_ANTENNA, _check_seed, _erlang_draw, run_blocks
 from .powalloc import optimal_power
-from .specfun import _check_int
+from .specfun import _check_int, _finite_positive
 
 
 def __getattr__(name):  # scipy's expm, loaded when bench/tracer.py looks up leakage.expm
@@ -55,8 +55,8 @@ class AntennaPmf:
 
 def _check_t_g(t_g):
     """Raise ValueError naming t_g unless it lies in (0, 1] (NaN does not)."""
-    if not 0.0 < t_g <= 1.0:
-        raise ValueError(f"t_g must lie in (0, 1], got {t_g}")
+    if not (_finite_positive(t_g) and t_g <= 1.0):
+        raise ValueError(f"t_g must lie in (0, 1], got {t_g!r}")
 
 
 def _receiver_tails(powered, mean_y_per_pr, q):

@@ -10,8 +10,8 @@ in ascending order, exact for any tie structure, whose running occupancy
 sums are the prefix tails (the last is the tail of the whole sum) and whose
 last stage gives the density; a stack of mean rows runs as one batch of
 matrix products.  Its first level is a positive uniformization series, so
-the library needs numpy only (scipy serves `validate`, the KS check and the
-tests).  Means are never perturbed.
+the library needs numpy only (scipy serves `validate` and the tests).
+Means are never perturbed.
 The outage mixture is a positive sum over the means themselves (`outage`).
 """
 
@@ -21,12 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _check_int, _exp_sinh
-
-
-def _finite_positive(x):
-    """True for a finite number > 0 (False for NaN and inf)."""
-    return 0.0 < x < math.inf
+from .specfun import _check_int, _exp_sinh, _finite_positive
 
 
 def pathloss_gain(d, d_ref, alpha):
@@ -202,16 +197,16 @@ class Geometry:
     alpha: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "d_pt_sr", tuple(float(d) for d in self.d_pt_sr))
-        object.__setattr__(self, "d_st_pr", tuple(float(d) for d in self.d_st_pr))
         for name in ("d_st_sr", "d_ref", "alpha"):
             if not _finite_positive(getattr(self, name)):
                 raise ValueError(f"Geometry.{name} must be finite and positive")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("d_pt_sr", "d_st_pr"):
-            ds = getattr(self, name)
+            ds = tuple(getattr(self, name))
             if not ds or not all(map(_finite_positive, ds)):
                 raise ValueError(f"Geometry.{name} must be a non-empty list of "
                                  "finite positive distances")
+            object.__setattr__(self, name, tuple(map(float, ds)))
 
 
 @dataclass(frozen=True)
@@ -228,15 +223,14 @@ class LinkStats:
     mean_z_per_pt: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_x", float(self.mean_x))
-        object.__setattr__(self, "mean_y_per_pr", tuple(float(v) for v in self.mean_y_per_pr))
-        object.__setattr__(self, "mean_z_per_pt", tuple(float(v) for v in self.mean_z_per_pt))
         if not _finite_positive(self.mean_x):
             raise ValueError("LinkStats.mean_x must be finite and positive")
+        object.__setattr__(self, "mean_x", float(self.mean_x))
         for name in ("mean_y_per_pr", "mean_z_per_pt"):
-            ms = getattr(self, name)
+            ms = tuple(getattr(self, name))
             if not ms or not all(map(_finite_positive, ms)):
                 raise ValueError(f"LinkStats.{name} must be non-empty, finite and positive")
+            object.__setattr__(self, name, tuple(map(float, ms)))
 
     @classmethod
     def from_geometry(cls, geom):

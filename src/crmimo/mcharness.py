@@ -1,7 +1,7 @@
 """Monte-Carlo ground truth for the closed forms.
 
 Samples full channel matrices, applies zero-forcing detection through the
-inverse Gram matrix, and measures outage, rate and leakage empirically.
+inverse Gram matrix, and measures outage and rate empirically.
 Trials are grouped into fixed-size blocks, each driven by a counter-based
 Philox generator keyed by (seed, stream id, block index) and reduced in
 block order, so estimates are bit-identical for a given seed regardless of
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkstats import checked_leakage_inputs
 from .powalloc import optimal_power
 from .specfun import _check_int
 
@@ -41,7 +40,8 @@ SLAB_BYTES = 1 << 20
 # then spin against the worker threads.  Per-trial products stay under this.
 SERIAL_GEMM_MADDS = 1 << 16
 
-# sub-stream ids keep draws of different estimators disjoint under one seed
+# sub-stream ids keep the draws of every estimator, the Monte-Carlo oracles of
+# `validation` too, disjoint under one seed
 STREAM_OUTAGE = 1
 STREAM_RATE = 2
 STREAM_LEAKAGE = 3
@@ -122,14 +122,13 @@ def _buffer(work, name, shape, dtype=float):
     return buf[:count].reshape(shape)
 
 
-def _complex_slabs(rng, shape, variance, scale=None, work=None):
+def _complex_slabs(rng, shape, variance, work, scale=None):
     """Yield (rows, slab) over slabs of whole trials, of at most SLAB_BYTES,
     of ((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit as whole-array
     draws of re then im: re is drawn whole, each slab's im as the slab is
     taken, so rng may draw nothing else until all slabs are taken.  re and
     every slab are views of the workspace work's "re" and "slab" buffers,
     so a slab holds its values only until the next is taken."""
-    work = {} if work is None else work
     s = math.sqrt(variance / 2.0)
     re = rng.standard_normal(out=_buffer(work, "re", shape))
     step = max(1, SLAB_BYTES // (16 * math.prod(shape[1:])))
@@ -146,27 +145,25 @@ def _complex_slabs(rng, shape, variance, scale=None, work=None):
         yield rows, slab
 
 
-def _serial_matmul(a, b, out=None):
+def _serial_matmul(a, b, out):
     """a @ b for stacks of matrices, in column chunks of b holding at most
     SERIAL_GEMM_MADDS multiply-adds per matrix product, so the BLAS keeps
     each product on the calling thread.  Chunks are whole 8-column groups,
     the remainder under 8 folded into the last, which keeps the bits of one
     call; a product under the cutoff, or too narrow to split so, is one
-    call.  The product is written to out if given."""
+    call.  The product is written to out."""
     m, k = a.shape[-2:]
     width = b.shape[-1]
     if m * k * width <= SERIAL_GEMM_MADDS or width < 16:
         return np.matmul(a, b, out=out)
     step = 8 * max(1, (SERIAL_GEMM_MADDS // (m * k) - 7) // 8)
     edges = list(range(0, width - 7, step)) + [width]
-    if out is None:
-        out = np.empty(a.shape[:-1] + (width,), dtype=np.result_type(a, b))
     for lo, hi in zip(edges, edges[1:]):
         np.matmul(a, b[..., lo:hi], out=out[..., lo:hi])
     return out
 
 
-def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
+def _stream_stats_block(config, stats, seed, stream, block, size, work):
     """Effective gains x_i = ||row_i(H+)||^-2 and interference ratios
     z_i = ||row_i(H+) h_p||^2 / ||row_i(H+)||^2 for one block, computed with
     unit powers (the power matrix scales out of both quantities).
@@ -174,9 +171,8 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
     h and h_p come from `_complex_slabs` and are used slab by slab, never
     whole.  Every array but the inverse Gram matrices and the returned
-    statistics is a view of a buffer of the workspace work (a dict, fresh
-    when None) that a worker thread carries from block to block of an
-    estimator call.  h and h_p share the real-half buffer, sized for the
+    statistics is a view of a buffer of the workspace work (a dict) that a
+    worker thread carries from block to block of an estimator call.  h and h_p share the real-half buffer, sized for the
     larger before h is drawn, so a block peaks at the real half of h_p,
     h^H, the Gram and inverse Gram matrices and a few slabs.  The
     Gram, projection and inverse-Gram products go through `_serial_matmul`,
@@ -184,7 +180,6 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
     matrix products, on operands of the same layout, as a whole-block
     computation, so the bits are those of one.
     """
-    work = {} if work is None else work
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
     n, m, l_t = config.n, config.m, scale.size
     # sized once: grown from h's size to h_p's, it would hold both at once
@@ -194,7 +189,7 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
     cross2 = _buffer(work, "cross2", (size, m))
     for retry in range(4):
         rng = block_generator(seed, stream, block, retry)
-        for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x, work=work):
+        for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x, work):
             np.conj(h.transpose(0, 2, 1), out=hh[rows])
             _serial_matmul(hh[rows], h, out=gram[rows])
         try:
@@ -202,7 +197,7 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work=None):
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
-        for rows, hp in _complex_slabs(rng, (size, n, l_t), 1.0, scale, work=work):
+        for rows, hp in _complex_slabs(rng, (size, n, l_t), 1.0, work, scale):
             shape = hp.shape[:1] + (m, l_t)
             c = _serial_matmul(hh[rows], hp, out=_buffer(work, "c", shape, complex))
             w = _serial_matmul(gram_inv[rows], c, out=_buffer(work, "w", shape, complex))
@@ -263,64 +258,3 @@ def empirical_rate(config, stats, sol, trials, seed, threads=1):
     """Mean of log2(1 + SINR) over the full ZF chain."""
     return _zf_estimate(config, stats, sol, trials, seed, threads, STREAM_RATE,
                         lambda sinr: np.log2(1.0 + sinr))
-
-
-def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
-    """Frequency of min_j sum_i p_i |y_j^(i)|^2 > q over exponential draws
-    of the interfering gains (the event that every primary receiver sees
-    aggregate interference above q)."""
-    p, means = checked_leakage_inputs(powers, mean_y_per_pr, q)
-
-    def worker(block, size):
-        rng = block_generator(seed, STREAM_LEAKAGE, block)
-        y = rng.exponential(1.0, size=(size, means.size, p.size)) * means[None, :, None]
-        s = y @ p
-        return (s > q).all(axis=1).astype(float)
-
-    return _estimate(run_blocks(trials, worker, threads), trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# distributional equivalence of the ZF statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DistributionCheck:
-    """Two-sample KS comparison of the ZF-chain statistics against their
-    reference laws: the effective gain against Erlang(n-m+1, E[X]) and the
-    projected-interference ratio against the hypoexponential of the
-    per-transmitter means."""
-
-    gain_stat: float
-    gain_pvalue: float
-    interference_stat: float
-    interference_pvalue: float
-    trials: int
-
-
-def zf_distribution_check(config, stats, trials, seed, threads=1):
-    from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
-    parts = _zf_blocks(config, stats, trials, seed, threads, STREAM_KS_ZF,
-                       lambda x_gain, z: (x_gain[:, 0], z[:, 0]))
-    x0 = np.concatenate([p[0] for p in parts])
-    z0 = np.concatenate([p[1] for p in parts])
-
-    def int_ref(block, size):
-        rng = block_generator(seed, STREAM_KS_INT_REF, block)
-        draws = np.zeros(size)
-        for ez in stats.mean_z_per_pt:
-            draws += rng.exponential(ez, size=size)
-        return draws
-
-    gain_ref = _erlang_draw(config, stats, seed, STREAM_KS_GAIN_REF)
-    x_ref = np.concatenate(run_blocks(trials, gain_ref, threads))
-    z_ref = np.concatenate(run_blocks(trials, int_ref, threads))
-    ks_x = ks_2samp(x0, x_ref)
-    ks_z = ks_2samp(z0, z_ref)
-    return DistributionCheck(
-        gain_stat=float(ks_x.statistic),
-        gain_pvalue=float(ks_x.pvalue),
-        interference_stat=float(ks_z.statistic),
-        interference_pvalue=float(ks_z.pvalue),
-        trials=_check_int(trials, "trials"),
-    )

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linkstats import _finite_positive
 from .powalloc import LN2, optimal_power
-from .specfun import _exp_sinh, erlang_tails
+from .specfun import _exp_sinh, _finite_positive, erlang_tails
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 

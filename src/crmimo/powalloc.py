@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_int, exp1, regularized_upper_gamma
+from .specfun import _check_int, _finite_positive, exp1, regularized_upper_gamma
 
 LN2 = math.log(2.0)
 
@@ -43,8 +43,9 @@ class SystemConfig:
             object.__setattr__(self, name, value)
         for name in ("p_p", "p_max", "q", "gamma_th", "n0"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"SystemConfig.{name} must be finite and positive, got {value}")
+            if not _finite_positive(value):
+                raise ValueError(f"SystemConfig.{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def diversity_order(self):

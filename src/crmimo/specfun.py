@@ -8,6 +8,7 @@ across platforms; `erlang_tails` gives every order at an array of arguments.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -35,6 +36,15 @@ def _check_int(n, name):
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
+def _finite_positive(x):
+    """True for a finite real number > 0: ints, floats and numpy numbers;
+    False for NaN, inf, bools and non-numbers such as strings and None,
+    which the callers refuse with a ValueError naming the field.  A float
+    skips the abstract-class check, which costs ten times the comparison."""
+    return ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
+            and 0.0 < x < math.inf)
 
 
 def exp1(x):

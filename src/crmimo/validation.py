@@ -5,17 +5,22 @@ order-statistic and hypoexponential laws, the multiplier equation, the
 outage mixture and the Monte-Carlo agreement of the zero-forcing chain on a
 small grid of scenarios; `crmimo validate` prints its rows and writes them
 as a report.  The oracles are written once, here, and the tests call them.
+Its Monte-Carlo oracles run on `mcharness` blocks and stream ids: direct
+Erlang draws of the stream gain (`sample_stream_gains`), the empirical
+leakage (`empirical_leakage`) and the Kolmogorov-Smirnov check of the ZF
+statistics against their reference laws (`zf_distribution_check`).
 The library never imports this module.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import leakage, linkstats, mcharness, outage, powalloc
-from .specfun import erlang_tails, regularized_upper_gamma
+from .specfun import _check_int, erlang_tails, regularized_upper_gamma
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
 # primary power 10 dB, power cap 20 dB and threshold 3 dB: both multiplier
@@ -99,6 +104,73 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
 
 
 # ---------------------------------------------------------------------------
+# Monte-Carlo oracles
+# ---------------------------------------------------------------------------
+
+def sample_stream_gains(config, stats, trials, seed, threads=1):
+    """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
+    draw = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_GAINS)
+    return np.concatenate(mcharness.run_blocks(trials, draw, threads))
+
+
+def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
+    """Frequency of min_j sum_i p_i |y_j^(i)|^2 > q over exponential draws
+    of the interfering gains (the event that every primary receiver sees
+    aggregate interference above q)."""
+    p, means = linkstats.checked_leakage_inputs(powers, mean_y_per_pr, q)
+
+    def worker(block, size):
+        rng = mcharness.block_generator(seed, mcharness.STREAM_LEAKAGE, block)
+        y = rng.exponential(1.0, size=(size, means.size, p.size)) * means[None, :, None]
+        s = y @ p
+        return (s > q).all(axis=1).astype(float)
+
+    return mcharness._estimate(mcharness.run_blocks(trials, worker, threads), trials, seed)
+
+
+@dataclass(frozen=True)
+class DistributionCheck:
+    """Two-sample KS comparison of the ZF-chain statistics against their
+    reference laws: the effective gain against Erlang(n-m+1, E[X]) and the
+    projected-interference ratio against the hypoexponential of the
+    per-transmitter means."""
+
+    gain_stat: float
+    gain_pvalue: float
+    interference_stat: float
+    interference_pvalue: float
+    trials: int
+
+
+def zf_distribution_check(config, stats, trials, seed, threads=1):
+    from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
+    parts = mcharness._zf_blocks(config, stats, trials, seed, threads, mcharness.STREAM_KS_ZF,
+                                 lambda x_gain, z: (x_gain[:, 0], z[:, 0]))
+    x0 = np.concatenate([p[0] for p in parts])
+    z0 = np.concatenate([p[1] for p in parts])
+
+    def int_ref(block, size):
+        rng = mcharness.block_generator(seed, mcharness.STREAM_KS_INT_REF, block)
+        draws = np.zeros(size)
+        for ez in stats.mean_z_per_pt:
+            draws += rng.exponential(ez, size=size)
+        return draws
+
+    gain_ref = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_KS_GAIN_REF)
+    x_ref = np.concatenate(mcharness.run_blocks(trials, gain_ref, threads))
+    z_ref = np.concatenate(mcharness.run_blocks(trials, int_ref, threads))
+    ks_x = ks_2samp(x0, x_ref)
+    ks_z = ks_2samp(z0, z_ref)
+    return DistributionCheck(
+        gain_stat=float(ks_x.statistic),
+        gain_pvalue=float(ks_x.pvalue),
+        interference_stat=float(ks_z.statistic),
+        interference_pvalue=float(ks_z.pvalue),
+        trials=_check_int(trials, "trials"),
+    )
+
+
+# ---------------------------------------------------------------------------
 # checks: each returns the observed error of one row
 # ---------------------------------------------------------------------------
 
@@ -171,12 +243,6 @@ def _cdf_mixture_gap(config, stats, sol):
     return abs(val - outage.outage_auto(config, stats, sol).p_out)
 
 
-def sample_stream_gains(config, stats, trials, seed, threads=1):
-    """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
-    draw = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_GAINS)
-    return np.concatenate(mcharness.run_blocks(trials, draw, threads))
-
-
 def _power_constraint_sigmas(config, stats, sol, trials, seed, threads):
     """The enforced mean power against the mean of the allocation over
     direct draws of the stream gain."""
@@ -232,7 +298,7 @@ def run_validation(trials, seed, threads):
          max(abs(leakage.leakage_probability(*args) - want) for args, want in anchors)),
         ("leakage.mc_agreement_3sigma", 1.0,
          max(_sigmas(leakage.leakage_probability(*args),
-                     mcharness.empirical_leakage(*args, trials, seed, threads=threads))
+                     empirical_leakage(*args, trials, seed, threads=threads))
              for args, _ in anchors)),
         ("mc.thread_determinism", 0.0, _thread_gap(*points[0], seed)),
     ]

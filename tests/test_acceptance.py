@@ -18,9 +18,11 @@ import crmimo as cr
 from crmimo.cli import main
 from crmimo.validation import (
     _mixed_outage_quadrature,
+    empirical_leakage,
     max_mean_oracle,
     run_validation,
     sample_stream_gains,
+    zf_distribution_check,
 )
 
 from test_outage import colocated_double_sum
@@ -181,8 +183,7 @@ def test_criterion_4_distributional_equivalence():
              build(2, 6, 3, 1, 30.0, (45.0, 60.0, 75.0), (60.0,))]
     min_p = 1.0
     for config, stats in cases:
-        chk = cr.zf_distribution_check(config, stats, trials=10 ** 5, seed=12,
-                                       threads=4)
+        chk = zf_distribution_check(config, stats, trials=10 ** 5, seed=12, threads=4)
         assert chk.gain_pvalue > 0.01, (config.n, config.m, chk)
         assert chk.interference_pvalue > 0.01, (config.n, config.m, chk)
         min_p = min(min_p, chk.gain_pvalue, chk.interference_pvalue)
@@ -234,8 +235,7 @@ def test_criterion_6_leakage_tail_anchors():
         ana = cr.leakage_probability(powers, means, q)
         if exact is not None:
             assert ana == pytest.approx(exact, rel=1e-12)
-        est = cr.empirical_leakage(powers, means, q, trials=10 ** 6,
-                                   seed=600 + idx, threads=4)
+        est = empirical_leakage(powers, means, q, trials=10 ** 6, seed=600 + idx, threads=4)
         dev = abs(ana - est.value) / est.std_error
         assert dev <= 3.0, (idx, ana, est)
         worst = max(worst, dev)

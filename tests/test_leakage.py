@@ -5,8 +5,8 @@ import pytest
 
 from crmimo.leakage import _active_counts, antenna_pmf, leakage_probability, reduce_antennas
 from crmimo.linkstats import Geometry, LinkStats, hypoexp_prefix_ccdf
-from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import PowerSolution, SystemConfig, optimal_power, solve_lambda
+from crmimo.validation import empirical_leakage
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -60,6 +60,9 @@ NAN, INF = float("nan"), float("inf")
     pytest.param([1.0], [0.0], 1.0, id="receiver-mean-zero"),
     pytest.param([1.0], [1.0], NAN, id="q-nan"),
     pytest.param([1.0], [1.0], INF, id="q-inf"),
+    pytest.param([1.0], [1.0], True, id="q-bool"),
+    pytest.param([1.0], [1.0], "1", id="q-str"),
+    pytest.param([1.0], [1.0], None, id="q-none"),
     pytest.param([[1.0, 2.0], [3.0, 4.0]], [1.0], 1.0, id="powers-2d"),
     pytest.param([1.0, 2.0], [[1.0], [2.0]], 1.0, id="receiver-means-2d"),
     pytest.param(3.0, [1.0], 1.0, id="power-scalar"),
@@ -259,8 +262,9 @@ def test_reduce_antennas_suspension():
                           q=1e-4, gamma_th=1.0)
     report = reduce_antennas([100.0], sol, config, stats, t_g=0.5)
     assert report.suspended and report.m_effective == 0
-    with pytest.raises(ValueError):
-        reduce_antennas([100.0], sol, config, stats, t_g=0.0)
+    for t_g in (0.0, True, "0.5", None):
+        with pytest.raises(ValueError, match="t_g"):
+            reduce_antennas([100.0], sol, config, stats, t_g=t_g)
     with pytest.raises(ValueError):
         reduce_antennas([1.0, 2.0], sol, config, stats, t_g=0.5)
     for bad in (math.nan, math.inf, -1.0):

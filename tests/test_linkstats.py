@@ -172,6 +172,22 @@ def test_linkstats_validation():
 NAN, INF = float("nan"), float("inf")
 GEOM = {"d_st_sr": 10.0, "d_pt_sr": (50.0,), "d_st_pr": (60.0,)}
 MEANS = {"mean_x": 1.0, "mean_y_per_pr": (1.0,), "mean_z_per_pt": (1.0,)}
+# every positive-real input of the geometry and the statistics, as a call on
+# one value; the raw value is checked, so no bool or string passes as a number
+REAL_INPUTS = {
+    "geometry-d_st_sr": lambda v: Geometry(**{**GEOM, "d_st_sr": v}),
+    "geometry-d_pt_sr": lambda v: Geometry(**{**GEOM, "d_pt_sr": (50.0, v)}),
+    "geometry-d_st_pr": lambda v: Geometry(**{**GEOM, "d_st_pr": (v,)}),
+    "geometry-d_ref": lambda v: Geometry(**GEOM, d_ref=v),
+    "geometry-alpha": lambda v: Geometry(**GEOM, alpha=v),
+    "linkstats-mean_x": lambda v: LinkStats(**{**MEANS, "mean_x": v}),
+    "linkstats-y": lambda v: LinkStats(**{**MEANS, "mean_y_per_pr": (1.0, v)}),
+    "linkstats-z": lambda v: LinkStats(**{**MEANS, "mean_z_per_pt": (v,)}),
+    "pathloss-d": lambda v: pathloss_gain(v, 100.0, 4.0),
+    "pathloss-d_ref": lambda v: pathloss_gain(50.0, v, 4.0),
+    "pathloss-alpha": lambda v: pathloss_gain(50.0, 100.0, v),
+}
+NOT_NUMBERS = {"bool": True, "str": "1", "none": None}
 
 
 @pytest.mark.parametrize("build", [
@@ -205,6 +221,8 @@ MEANS = {"mean_x": 1.0, "mean_y_per_pr": (1.0,), "mean_z_per_pt": (1.0,)}
     pytest.param(lambda: mean_max_iid(INF, 2), id="mean_max_iid-inf"),
     pytest.param(lambda: mean_max_iid(NAN, 2), id="mean_max_iid-nan"),
     pytest.param(lambda: mean_max_inid([INF, 1.0]), id="mean_max_inid-inf"),
+    *(pytest.param(lambda call=call, value=value: call(value), id=f"{entry}-{kind}")
+      for entry, call in REAL_INPUTS.items() for kind, value in NOT_NUMBERS.items()),
 ])
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError, match="finite"):

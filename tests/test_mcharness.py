@@ -22,14 +22,17 @@ from crmimo.mcharness import (
     _serial_matmul,
     _stream_stats_block,
     block_generator,
-    empirical_leakage,
     empirical_outage,
     empirical_rate,
-    zf_distribution_check,
 )
 from crmimo.outage import ergodic_capacity
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
-from crmimo.validation import received_power_cdf, sample_stream_gains
+from crmimo.validation import (
+    empirical_leakage,
+    received_power_cdf,
+    sample_stream_gains,
+    zf_distribution_check,
+)
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -167,7 +170,7 @@ def test_batched_block_matches_per_draw_zf():
                           q=Q_7DB, gamma_th=GAMMA_3DB)
     seed, block = 17, 2
     for size in (1, 7, 64):
-        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size)
+        x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size, {})
         rng = block_generator(seed, STREAM_OUTAGE, block)
         h = complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
         hp = complex_gaussian(rng, (size, config.n, config.l_t), 1.0)
@@ -190,7 +193,7 @@ def test_slab_draw_matches_whole_array_draw(size, shape):
     for s in (None, scale):
         rng = block_generator(3, STREAM_RATE, 5)
         slabs = []
-        for rows, slab in _complex_slabs(rng, (size,) + shape, 2.5, s):
+        for rows, slab in _complex_slabs(rng, (size,) + shape, 2.5, {}, s):
             assert slab.flags.c_contiguous and len(slab) == len(range(size)[rows])
             assert slab.nbytes <= max(mcharness.SLAB_BYTES, slab[:1].nbytes)
             slabs.append((rows, slab.copy()))  # the next slab reuses its buffer
@@ -217,7 +220,7 @@ def test_slab_projection_matches_whole_block(m, n, l_t, sizes):
     stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
                       mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
     for size in sizes:
-        x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size)
+        x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
         rng = block_generator(4, STREAM_RATE, 3)
         h = complex_gaussian(rng, (size, n, m), stats.mean_x)
         hh = np.conj(np.transpose(h, (0, 2, 1)))
@@ -244,9 +247,9 @@ def test_serial_matmul_matches_one_product(m, k, width):
     h = complex_gaussian(rng, (5, k, m), 1.0)
     b = complex_gaussian(rng, (5, k, width), 1.0)
     for a in (np.conj(np.transpose(h, (0, 2, 1))), np.conj(h).transpose(0, 2, 1).copy()):
-        got = _serial_matmul(a, b)
-        assert got.shape == (5, m, width)
-        assert np.array_equal(got, a @ b)
+        out = np.empty((5, m, width), complex)
+        assert _serial_matmul(a, b, out) is out
+        assert np.array_equal(out, a @ b)
 
 
 @pytest.mark.parametrize("m, n, l_t", [(16, 20, 20), (16, 40, 40), (16, 80, 80), (64, 80, 17)])
@@ -268,7 +271,7 @@ def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
     stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
                       mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
     size = 64
-    _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size)
+    _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
     assert max(madds) <= mcharness.SERIAL_GEMM_MADDS
     assert sum(work) == size * m * (n * m + n * l_t + m * l_t)
 
@@ -369,7 +372,7 @@ def test_rank_deficient_block_is_redrawn(monkeypatch, caplog):
     stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
                       mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
     with caplog.at_level("WARNING", logger=mcharness.__name__):
-        x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size)
+        x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
     assert calls == [size, size]
     assert "rank-deficient channel block 3 (retry 0)" in caplog.text
     rng = block_generator(4, STREAM_RATE, 3, retry=1)
@@ -420,7 +423,7 @@ def test_workspace_reuse_is_bit_identical(m, n, l_t, monkeypatch):
     assert all(work[name] is buf for name, buf in first.items())
     for block, size in enumerate(sizes):
         monkeypatch.setattr(mcharness.np.linalg, "inv", singular_at(1, []) if block == 2 else inv)
-        fresh = _stream_stats_block(config, stats, 4, STREAM_RATE, block, size)
+        fresh = _stream_stats_block(config, stats, 4, STREAM_RATE, block, size, {})
         assert all(np.array_equal(a, b) for a, b in zip(reused[block], fresh))
 
 
@@ -440,6 +443,7 @@ def test_zero_trials_rejected():
     ("threads", 0), ("threads", -2), ("threads", 2.5), ("threads", True),
     ("seed", 1.5), ("seed", -1), ("seed", 2 ** 64), ("seed", "1"),
     ("t_g", 0.0), ("t_g", math.nan), ("t_g", 1.5),
+    ("t_g", True), ("t_g", "0.5"), ("t_g", None),
 ])
 def test_malformed_monte_carlo_arguments_rejected(name, value, monkeypatch):
     config, stats = anchor_setup()

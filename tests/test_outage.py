@@ -466,7 +466,7 @@ def test_average_ser_matches_monte_carlo():
     ana = average_ser_binary(config, stats, sol, 1.0, 1.0)
     vals = []
     for block in range(196):
-        x, z = _stream_stats_block(config, stats, 2571, 11, block, 1024)
+        x, z = _stream_stats_block(config, stats, 2571, 11, block, 1024, {})
         p = optimal_power(x, sol)
         sinr = p * x / (config.p_p * z + config.n0)
         ser = 0.5 * erfc(np.sqrt(2 * sinr) / math.sqrt(2))

@@ -83,9 +83,12 @@ def test_config_validation():
 def test_config_rejects_non_finite_values():
     good = dict(m=2, n=4, l_t=1, l_r=1, p_p=1.0, p_max=1.0, q=1.0, gamma_th=1.0)
     for field in ("p_p", "p_max", "q", "gamma_th", "n0"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, True, "1", None):
             with pytest.raises(ValueError, match="finite"):
                 SystemConfig(**{**good, field: value})
+        # ints and numpy floats are stored as floats
+        for value in (2, np.float64(2.0)):
+            assert type(getattr(SystemConfig(**{**good, field: value}), field)) is float
 
 
 def test_conventional_power_branches():

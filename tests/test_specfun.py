@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from crmimo.linkstats import mean_max_iid
-from crmimo.mcharness import empirical_leakage
 from crmimo.powalloc import SystemConfig
 from crmimo.specfun import _exp_sinh, erlang_tails, exp1, regularized_upper_gamma
+from crmimo.validation import empirical_leakage
 
 # frozen from the adaptive-quadrature oracles below
 GAMMA_3_2 = 1.3533528323661270   # int_2^inf t^2 e^-t dt = Gamma(3) Q(3, 2)
