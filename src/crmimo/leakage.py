@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linkstats import _prefix_tails, checked_leakage_inputs
+from .linkstats import _prefix_tails
 from .mcharness import STREAM_ANTENNA, _check_seed, _erlang_draw, run_blocks
 from .powalloc import optimal_power
-from .specfun import _check_int, _finite_positive
+from .specfun import _check_int, _nonnegatives, _positive, _positives
 
 
 def __getattr__(name):  # scipy's expm, loaded when bench/tracer.py looks up leakage.expm
@@ -54,9 +54,20 @@ class AntennaPmf:
 
 
 def _check_t_g(t_g):
-    """Raise ValueError naming t_g unless it lies in (0, 1] (NaN does not)."""
-    if not (_finite_positive(t_g) and t_g <= 1.0):
-        raise ValueError(f"t_g must lie in (0, 1], got {t_g!r}")
+    """t_g as a float, checked: it must lie in (0, 1]."""
+    t_g = _positive(t_g, "t_g")
+    if t_g > 1.0:
+        raise ValueError(f"t_g must be finite and lie in (0, 1], got {t_g!r}")
+    return t_g
+
+
+def checked_leakage_inputs(powers, mean_y_per_pr, q):
+    """Powers, receiver means and q of a leakage query, checked and converted:
+    a 1-d array of powers >= 0, a non-empty array of positive means, q > 0."""
+    p = _nonnegatives(powers, "powers")
+    if p.ndim != 1:
+        raise ValueError(f"powers must be a 1-d sequence of finite values >= 0, got {powers!r}")
+    return p, np.array(_positives(mean_y_per_pr, "mean_y_per_pr")), _positive(q, "q")
 
 
 def _receiver_tails(powered, mean_y_per_pr, q):
@@ -109,7 +120,7 @@ def leakage_probability(powers, mean_y_per_pr, q):
     Antennas with zero power are excluded; all-zero powers mean no
     transmission and no leakage.
     """
-    p_all, means = checked_leakage_inputs(powers, mean_y_per_pr, q)
+    p_all, means, q = checked_leakage_inputs(powers, mean_y_per_pr, q)
     powered = np.sort(p_all[p_all > 0])
     if powered.size == 0:
         return 0.0
@@ -129,10 +140,9 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
     chain over the ascending powers: the one-row case of the block
     reduction that `antenna_pmf` runs, with every step kept.
     """
-    _check_t_g(t_g)
-    gains = np.asarray(x_gains, dtype=float)
-    if gains.shape != (config.m,):  # optimal_power checks the values
-        raise ValueError(f"expected {config.m} finite non-negative stream gains, got {gains}")
+    t_g, gains = _check_t_g(t_g), _nonnegatives(x_gains, "stream gains")
+    if gains.shape != (config.m,):
+        raise ValueError(f"expected {config.m} finite stream gains >= 0, got {x_gains!r}")
     ((_, tails),) = _powered_groups(gains[None], sol, config, stats)
     silent = config.m - tails.shape[1]
     steps = []
@@ -152,8 +162,7 @@ def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     stacked stage chain per powered count and receiver), and the blocks run
     through `run_blocks` on one thread and add up their integer counts.
     """
-    _check_t_g(t_g)
-    trials = _check_int(trials, "trials")
+    t_g, trials = _check_t_g(t_g), _check_int(trials, "trials")
     draw = _erlang_draw(config, stats, _check_seed(seed), STREAM_ANTENNA, (config.m,))
 
     def worker(block, size):

@@ -21,16 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _check_int, _exp_sinh, _finite_positive
+from .specfun import _check_int, _exp_sinh, _nonnegatives, _positive, _positives
 
 
 def pathloss_gain(d, d_ref, alpha):
     """Average channel gain (d / d_ref)^-alpha for distance d in meters."""
-    if not all(map(_finite_positive, (d, d_ref, alpha))):
-        raise ValueError(
-            f"pathloss_gain requires finite positive inputs, got d={d}, d_ref={d_ref}, alpha={alpha}"
-        )
-    return (d / d_ref) ** (-alpha)
+    return (_positive(d, "d") / _positive(d_ref, "d_ref")) ** -_positive(alpha, "alpha")
 
 
 # cap on the bytes of one (rows, K, K) matrix or (levels, rows, K) array of
@@ -131,30 +127,15 @@ def hypoexp_prefix_ccdf(q, means):
     ascending: running sums of one stage chain's occupancy at q, since the
     leading j x j block of the bidiagonal generator evolves on its own.
     Leading stages that the chain drops as negligible get a chain of their own."""
-    th = np.asarray(means, dtype=float)
-    if th.ndim != 1 or not 0.0 <= q < math.inf:
-        raise ValueError(f"hypoexp_prefix_ccdf needs 1-d means and a finite q >= 0, "
-                         f"got {th.tolist()}, q={q}")
-    return _prefix_tails(q, th[None])[0] if th.size else th
-
-
-def checked_leakage_inputs(powers, mean_y_per_pr, q):
-    """Powers and receiver means of a leakage query as 1-d float arrays, checked:
-    powers finite and >= 0, means non-empty, finite and positive, q too."""
-    p, means = np.asarray(powers, dtype=float), np.asarray(mean_y_per_pr, dtype=float)
-    if not (p.ndim == means.ndim == 1 and np.isfinite(p).all() and (p >= 0).all()
-            and means.size and all(map(_finite_positive, [q, *means]))):
-        raise ValueError("leakage needs 1-d finite powers >= 0, 1-d finite positive receiver "
-                         f"means and q, got {p.tolist()}, {means.tolist()}, q={q}")
-    return p, means
+    th, q = _nonnegatives(means, "means"), _nonnegatives(q, "q")
+    if th.ndim != 1 or q.ndim:
+        raise ValueError(f"means must be 1-d and q one finite number, got {means!r}, q={q}")
+    return _prefix_tails(float(q), th[None])[0] if th.size else th
 
 
 def mean_sum_inid(means):
     """Mean of a sum of independent exponentials: sum(means), by linearity."""
-    ms = [float(m) for m in means]
-    if not all(map(_finite_positive, ms)):
-        raise ValueError(f"means must be finite and positive, got {ms}")
-    return math.fsum(ms)
+    return math.fsum(_positives(means, "means"))
 
 
 def mean_max_inid(means):
@@ -164,9 +145,7 @@ def mean_max_inid(means):
     and the exp-sinh rule of `specfun` on the scale of the largest mean is
     good to 1e-13 relative for any number of means, tied or not.
     """
-    ms = [float(m) for m in means]
-    if not ms or not all(map(_finite_positive, ms)):
-        raise ValueError(f"mean_max_inid needs one or more finite positive means, got {ms}")
+    ms = _positives(means, "means")
     rates = 1.0 / np.array(ms)
 
     def integrand(t):
@@ -178,9 +157,7 @@ def mean_max_inid(means):
 def mean_max_iid(mean, l_r):
     """E[max of l_r i.i.d. exponentials] = mean * H_{l_r}, the harmonic
     number (Renyi: the spacings of the order statistics are exponential)."""
-    if not _finite_positive(mean):
-        raise ValueError(f"mean must be finite and positive, got {mean}")
-    l_r = _check_int(l_r, "l_r")
+    mean, l_r = _positive(mean, "mean"), _check_int(l_r, "l_r")
     if l_r < 1:
         raise ValueError(f"l_r must be a positive integer, got {l_r}")
     return mean * math.fsum(1.0 / k for k in range(1, l_r + 1))
@@ -197,16 +174,9 @@ class Geometry:
     alpha: float = 4.0
 
     def __post_init__(self):
-        for name in ("d_st_sr", "d_ref", "alpha"):
-            if not _finite_positive(getattr(self, name)):
-                raise ValueError(f"Geometry.{name} must be finite and positive")
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("d_pt_sr", "d_st_pr"):
-            ds = tuple(getattr(self, name))
-            if not ds or not all(map(_finite_positive, ds)):
-                raise ValueError(f"Geometry.{name} must be a non-empty list of "
-                                 "finite positive distances")
-            object.__setattr__(self, name, tuple(map(float, ds)))
+        for name, convert in (("d_st_sr", _positive), ("d_pt_sr", _positives),
+                              ("d_st_pr", _positives), ("d_ref", _positive), ("alpha", _positive)):
+            object.__setattr__(self, name, convert(getattr(self, name), f"Geometry.{name}"))
 
 
 @dataclass(frozen=True)
@@ -223,14 +193,9 @@ class LinkStats:
     mean_z_per_pt: tuple
 
     def __post_init__(self):
-        if not _finite_positive(self.mean_x):
-            raise ValueError("LinkStats.mean_x must be finite and positive")
-        object.__setattr__(self, "mean_x", float(self.mean_x))
-        for name in ("mean_y_per_pr", "mean_z_per_pt"):
-            ms = tuple(getattr(self, name))
-            if not ms or not all(map(_finite_positive, ms)):
-                raise ValueError(f"LinkStats.{name} must be non-empty, finite and positive")
-            object.__setattr__(self, name, tuple(map(float, ms)))
+        for name, convert in (("mean_x", _positive), ("mean_y_per_pr", _positives),
+                              ("mean_z_per_pt", _positives)):
+            object.__setattr__(self, name, convert(getattr(self, name), f"LinkStats.{name}"))
 
     @classmethod
     def from_geometry(cls, geom):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .powalloc import LN2, optimal_power
-from .specfun import _exp_sinh, _finite_positive, erlang_tails
+from .specfun import _exp_sinh, _finite, _nonnegatives, _positive, _positives, erlang_tails
 
 ASYMPTOTIC_CASES = ("rx_massive", "both_massive_lt_massive", "both_massive_lt_finite")
 
@@ -49,9 +49,7 @@ def _mixed_success(a, bn, n_terms, z_means):
     Every term is positive and no difference of means appears, so ties need
     no special case; at a = 0 the sum is Q(N, bn).
     """
-    means = [float(m) for m in z_means]
-    if not all(map(_finite_positive, means)):
-        raise ValueError(f"interference means must be finite and positive, got {means}")
+    means = _positives(z_means, "interference means")
     a, bn = np.atleast_1d(a, bn)
     # one row per threshold, so each row is summed as a single threshold is
     t = np.multiply.outer(a, means)
@@ -87,13 +85,9 @@ def _threshold(config, gamma_th):
     """gamma_th, the configured one when None, as a float scalar or 1-d
     array checked finite and >= 0 at every element (0 gives the stream
     inactivity probability)."""
-    try:
-        g = np.asarray(config.gamma_th if gamma_th is None else gamma_th, dtype=float)
-        ok = g.ndim <= 1 and np.all((0.0 <= g) & (g < math.inf))  # NaN fails both
-    except (TypeError, ValueError):  # ragged or not numeric
-        ok = False
-    if not ok:
-        raise ValueError(f"thresholds must be finite and >= 0, got {gamma_th}")
+    g = _nonnegatives(config.gamma_th if gamma_th is None else gamma_th, "gamma_th thresholds")
+    if g.ndim > 1:
+        raise ValueError(f"gamma_th thresholds must be finite and >= 0 on 1 axis, got {gamma_th!r}")
     return g
 
 
@@ -131,8 +125,7 @@ def outage_auto(config, stats, sol, gamma_th=None):
 def outage_fixed_power(config, stats, power, gamma_th=None):
     """Outage probability under a fixed per-stream power (the conventional
     baseline); returns the bare probability, 1 for a power <= 0."""
-    if not math.isfinite(power):
-        raise ValueError(f"power must be finite, got {power}")
+    power = _finite(power, "power")
     if power <= 0:
         g = _threshold(config, gamma_th)
         return np.ones(np.shape(g)) if np.ndim(g) else 1.0
@@ -171,8 +164,8 @@ def asymptotic_sinr(case, config, stats, sol, z_realization=None):
     """
     if case not in ASYMPTOTIC_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {ASYMPTOTIC_CASES}")
-    if z_realization is not None and not 0.0 <= z_realization < math.inf:
-        raise ValueError(f"z_realization must be finite and >= 0, got {z_realization}")
+    if z_realization is not None and _nonnegatives(z_realization, "z_realization").ndim:
+        raise ValueError(f"z_realization must be one finite number >= 0, got {z_realization!r}")
     shape = config.diversity_order
     if case == "rx_massive":
         if z_realization is None:
@@ -221,8 +214,7 @@ def average_ser_binary(config, stats, sol, a, b):
     a few 1e-15 absolute error, so the SER is good to 1e-13 absolute, not
     relative (ArithmeticError otherwise).
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ValueError(f"modulation constants must be finite and positive, got a={a}, b={b}")
+    a, b = _positive(a, "a"), _positive(b, "b")
     factor = a * math.sqrt(b) / math.sqrt(math.pi)
 
     def integrand(t):

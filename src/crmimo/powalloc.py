@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_int, _finite_positive, exp1, regularized_upper_gamma
+from .specfun import _check_int, _finite, _nonnegatives, _positive, exp1, regularized_upper_gamma
 
 LN2 = math.log(2.0)
 
@@ -42,10 +42,7 @@ class SystemConfig:
                 raise ValueError(f"SystemConfig.{name} must be an integer >= {least}")
             object.__setattr__(self, name, value)
         for name in ("p_p", "p_max", "q", "gamma_th", "n0"):
-            value = getattr(self, name)
-            if not _finite_positive(value):
-                raise ValueError(f"SystemConfig.{name} must be finite and positive, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _positive(getattr(self, name), f"SystemConfig.{name}"))
 
     @property
     def diversity_order(self):
@@ -104,7 +101,7 @@ def mean_power(lam, config, stats):
     where u = C / E[X], C = offset / slope, slope = lam / (ln2 E[Y]).
     Convex and increasing in lam, with derivative Pr[X > C] / (ln2 E[Y]).
     """
-    return _water_fill(lam, config, stats)[0]
+    return _water_fill(_finite(lam, "lam"), config, stats)[0]
 
 
 def solve_lambda(config, stats):
@@ -183,11 +180,7 @@ def optimal_power(x_i, sol):
 
     Accepts scalars or arrays of finite gains >= 0; a zero gain gets zero.
     """
-    x = np.asarray(x_i, dtype=float)
-    if not ((0.0 <= x) & (x < math.inf)).all():  # NaN fails both
-        raise ValueError(f"stream gains must be finite and >= 0, got {x_i}")
+    x = _nonnegatives(x_i, "stream gains")
     with np.errstate(divide="ignore"):
         p = np.maximum(sol.slope - sol.offset / x, 0.0)
-    if np.ndim(x_i) == 0:
-        return float(p)
-    return p
+    return p if x.ndim else float(p)

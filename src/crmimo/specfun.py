@@ -5,11 +5,17 @@ finite series of the regularized upper incomplete gamma at integer order,
 and the exponential integral E1; every integral (capacity, SER, E[max]) is
 one fixed exp-sinh rule.  The scalar functions are pure Python and bit-stable
 across platforms; `erlang_tails` gives every order at an array of arguments.
+
+It owns the library's input rules too: one converter per kind of input
+checks the raw value, then converts it, and raises ValueError naming the
+field: `_check_int` for counts, `_finite` and `_positive` for real scalars,
+`_positives` for sequences of positive reals, `_nonnegatives` for arrays.
 """
 
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -38,13 +44,48 @@ def _check_int(n, name):
     raise ValueError(f"{name} must be an integer, got {n!r}")
 
 
-def _finite_positive(x):
-    """True for a finite real number > 0: ints, floats and numpy numbers;
-    False for NaN, inf, bools and non-numbers such as strings and None,
-    which the callers refuse with a ValueError naming the field.  A float
-    skips the abstract-class check, which costs ten times the comparison."""
-    return ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
-            and 0.0 < x < math.inf)
+def _finite(x, name):
+    """x as a float, checked before it is converted: a finite real number
+    (an int, a float or a numpy number); NaN, inf, ints past the float range,
+    bools and non-numbers such as strings and None raise ValueError naming
+    the field."""
+    if (type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)) \
+            and -sys.float_info.max <= x <= sys.float_info.max:
+        return float(x)
+    raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _positive(x, name):
+    """x as a float > 0 by the rule of `_finite`.  A float skips the
+    abstract-class check, which costs ten times the comparison."""
+    if (type(x) is float and 0.0 < x < math.inf) or _finite(x, name) > 0.0:
+        return float(x)
+    raise ValueError(f"{name} must be finite and positive, got {x!r}")
+
+
+def _positives(values, name):
+    """values as a tuple of floats: a non-empty sequence (a list, a tuple or
+    a 1-d array) whose entries each pass `_positive`; a scalar, a string,
+    None or an empty sequence raises ValueError naming the field."""
+    items = () if isinstance(values, (str, bytes)) or not np.iterable(values) else tuple(values)
+    if not items:
+        raise ValueError(f"{name} must be a non-empty sequence of finite positives, got {values!r}")
+    return tuple([_positive(v, name) for v in items])
+
+
+def _nonnegatives(x, name):
+    """x as a float array, 0-d for a scalar, checked before it is converted:
+    finite values >= 0 of an integer or float numpy dtype.  Bools, strings,
+    None and other objects, and ragged nesting, raise ValueError naming the
+    field.  numpy gives a numeric list that holds a bool a numeric dtype, so
+    such a bool is still read as 1.0."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind in "iuf" and ((0.0 <= a) & (a < math.inf)).all():  # NaN fails both
+        return a.astype(float, copy=False)
+    raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
 
 
 def exp1(x):
@@ -54,8 +95,7 @@ def exp1(x):
     relative error <= 1e-12 on both branches.  From x = 746 on, e^-x and
     with it E1(x) < e^-x underflow to 0.0.
     """
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"exp1 requires a finite x > 0, got {x}")
+    x = _positive(x, "x")
     if x >= _E1_UNDERFLOW_X:
         return 0.0
     if x < 1.0:
@@ -99,8 +139,8 @@ def regularized_upper_gamma(n, x):
     multiplier equation sees bit-stable values; past it, the log-space last
     tail of `erlang_tails`.
     """
-    n = _check_int(n, "n")
-    if n < 1 or not 0.0 <= x < math.inf:
+    n, x = _check_int(n, "n"), _finite(x, "x")
+    if n < 1 or x < 0.0:
         raise ValueError(f"the Erlang tail Q(n, x) requires n >= 1 and a finite x >= 0, "
                          f"got n={n}, x={x}")
     if x > _LOG_SAFE_X:

@@ -117,7 +117,7 @@ def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
     """Frequency of min_j sum_i p_i |y_j^(i)|^2 > q over exponential draws
     of the interfering gains (the event that every primary receiver sees
     aggregate interference above q)."""
-    p, means = linkstats.checked_leakage_inputs(powers, mean_y_per_pr, q)
+    p, means, q = leakage.checked_leakage_inputs(powers, mean_y_per_pr, q)
 
     def worker(block, size):
         rng = mcharness.block_generator(seed, mcharness.STREAM_LEAKAGE, block)
