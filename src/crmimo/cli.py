@@ -12,7 +12,8 @@ the solved allocation on the base point alone, sweep or not.  `validate`
 runs the grid of `crmimo.validation` into a JSON report.  Sweeps emit CSV,
 single points and `power` JSON, unless --format says otherwise.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success; 1 a validation failure, or a solver or numerical
+error (one stderr line, no traceback); 2 configuration error.
 """
 
 import argparse
@@ -380,6 +381,9 @@ def main(argv=None):
         return 2
     except powalloc.RootFindingError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 1
 
 

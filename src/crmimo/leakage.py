@@ -74,7 +74,7 @@ def _receiver_tails(powered, mean_y_per_pr, q):
     """Entry (b, j): the product over primary receivers of the tail at q of
     the aggregate interference from the j + 1 weakest powered antennas of
     row b of the (B, n) ascending powers, the prefix tails of one stage
-    chain per receiver, stacked over the rows (`hypoexp_prefix_ccdf`)."""
+    chain per receiver, stacked over the rows (`_prefix_tails`)."""
     tails = np.ones(powered.shape)
     if powered.size:
         for ey in mean_y_per_pr:

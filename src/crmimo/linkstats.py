@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _check_int, _exp_sinh, _nonnegatives, _positive, _positives
+from .specfun import _check_int, _exp_sinh, _positive, _positives
 
 
 def pathloss_gain(d, d_ref, alpha):
@@ -34,17 +34,6 @@ def pathloss_gain(d, d_ref, alpha):
 _STACK_BYTES = 1 << 17
 
 
-def _ascending_stack(means):
-    """means as a (B, K) float stack, a 1-d row being the stack of one;
-    raises unless every row is non-empty, finite, positive and ascending."""
-    th = np.asarray(means, dtype=float)
-    stack = np.atleast_2d(th)
-    if not (stack.size and (0.0 < stack[:, 0]).all() and (stack[:, -1] < math.inf).all()
-            and (np.diff(stack, axis=1) >= 0).all()):
-        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
-    return stack
-
-
 def _negligible_cuts(stack):
     """Per row, the number of leading stages with mean at most 1e-12 of the
     row's largest: they only stiffen the generator, and dropping them shifts
@@ -52,27 +41,19 @@ def _negligible_cuts(stack):
     return np.count_nonzero(stack <= 1e-12 * stack[:, -1:], axis=1)
 
 
-def _stage_chain(means, z):
+def _stage_chain(stack, z):
     """Row 0 of expm(G z) for the bidiagonal generator G of the stage chain
     Exp(m_1) -> Exp(m_2) -> ... over ascending means: the probability of
-    being in each stage at time z, exact for any tie structure; also returns
-    the stage rates, one row each per row of a (B, K) stack of means (a 1-d
-    row is the stack of one).  Negligible leading stages are dropped; the
-    rows must drop equally many, and run as batches of matrix products
-    under one squaring count, the largest any row needs."""
-    stack = _ascending_stack(means)
-    if not 0.0 <= z < math.inf:
-        raise ValueError(f"threshold must be finite and >= 0, got {z}")
-    cuts = _negligible_cuts(stack)
-    if (cuts != cuts[0]).any():
-        raise ValueError(f"stacked rows must drop equally many stages, got {cuts.tolist()}")
-    rates = 1.0 / stack[:, cuts[0]:]
+    being in each stage at time z, exact for any tie structure, one row per
+    row of a (B, K) stack of means that `_prefix_tails` has checked and cut.
+    The rows run as batches of matrix products under one squaring count,
+    the largest any row needs."""
+    rates = 1.0 / stack
     rows, n = rates.shape
     s = max(0, math.frexp(16 * z * rates.max())[1])  # L = z max(rates) / 2^s < 1/16
     step = max(1, _STACK_BYTES // (8 * n * max(n, s + 1)))
-    occupancy = np.concatenate([_squared_chain(rates[i:i + step] * z, s)
-                                for i in range(0, rows, step)])
-    return occupancy, rates
+    return np.concatenate([_squared_chain(rates[i:i + step] * z, s)
+                           for i in range(0, rows, step)])
 
 
 def _squared_chain(rz, s):
@@ -108,29 +89,27 @@ def _squared_chain(rz, s):
 
 
 def _prefix_tails(q, means):
-    """`hypoexp_prefix_ccdf` of every row of a (B, K) stack of ascending
-    means: rows that drop equally many negligible stages share one stage
-    chain, and the dropped stages get stacks of their own."""
-    stack = _ascending_stack(means)
+    """Pr[sum of the first j exponentials > q] for j = 1..K, for every row of
+    a (B, K) stack of ascending means (a 1-d row is the stack of one): running
+    sums of one stage chain's occupancy at q, since the leading j x j block of
+    the bidiagonal generator evolves on its own; the last is the tail of the
+    whole sum.  Rows that drop equally many negligible stages share one stage
+    chain, and the dropped stages get stacks of their own.  Raises unless
+    every row is non-empty, finite, positive and ascending; q is the
+    caller's to check."""
+    th = np.asarray(means, dtype=float)
+    stack = np.atleast_2d(th)
+    if not (stack.size and (0.0 < stack[:, 0]).all() and (stack[:, -1] < math.inf).all()
+            and (np.diff(stack, axis=1) >= 0).all()):
+        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
     cuts = _negligible_cuts(stack)
     tails = np.empty(stack.shape)
     for cut in np.unique(cuts):
         rows = np.flatnonzero(cuts == cut)
-        tails[rows, cut:] = np.cumsum(_stage_chain(stack[rows, cut:], q)[0], axis=1)
+        tails[rows, cut:] = np.cumsum(_stage_chain(stack[rows, cut:], q), axis=1)
         if cut:
             tails[rows, :cut] = _prefix_tails(q, stack[rows, :cut])
     return np.clip(tails, 0.0, 1.0)
-
-
-def hypoexp_prefix_ccdf(q, means):
-    """Pr[sum of the first j exponentials > q] for j = 1..len(means), means
-    ascending: running sums of one stage chain's occupancy at q, since the
-    leading j x j block of the bidiagonal generator evolves on its own.
-    Leading stages that the chain drops as negligible get a chain of their own."""
-    th, q = _nonnegatives(means, "means"), _nonnegatives(q, "q")
-    if th.ndim != 1 or q.ndim:
-        raise ValueError(f"means must be 1-d and q one finite number, got {means!r}, q={q}")
-    return _prefix_tails(float(q), th[None])[0] if th.size else th
 
 
 def mean_sum_inid(means):

@@ -68,11 +68,6 @@ def _mixed_success(a, bn, n_terms, z_means):
     return weight * np.einsum("ts,st->t", h, tails[::-1])
 
 
-def _mixed_outage(a, bn, n_terms, z_means):
-    """1 - `_mixed_success`: the outage probability at each threshold."""
-    return np.clip(1.0 - _mixed_success(a, bn, n_terms, z_means), 0.0, 1.0)
-
-
 def _cdf_coefficients(config, stats, slope, c_threshold, gamma_th):
     """(a, bn) of the outage integrand: the stream outage
     slope (X - C) < gamma (p_p z + n0) is the Erlang tail complement of X
@@ -97,7 +92,8 @@ def _outage(config, stats, slope, c_threshold, gamma_th):
     array of thresholds."""
     g = _threshold(config, gamma_th)
     a, bn = _cdf_coefficients(config, stats, slope, c_threshold, g)
-    p = _mixed_outage(a, bn, config.diversity_order, stats.mean_z_per_pt)
+    p = np.clip(1.0 - _mixed_success(a, bn, config.diversity_order, stats.mean_z_per_pt),
+                0.0, 1.0)
     return p if np.ndim(g) else float(p[0])
 
 

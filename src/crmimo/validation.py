@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import leakage, linkstats, mcharness, outage, powalloc
-from .specfun import _check_int, erlang_tails, regularized_upper_gamma
+from .specfun import _check_int, _finite, _positives, erlang_tails, regularized_upper_gamma
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
 # primary power 10 dB, power cap 20 dB and threshold 3 dB: both multiplier
@@ -59,34 +59,27 @@ def max_mean_oracle(means):
 
 
 def sum_density_inid(z, means):
-    """Density of a sum of independent exponentials with the given means:
-    the absorption flow out of the last stage of the stage chain over the
-    sorted means, whose largest mean the negligible-stage cut never drops.
+    """Density at z >= 0 of a sum of independent exponentials with the given
+    means: the absorption flow out of the last stage of the stage chain over
+    the sorted means, whose largest mean the negligible-stage cut never drops.
     """
-    occupancy, rates = linkstats._stage_chain(np.sort(means), z)
-    return max(0.0, float(occupancy[0, -1] * rates[0, -1]))
-
-
-def received_power_cdf(x, sol, config, stats):
-    """CDF of the instantaneous received stream power p(X) * X.
-
-    Equals the Erlang tail complement 1 - Q(n-m+1, u) at
-    u = x / (slope E[X]) + C / E[X]; the value at x = 0 is the stream
-    inactivity probability Pr[X <= C].
-    """
-    if not 0.0 <= x < math.inf:
-        raise ValueError(f"received power must be finite and >= 0, got {x}")
-    u = x / (sol.slope * stats.mean_x) + sol.c_threshold / stats.mean_x
-    return 1.0 - regularized_upper_gamma(config.diversity_order, u)
+    stack = np.sort(_positives(means, "means"))[None]
+    z = _finite(z, "z")
+    if z < 0.0:
+        raise ValueError(f"z must be finite and >= 0, got {z!r}")
+    occupancy = linkstats._stage_chain(stack[:, linkstats._negligible_cuts(stack)[0]:], z)
+    # times the chain's last rate 1 / mean, not over the mean: the two round apart
+    return max(0.0, float(occupancy[0, -1] * (1.0 / stack[0, -1])))
 
 
 def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     """Pr[stream power CDF argument below threshold], mixed over the
     interference by direct quadrature: int (1 - Q(n_terms, a z + bn)) f_Z(z) dz.
 
-    Same quantity as `outage._mixed_outage`, valid for any tie structure.
+    Same quantity as the outage of `outage.outage_auto`, valid for any tie
+    structure.
     """
-    means = np.asarray(z_means, dtype=float)
+    means = np.array(_positives(z_means, "interference means"))
 
     def integrand(z):
         return ((1.0 - regularized_upper_gamma(n_terms, a * z + bn))
@@ -223,24 +216,13 @@ def _power_quadrature_gap(config, stats, sol):
 
 
 def _kernel_gap(config, stats, sol):
-    """The outage kernel against its quadrature oracle."""
-    a, bn = outage._cdf_coefficients(config, stats, sol.slope,
-                                     sol.c_threshold, config.gamma_th)
-    args = (a, bn, config.diversity_order, stats.mean_z_per_pt)
-    return abs(float(outage._mixed_outage(*args)[0]) - _mixed_outage_quadrature(*args))
-
-
-def _cdf_mixture_gap(config, stats, sol):
-    """The outage reconstructed by mixing the power CDF over the
-    interference density."""
-
-    def integrand(z):
-        x = config.gamma_th * (config.p_p * z + config.n0)
-        return (received_power_cdf(x, sol, config, stats)
-                * sum_density_inid(z, list(stats.mean_z_per_pt)))
-
-    val, _ = quad(integrand, 0, 60 * max(stats.mean_z_per_pt), limit=300)
-    return abs(val - outage.outage_auto(config, stats, sol).p_out)
+    """`outage_auto` against quadrature of the paper's received-power CDF
+    1 - Q(n-m+1, x / (slope E[X]) + C / E[X]) at x = gamma (p_p z + n0) over
+    the interference density: the CDF argument is a z + bn."""
+    c1 = config.gamma_th / (sol.slope * stats.mean_x)
+    a, bn = config.p_p * c1, config.n0 * c1 + sol.c_threshold / stats.mean_x
+    return abs(outage.outage_auto(config, stats, sol).p_out - _mixed_outage_quadrature(
+        a, bn, config.diversity_order, stats.mean_z_per_pt))
 
 
 def _power_constraint_sigmas(config, stats, sol, trials, seed, threads):
@@ -271,7 +253,7 @@ def run_validation(trials, seed, threads):
         ("linkstats.max_oracle", 1e-9, _max_oracle_gap(seed)),
         # k tied means m make the sum an Erlang: tail Q(k, q / m)
         ("linkstats.tied_tail", 1e-12,
-         max(abs(linkstats.hypoexp_prefix_ccdf(x * m, [m] * k)[-1] - regularized_upper_gamma(k, x))
+         max(abs(leakage.leakage_probability([m] * k, [1.0], x * m) - regularized_upper_gamma(k, x))
              for m in (0.3, 2.5) for k in range(1, 7) for x in (0.1, 1.0, 4.0, 15.0))),
         ("linkstats.density_normalization", 1e-6,
          max(abs(quad(lambda z: sum_density_inid(z, means), 0, 60 * max(means),
@@ -286,7 +268,6 @@ def run_validation(trials, seed, threads):
          max(_kernel_gap(*point) for point in points[1:])),
         ("outage.tied_vs_quadrature", 1e-12,
          max(_kernel_gap(*point) for point in (points[0], _point(*TIED)))),
-        ("outage.cdf_mixture", 1e-6, _cdf_mixture_gap(*points[2])),
         ("outage.mc_agreement_3sigma", 1.0,
          max(_sigmas(outage.outage_auto(config, stats, sol).p_out,
                      mcharness.empirical_outage(config, stats, sol, trials, seed,

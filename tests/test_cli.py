@@ -315,6 +315,19 @@ def test_power_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("solver error: no bracket for multiplier")
 
 
+def test_rate_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a quadrature that misses its gate is one stderr line, not a traceback
+    def refuse(*args):
+        raise ArithmeticError("exp-sinh estimate misses its gate")
+
+    monkeypatch.setattr(outage, "ergodic_capacity", refuse)
+    path = write_scenario(tmp_path, base_scenario())
+    assert main(["rate", "--config", path, "--trials", "2000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: exp-sinh estimate misses its gate\n"
+
+
 def test_antennas_trivial_threshold(tmp_path):
     raw = base_scenario(t_g=1.0,
                         sweep={"parameter": "d_st_pr", "start": 40.0,

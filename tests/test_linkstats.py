@@ -12,14 +12,13 @@ from crmimo.leakage import leakage_probability
 from crmimo.linkstats import (
     Geometry,
     LinkStats,
-    hypoexp_prefix_ccdf,
     mean_max_iid,
     mean_max_inid,
     mean_sum_inid,
     pathloss_gain,
 )
 from crmimo.linkstats import _prefix_tails, _stage_chain
-from crmimo.validation import max_mean_oracle, sum_density_inid
+from crmimo.validation import _mixed_outage_quadrature, max_mean_oracle, sum_density_inid
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112
@@ -28,8 +27,8 @@ PATHLOSS_56M = 10.168289254477298  # (56/100)^-4, quoted rounded to 10 elsewhere
 
 def tail(q, means):
     """Pr[sum of independent exponentials with the given means > q]: the
-    last prefix tail over the sorted means."""
-    return hypoexp_prefix_ccdf(q, sorted(means))[-1]
+    leakage at q of powers equal to the means into one unit-mean receiver."""
+    return leakage_probability(means, [1.0], q)
 
 
 def test_pathloss_examples():
@@ -138,11 +137,11 @@ def test_ties_go_to_the_stage_chain_unperturbed():
     # Exp(1) + Exp(1) is Erlang(2, 1): tail 2/e and density 1/e at 1
     assert abs(tail(1.0, [1.0, 1.0]) - 2 * math.exp(-1)) <= 1e-15
     assert abs(sum_density_inid(1.0, [1.0, 1.0]) - math.exp(-1)) <= 1e-15
-    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan]):
+    for bad in ([1.0, -2.0], [1.0, math.nan]):
         with pytest.raises(ValueError):
             tail(1.0, bad)
-    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan], []):
-        with pytest.raises(ValueError):
+    for bad in ([1.0, -2.0], [0.0, 1.0], [1.0, math.nan], [], "12"):
+        with pytest.raises(ValueError, match="^means must be"):
             sum_density_inid(1.0, bad)
 
 
@@ -186,6 +185,9 @@ REAL_INPUTS = {
     "pathloss-d": lambda v: pathloss_gain(v, 100.0, 4.0),
     "pathloss-d_ref": lambda v: pathloss_gain(50.0, v, 4.0),
     "pathloss-alpha": lambda v: pathloss_gain(50.0, 100.0, v),
+    "sum_density-z": lambda v: sum_density_inid(v, [1.0, 2.0]),
+    "sum_density-means": lambda v: sum_density_inid(1.0, [1.0, v]),
+    "mixed_quadrature-means": lambda v: _mixed_outage_quadrature(0.7, 1.3, 4, [1.0, v]),
 }
 NOT_NUMBERS = {"bool": True, "str": "1", "none": None}
 
@@ -210,12 +212,16 @@ NOT_NUMBERS = {"bool": True, "str": "1", "none": None}
     pytest.param(lambda: tail(-1.0, [1.0, 1.0]), id="hypoexp_ccdf-q-negative-tied"),
     pytest.param(lambda: tail(NAN, [1.0, 2.0]), id="hypoexp_ccdf-q-nan"),
     pytest.param(lambda: tail(INF, [1.0, 2.0]), id="hypoexp_ccdf-q-inf"),
-    pytest.param(lambda: hypoexp_prefix_ccdf(-1.0, [1.0, 2.0]), id="prefix_ccdf-q-negative"),
-    pytest.param(lambda: hypoexp_prefix_ccdf(NAN, [1.0, 2.0]), id="prefix_ccdf-q-nan"),
-    pytest.param(lambda: hypoexp_prefix_ccdf(INF, [1.0, 2.0]), id="prefix_ccdf-q-inf"),
     pytest.param(lambda: sum_density_inid(NAN, [1.0, 2.0]), id="sum_density-z-nan"),
     pytest.param(lambda: sum_density_inid(INF, [1.0, 2.0]), id="sum_density-z-inf"),
     pytest.param(lambda: sum_density_inid(INF, [1.0, 1.0]), id="sum_density-z-inf-tied"),
+    pytest.param(lambda: sum_density_inid(-1.0, [1.0, 2.0]), id="sum_density-z-negative"),
+    pytest.param(lambda: sum_density_inid(1.0, "12"), id="sum_density-means-digits"),
+    pytest.param(lambda: sum_density_inid(1.0, 2.0), id="sum_density-means-scalar"),
+    pytest.param(lambda: _mixed_outage_quadrature(0.7, 1.3, 4, [1.0, INF]),
+                 id="mixed_quadrature-inf"),
+    pytest.param(lambda: _mixed_outage_quadrature(0.7, 1.3, 4, "12"),
+                 id="mixed_quadrature-digits"),
     pytest.param(lambda: leakage_probability([INF], [1.0], 1.0), id="leakage-inf"),
     pytest.param(lambda: mean_sum_inid([INF]), id="mean_sum-inf"),
     pytest.param(lambda: mean_max_iid(INF, 2), id="mean_max_iid-inf"),
@@ -360,7 +366,7 @@ def test_hypoexp_ccdf_and_density_match_oracle(case):
 def test_hypoexp_prefix_ccdf_matches_oracle(case):
     means, q = sorted(case[0]), case[1]
     prefix, _ = stage_chain_oracle(means, q)
-    assert np.max(np.abs(hypoexp_prefix_ccdf(q, means) - prefix)) <= 1e-12
+    assert np.max(np.abs(_prefix_tails(q, means) - prefix)) <= 1e-12
 
 
 def one_row_stage_chain(means, z):
@@ -400,8 +406,7 @@ def test_stacked_stage_chain_matches_oracle():
         rows += [np.full(k, 0.7), np.sort(NEAR_TIED_PAIRS[:k] + GRID[:max(0, k - 8)])]
         stack = np.array(rows + [np.sort(stiff)])
         z = 0.6 * float(np.median(stack.sum(axis=1)))
-        occupancy, rates = _stage_chain(stack, z)
-        assert np.array_equal(rates, 1.0 / stack)
+        occupancy = _stage_chain(stack, z)
         for row, occ in zip(stack[:-1], occupancy):
             prefix, pdf = stage_chain_oracle(row, z)
             assert np.max(np.abs(np.cumsum(occ) - prefix)) <= 1e-12, (k, row)
@@ -421,10 +426,9 @@ def test_stack_of_one_is_the_one_row_chain_bit_for_bit(seed):
             row[: k // 2] *= 1e-13  # negligible leading stages
         row.sort()
         z = float(row.sum() * 10.0 ** rng.uniform(-3, 1))
-        occupancy, rates = _stage_chain(row, z)
+        occupancy = _stage_chain(row[None, row > 1e-12 * row[-1]], z)
         want_occupancy, want_rates = one_row_stage_chain(row, z)
         assert np.array_equal(occupancy[0], want_occupancy), (k, row, z)
-        assert np.array_equal(rates[0], want_rates)
         assert sum_density_inid(z, row) == max(0.0, float(want_occupancy[-1] * want_rates[-1]))
 
 
@@ -435,22 +439,18 @@ def test_stacked_prefix_tails_mix_negligible_cuts():
     for q in (1e-13, 0.5, 3.0):
         tails = _prefix_tails(q, stack)
         for row, got in zip(stack, tails):
-            assert np.max(np.abs(got - hypoexp_prefix_ccdf(q, row))) <= 1e-12
+            assert np.max(np.abs(got - _prefix_tails(q, row))) <= 1e-12
             if q < 1e-12:  # the oracle's series is as long as q over the least mean
                 assert np.max(np.abs(got - stage_chain_oracle(row, q)[0])) <= 1e-12
-    with pytest.raises(ValueError, match="equally many"):
-        _stage_chain(stack, 1.0)
 
 
 def test_hypoexp_prefix_ccdf_domain():
-    assert hypoexp_prefix_ccdf(1.0, []).size == 0
-    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF], 3.0, [[1.0, 2.0]]):
-        with pytest.raises(ValueError):
-            hypoexp_prefix_ccdf(1.0, bad)
-    # the threshold is checked when there are no means too
-    for q in (NAN, -1.0, INF):
-        with pytest.raises(ValueError):
-            hypoexp_prefix_ccdf(q, [])
+    # the stage chain trusts its stack: `_prefix_tails` refuses descending,
+    # zero, NaN, inf and missing means, in any row
+    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF], [],
+                [[0.5, 1.0], [1.0, 0.5]]):
+        with pytest.raises(ValueError, match="finite, positive and ascending"):
+            _prefix_tails(1.0, bad)
 
 
 @ORACLE

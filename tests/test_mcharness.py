@@ -25,11 +25,10 @@ from crmimo.mcharness import (
     empirical_outage,
     empirical_rate,
 )
-from crmimo.outage import ergodic_capacity
+from crmimo.outage import ergodic_capacity, outage_auto
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
 from crmimo.validation import (
     empirical_leakage,
-    received_power_cdf,
     sample_stream_gains,
     zf_distribution_check,
 )
@@ -509,7 +508,7 @@ def test_empirical_outage_noise_limited_tail():
     sol = solve_lambda(config, stats)
     est = empirical_outage(config, stats, sol, trials=200000, seed=2)
     assert est.value < 1e-3
-    ana = received_power_cdf(config.gamma_th * config.n0, sol, config, stats)
+    ana = outage_auto(config, stats, sol).p_out
     assert abs(ana - est.value) <= 3 * est.std_error + 1e-6
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from crmimo import validation
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import empirical_outage, empirical_rate
 from crmimo.outage import (
     _cdf_coefficients,
-    _mixed_outage,
+    _mixed_success,
     asymptotic_sinr,
     average_ser_binary,
     ergodic_capacity,
@@ -29,7 +28,7 @@ from crmimo.powalloc import (
     solve_lambda,
 )
 from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
-from crmimo.validation import _mixed_outage_quadrature, received_power_cdf, sum_density_inid
+from crmimo.validation import _mixed_outage_quadrature
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -62,37 +61,15 @@ def degenerate_solution():
                          target_mean_power=0.0, slope=slope, offset=offset)
 
 
-def test_received_power_cdf_endpoints():
-    config, stats = anchor_setup()
-    sol = solve_lambda(config, stats)
-    inactivity = 1.0 - regularized_upper_gamma(
-        config.diversity_order, sol.c_threshold / stats.mean_x)
-    assert received_power_cdf(0.0, sol, config, stats) == pytest.approx(inactivity, rel=1e-12)
-    # a zero threshold is in the outage's domain: the inactivity probability
-    assert outage_auto(config, stats, sol, gamma_th=0.0).p_out == pytest.approx(inactivity, rel=1e-12)
-    assert outage_fixed_power(config, stats, 0.0, gamma_th=0.0) == 1.0
-    assert received_power_cdf(1e15, sol, config, stats) == pytest.approx(1.0, abs=1e-12)
-    xs = np.linspace(0, 5000, 300)
-    vals = [received_power_cdf(x, sol, config, stats) for x in xs]
-    assert all(0.0 <= v <= 1.0 for v in vals)
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_received_power_cdf_against_sampled_allocation():
-    config, stats = anchor_setup()
-    sol = solve_lambda(config, stats)
-    gains = validation.sample_stream_gains(config, stats, 200000, seed=17)
-    received = optimal_power(gains, sol) * gains
-    for x in [0.0, 50.0, 200.0, 800.0]:
-        emp = float(np.mean(received <= x))
-        se = math.sqrt(max(emp * (1 - emp), 1e-12) / received.size)
-        assert abs(received_power_cdf(x, sol, config, stats) - emp) <= 3 * se + 1e-12
-
-
 def test_outage_limits_and_bounds():
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
     assert outage_auto(config, stats, sol, gamma_th=1e12).p_out == pytest.approx(1.0, abs=1e-9)
+    # a zero threshold is in the outage's domain: the inactivity probability
+    inactivity = 1.0 - regularized_upper_gamma(
+        config.diversity_order, sol.c_threshold / stats.mean_x)
+    assert outage_auto(config, stats, sol, gamma_th=0.0).p_out == pytest.approx(inactivity, rel=1e-12)
+    assert outage_fixed_power(config, stats, 0.0, gamma_th=0.0) == 1.0
     res = outage_auto(config, stats, sol)
     assert 0.0 <= res.p_out <= 1.0
     assert res.lambda_used == sol.lam and res.c_used == sol.c_threshold
@@ -294,16 +271,7 @@ def test_outage_from_cdf_interference_mixture():
     # integrating the received-power CDF against the interference density
     # reconstructs the closed form
     config, stats = inid_setup()
-    sol = solve_lambda(config, stats)
-    target = outage_auto(config, stats, sol).p_out
-
-    def integrand(z):
-        x = config.gamma_th * (config.p_p * z + config.n0)
-        return (received_power_cdf(x, sol, config, stats)
-                * sum_density_inid(z, list(stats.mean_z_per_pt)))
-
-    val, _ = quad(integrand, 0, 80 * max(stats.mean_z_per_pt), limit=400)
-    assert abs(val - target) <= 1e-6
+    assert validation._kernel_gap(config, stats, solve_lambda(config, stats)) <= 1e-12
 
 
 def test_fixed_power_outage_against_sampling():
@@ -367,8 +335,6 @@ NAN, INF = math.nan, math.inf
     lambda c, s, p: regularized_upper_gamma(3, -INF),
     lambda c, s, p: regularized_upper_gamma(3, INF),
     lambda c, s, p: erlang_tails(3, np.array([1.0, INF])),
-    lambda c, s, p: received_power_cdf(INF, p, c, s),
-    lambda c, s, p: received_power_cdf(NAN, p, c, s),
     lambda c, s, p: outage_fixed_power(c, s, NAN),
     lambda c, s, p: outage_fixed_power(c, s, INF),
     lambda c, s, p: outage_fixed_power(c, s, -INF),
@@ -379,10 +345,10 @@ NAN, INF = math.nan, math.inf
         "fixed-silent-gamma-inf", "fixed-gamma-negative", "ser-a-nan", "ser-b-inf",
         "ser-a-inf", "rx-massive-z-negative", "rx-massive-z-nan", "lt-finite-z-inf",
         "exp1-nan", "exp1-inf", "gamma0-inf", "gamma3-inf", "tail-inf", "tails-inf",
-        "received-inf", "received-nan", "fixed-power-nan", "fixed-power-inf",
+        "fixed-power-nan", "fixed-power-inf",
         "fixed-power-minus-inf", "gain-negative", "gain-nan", "gain-array-inf"])
 def test_out_of_domain_thresholds_and_constants_raise(call):
-    """Thresholds, Erlang-tail arguments, received powers, fixed powers and
+    """Thresholds, Erlang-tail arguments, fixed powers and
     stream gains lie in [0, inf) elementwise (a fixed power may be <= 0),
     the modulation constants and the interference realization are finite,
     and E1 needs a finite x > 0: outside that each call raises ValueError,
@@ -394,10 +360,9 @@ def test_out_of_domain_thresholds_and_constants_raise(call):
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda c, s, p: received_power_cdf(NAN, p, c, s), "received power"),
     (lambda c, s, p: outage_fixed_power(c, s, NAN), "power"),
     (lambda c, s, p: optimal_power(-1.0, p), "stream gains"),
-], ids=["received-nan", "fixed-power-nan", "gain-negative"])
+], ids=["fixed-power-nan", "gain-negative"])
 def test_out_of_domain_errors_name_the_argument(call, name):
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
@@ -485,6 +450,12 @@ def test_average_ser_matches_monte_carlo():
 ORACLE = settings(max_examples=200)
 
 
+def mixed_outage(a, bn, n_terms, means):
+    """The kernel's outage at each threshold, 1 - success clipped to [0, 1],
+    as `outage_auto` forms it."""
+    return np.clip(1.0 - _mixed_success(a, bn, n_terms, means), 0.0, 1.0)
+
+
 def _mp_erlang_sums(bn, n_terms):
     """[0, T_1, ..., T_N] with T_j = sum_{i<j} bn^i / i!, in mpmath."""
     sums, term = [mpmath.mpf(0)], mpmath.mpf(1)
@@ -563,7 +534,7 @@ def interferer_means(draw):
 @example(1e-4, 60.0, 40, [10.0] * 3 + [1e-2])
 @example(0.0, 2.5, 7, [1.0, 2.0])
 def test_kernel_matches_mpmath_oracle(a, bn, n_terms, means):
-    got = _mixed_outage(a, bn, n_terms, means)
+    got = mixed_outage(a, bn, n_terms, means)
     if len(set(means)) == len(means):
         want = partial_fraction_oracle(a, bn, n_terms, means)
     else:
@@ -574,7 +545,7 @@ def test_kernel_matches_mpmath_oracle(a, bn, n_terms, means):
 def test_kernel_rejects_non_finite_or_negative_means():
     for bad in ([math.inf, 1.0], (1.0, math.nan), np.array([0.5, -1.0])):
         with pytest.raises(ValueError, match="finite"):
-            _mixed_outage(0.7, 1.3, 4, bad)
+            mixed_outage(0.7, 1.3, 4, bad)
 
 
 # exact at d_pt_sr = (56, 56, 70) m: a 30-digit mpmath quadrature of the
@@ -594,7 +565,7 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
     # 64 tied means: the quadrature's range must cover the bulk of Z (mean 19.2)
     for a_big in (1e3, 1e4):
         args = (a_big, 5.0, 40, [0.3] * 64)
-        assert abs(_mixed_outage(*args) - _mixed_outage_quadrature(*args)) <= 1e-12
+        assert abs(mixed_outage(*args) - _mixed_outage_quadrature(*args)) <= 1e-12
 
     def refuse(*args):
         raise AssertionError("the outage fell back to quadrature")
@@ -611,7 +582,7 @@ def test_kernel_past_the_log_space_switch():
     # bn past 700: the Erlang tails are summed in log space, for many terms
     for args in ((0.01, 900.0, 1000, [1.0, 2.0, 5.0]), (0.05, 750.0, 800, [0.5] * 4),
                  (1e-3, 1200.0, 1200, [3.0, 3.0, 7.0])):
-        assert abs(_mixed_outage(*args) - positive_sum_oracle(*args)) <= 2e-13
+        assert abs(mixed_outage(*args) - positive_sum_oracle(*args)) <= 2e-13
 
 
 # ---------------------------------------------------------------------------
