@@ -13,7 +13,8 @@ runs the grid of `crmimo.validation` into a JSON report.  Sweeps emit CSV,
 single points and `power` JSON, unless --format says otherwise.
 
 Exit codes: 0 success; 1 a validation failure, or a solver or numerical
-error (one stderr line, no traceback); 2 configuration error.
+error; 2 a bad flag or scenario (unreadable, undecodable, or a value the
+library refuses or past the float range).  Errors print one stderr line.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import numpy as np
 from . import leakage, mcharness, outage, powalloc
 from .linkstats import Geometry, LinkStats
 from .powalloc import SystemConfig
+from .specfun import _check_int, _finite
 
 # sweep parameter -> the (section, field) entries a sweep point replaces in
 # the scenario document; section None is the top level
@@ -45,10 +47,14 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(db, path="dB value"):
+    """10^(db / 10); ConfigError naming `path` if that overflows or is 0.0."""
     try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError as exc:
-        raise ConfigError(f"{path}: {db!r} dB is past the float range") from exc
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if linear in (0.0, math.inf):
+        raise ConfigError(f"{path}: {db!r} dB is past the float range")
+    return linear
 
 
 # ---------------------------------------------------------------------------
@@ -71,33 +77,24 @@ def _section(raw, key, required=True):
     return dict(value)
 
 
-def _number(value, path, kind=float):
-    """`value` as a finite float, or as an int when kind is int.  Only JSON
-    numbers qualify: not booleans, and not numeric strings."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = kind(value)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
-    if kind is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    return number
+def _count(value, path):
+    """A count by `_check_int`; an integral JSON float such as 4.0 reads as 4."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    return _check_int(value, path)
 
 
-def _field(mapping, key, path, kind=float):
-    """The required number mapping[key]."""
-    return _number(_need(mapping, key, path), f"{path}.{key}", kind)
+def _field(mapping, key, path, convert=_finite):
+    """The required value mapping[key], converted and checked by `convert`."""
+    return convert(_need(mapping, key, path), f"{path}.{key}")
 
 
 def _as_list(mapping, key, path, length):
     """The required number or list mapping[key] as `length` numbers."""
     value, path = _need(mapping, key, path), f"{path}.{key}"
     if not isinstance(value, (list, tuple)):
-        return [_number(value, path)] * length
-    vals = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [_finite(value, path)] * length
+    vals = [_finite(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if len(vals) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(vals)}")
     return vals
@@ -108,26 +105,29 @@ class Scenario:
     means, optional sweep, Monte-Carlo settings and leakage threshold."""
 
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("scenario: top level must be an object")
-        self.raw = raw
-        self.base = self.build_point()
-        self.sweep = _section(raw, "sweep", required=False)
-        if self.sweep is not None:
-            param = _need(self.sweep, "parameter", "sweep")
-            if param not in SWEEPABLE:
-                raise ConfigError(f"sweep.parameter: {param!r} is not sweepable "
-                                  f"(choose from {', '.join(SWEEPABLE)})")
-            for section, _ in SWEEPABLE[param]:
-                if section is not None and section not in raw:
-                    raise ConfigError(f"sweep.parameter: {param!r} requires a {section} block")
-            if self.sweep.get("scale", "linear") not in ("linear", "log"):
-                raise ConfigError("sweep.scale: must be 'linear' or 'log'")
-        mc = _section(raw, "mc", required=False) or {}
-        self.trials = _number(mc.get("trials", 100000), "mc.trials", int)
-        self.seed = _number(mc.get("seed", 0), "mc.seed", int)
-        # fail fast: every sweep point is built before any Monte-Carlo work
-        self.points = [(value, *self.build_point(value)) for value in self.sweep_values()]
+        try:
+            if not isinstance(raw, dict):
+                raise ConfigError("scenario: top level must be an object")
+            self.raw = raw
+            self.base = self.build_point()
+            self.sweep = _section(raw, "sweep", required=False)
+            if self.sweep is not None:
+                param = _need(self.sweep, "parameter", "sweep")
+                if param not in SWEEPABLE:
+                    raise ConfigError(f"sweep.parameter: {param!r} is not sweepable "
+                                      f"(choose from {', '.join(SWEEPABLE)})")
+                for section, _ in SWEEPABLE[param]:
+                    if section is not None and section not in raw:
+                        raise ConfigError(f"sweep.parameter: {param!r} requires a {section} block")
+                if self.sweep.get("scale", "linear") not in ("linear", "log"):
+                    raise ConfigError("sweep.scale: must be 'linear' or 'log'")
+            mc = _section(raw, "mc", required=False) or {}
+            self.trials = _count(mc.get("trials", 100000), "mc.trials")
+            self.seed = _count(mc.get("seed", 0), "mc.seed")
+            # fail fast: every sweep point is built before any Monte-Carlo work
+            self.points = [(value, *self.build_point(value)) for value in self.sweep_values()]
+        except ValueError as exc:  # the library's refusals; a ConfigError keeps its text
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def load(cls, path):
@@ -136,7 +136,7 @@ class Scenario:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
             raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
         return cls(raw)
 
@@ -145,7 +145,7 @@ class Scenario:
             return [None]
         start = _field(self.sweep, "start", "sweep")
         stop = _field(self.sweep, "stop", "sweep")
-        steps = _field(self.sweep, "steps", "sweep", int)
+        steps = _field(self.sweep, "steps", "sweep", _count)
         if steps < 1:
             raise ConfigError("sweep.steps: must be >= 1")
         if steps == 1:
@@ -171,40 +171,29 @@ class Scenario:
                 else:
                     raw[section] = {**raw[section], key: swept_value}
         system = _section(raw, "system")
-        ints = {key: _field(system, key, "system", int) for key in _SYSTEM_INTS}
+        ints = {key: _field(system, key, "system", _count) for key in _SYSTEM_INTS}
         linear = {key[:-3]: db_to_linear(_field(system, key, "system"), f"system.{key}")
                   for key in ("p_p_db", "p_max_db", "q_db", "gamma_th_db")}
-        n0 = _number(system.get("n0", 1.0), "system.n0")
+        n0 = _finite(system.get("n0", 1.0), "system.n0")
         if ("geometry" in raw) == ("means" in raw):
             raise ConfigError("scenario: exactly one of 'geometry' or 'means' must be present")
-        t_g = _number(raw["t_g"], "t_g") if "t_g" in raw else None
-        if t_g is not None and not 0.0 < t_g <= 1.0:
-            raise ConfigError(f"t_g: must lie in (0, 1], got {t_g}")
-        try:
-            config = SystemConfig(**ints, **linear, n0=n0)
-        except ValueError as exc:
-            raise ConfigError(f"system: {exc}") from exc
-        block = "geometry" if "geometry" in raw else "means"
-        fields = _section(raw, block)
-        try:
-            if block == "geometry":
-                stats = LinkStats.from_geometry(Geometry(
-                    d_st_sr=_field(fields, "d_st_sr", "geometry"),
-                    d_pt_sr=_as_list(fields, "d_pt_sr", "geometry", config.l_t),
-                    d_st_pr=_as_list(fields, "d_st_pr", "geometry", config.l_r),
-                    d_ref=_number(fields.get("d_ref", 100.0), "geometry.d_ref"),
-                    alpha=_number(fields.get("alpha", 4.0), "geometry.alpha"),
-                ))
-            else:
-                stats = LinkStats(
-                    _field(fields, "mean_x", "means"),
-                    _as_list(fields, "mean_y_per_pr", "means", config.l_r),
-                    _as_list(fields, "mean_z_per_pt", "means", config.l_t),
-                )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{block}: {exc}") from exc
+        t_g = leakage._check_t_g(raw["t_g"]) if "t_g" in raw else None
+        config = SystemConfig(**ints, **linear, n0=n0)
+        fields = _section(raw, "geometry" if "geometry" in raw else "means")
+        if "geometry" in raw:
+            stats = LinkStats.from_geometry(Geometry(
+                d_st_sr=_field(fields, "d_st_sr", "geometry"),
+                d_pt_sr=_as_list(fields, "d_pt_sr", "geometry", config.l_t),
+                d_st_pr=_as_list(fields, "d_st_pr", "geometry", config.l_r),
+                d_ref=_finite(fields.get("d_ref", 100.0), "geometry.d_ref"),
+                alpha=_finite(fields.get("alpha", 4.0), "geometry.alpha"),
+            ))
+        else:
+            stats = LinkStats(
+                _field(fields, "mean_x", "means"),
+                _as_list(fields, "mean_y_per_pr", "means", config.l_r),
+                _as_list(fields, "mean_z_per_pt", "means", config.l_t),
+            )
         return config, stats, t_g
 
 
@@ -226,6 +215,10 @@ def _emit_rows(columns, rows, fmt, out):
         records = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(records if len(records) != 1 else records[0],
                           indent=2, sort_keys=True) + "\n"
+    _write(text, out)
+
+
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -307,10 +300,8 @@ def cmd_validate(trials, seed, threads, out):
               f"(tolerance {c['tolerance']:.3e})")
     report = {"checks": checks, "passed": passed,
               "trials": trials, "seed": seed}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
     return 0 if passed else 1
 
 

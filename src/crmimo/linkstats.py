@@ -25,8 +25,15 @@ from .specfun import _check_int, _exp_sinh, _positive, _positives
 
 
 def pathloss_gain(d, d_ref, alpha):
-    """Average channel gain (d / d_ref)^-alpha for distance d in meters."""
-    return (_positive(d, "d") / _positive(d_ref, "d_ref")) ** -_positive(alpha, "alpha")
+    """Average channel gain (d / d_ref)^-alpha for distance d in meters; a
+    gain past the float range (inf or 0.0) raises ValueError."""
+    try:
+        gain = (_positive(d, "d") / _positive(d_ref, "d_ref")) ** -_positive(alpha, "alpha")
+        if gain > 0.0:
+            return gain
+    except ArithmeticError:  # an overflow, or d / d_ref underflowed to 0.0
+        pass
+    raise ValueError(f"(d, d_ref, alpha) = {(d, d_ref, alpha)} give a gain past the float range")
 
 
 # cap on the bytes of one (rows, K, K) matrix or (levels, rows, K) array of

@@ -47,7 +47,7 @@ def test_db_conversion_applied_once():
 def test_scenario_validation_errors():
     raw = base_scenario()
     raw["system"]["n"] = 1  # n < m
-    with pytest.raises(ConfigError, match="system"):
+    with pytest.raises(ConfigError, match="SystemConfig.n must be an integer >= m"):
         Scenario(raw)
     raw = base_scenario()
     del raw["system"]["q_db"]
@@ -124,6 +124,16 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+MEANS = {"mean_x": 1.0, "mean_y_per_pr": [1.0, 2.0], "mean_z_per_pt": 1.0}
+# (field, value, what the error names): a gain past the float range is
+# refused by `pathloss_gain`, which names its arguments d, d_ref and alpha
+PAST_RANGE_GAINS = [
+    ("geometry.d_st_sr", 1e-100, "(d, d_ref, alpha) = (1e-100, 100.0, 4.0)"),
+    ("geometry.d_ref", 1e300, "(d, d_ref, alpha) = (25.0, 1e+300, 4.0)"),
+    ("geometry.alpha", 1000.0, "(d, d_ref, alpha) = (25.0, 100.0, 1000.0)"),
+]
+
+
 @pytest.mark.parametrize("field, value", [
     ("system.m", "four"),
     ("t_g", "tight"),
@@ -147,35 +157,71 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     ("sweep.scale", "cubic"),
     ("system.p_p_db", 4000.0),
     ("sweep", {"parameter": "q_db", "start": 7.0, "stop": 4000.0, "steps": 3}),
+    ("system.n", "five"),
+    ("system.l_t", 0.5),
+    ("system.l_r", None),
+    ("system.p_max_db", "high"),
+    ("system.q_db", -4000.0),  # 0.0 once linear
+    ("system.gamma_th_db", [3.0]),
+    ("system.n0", "1"),
+    ("geometry.d_ref", "100"),
+    ("geometry.alpha", None),
+    ("means.mean_x", "big"),
+    ("means.mean_y_per_pr", [1.0, None]),
+    ("means.mean_z_per_pt", False),
+    ("sweep.start", "near"),
+    ("sweep.stop", None),
+    *(row[:2] for row in PAST_RANGE_GAINS),
 ])
 def test_malformed_values_exit_code(tmp_path, capsys, field, value):
     raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
                                "stop": 80.0, "steps": 3})
+    if field.startswith("means."):
+        del raw["geometry"]
+        raw.update(means=dict(MEANS),
+                   sweep={"parameter": "q_db", "start": 4.0, "stop": 10.0, "steps": 3})
     *blocks, key = field.split(".")
     section = raw[blocks[0]] if blocks else raw
     section[key] = value
     path = write_scenario(tmp_path, raw)
     assert main(["outage", "--config", path]) == 2
     err = capsys.readouterr().err
-    # a bad swept value is reported at the field it sets
+    # a bad value is reported at the field it sets, a swept one too; a path
+    # gain past the float range by the path-loss arguments that give it
     named = "system.q_db" if field == "sweep" else field
+    named = next((name for f, v, name in PAST_RANGE_GAINS if (f, v) == (field, value)), named)
     assert err.startswith("configuration error: ") and named in err
+    assert err.count("\n") == 1
+
+
+def test_integral_floats_read_as_counts(tmp_path, capsys):
+    # a scenario file's integral float, such as 2.0, reads as the int 2
+    outs = []
+    for m, trials, steps in ((2, 2000, 3), (2.0, 2000.0, 3.0)):
+        raw = base_scenario(sweep={"parameter": "d_st_pr", "start": 40.0,
+                                   "stop": 80.0, "steps": steps},
+                            mc={"trials": trials, "seed": 11})
+        raw["system"]["m"] = m
+        assert main(["outage", "--config", write_scenario(tmp_path, raw)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_document_errors_exit_code(tmp_path, capsys):
-    means = {"mean_x": 1.0, "mean_y_per_pr": [1.0, 2.0], "mean_z_per_pt": 1.0}
     geometry_sweep_on_means = base_scenario(
-        means=means, sweep={"parameter": "d_st_pr", "start": 40.0, "stop": 80.0, "steps": 3})
+        means=MEANS, sweep={"parameter": "d_st_pr", "start": 40.0, "stop": 80.0, "steps": 3})
     del geometry_sweep_on_means["geometry"]
     cases = [
         ("[1, 2]", "scenario: top level must be an object"),
         ('{"system": ', "is not valid JSON"),
         (json.dumps(geometry_sweep_on_means),
          "sweep.parameter: 'd_st_pr' requires a geometry block"),
+        (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
+        ("[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
     ]
     for text, message in cases:
         path = tmp_path / "scenario.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["outage", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
@@ -208,7 +254,7 @@ def test_antenna_count_sweep_past_n_exits_before_monte_carlo(tmp_path, capsys, m
     assert main(["outage", "--config", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("configuration error: system: SystemConfig.n")
+    assert captured.err.startswith("configuration error: SystemConfig.n")
 
 
 @pytest.mark.parametrize("command", ["outage", "validate"])
@@ -360,7 +406,7 @@ def test_antennas_t_g_sweep_past_one_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["antennas", "--config", path, "--trials", "50"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("configuration error: t_g: must lie in (0, 1]")
+    assert captured.err.startswith("configuration error: t_g must be finite and lie in (0, 1]")
 
 
 def test_rate_command(tmp_path):

@@ -41,6 +41,14 @@ def test_pathloss_domain():
     for bad in [(0, 100, 4), (10, 0, 4), (10, 100, 0), (-5, 100, 4)]:
         with pytest.raises(ValueError):
             pathloss_gain(*bad)
+    # a gain past the float range: an overflow, d / d_ref underflowing to
+    # 0.0, or a gain underflowing to 0.0; the error names all three arguments
+    for bad in [(1e-300, 100, 4), (1e-100, 100.0, 4.0), (25, 1e300, 4), (25, 100, 1000),
+                (1e-300, 1e300, 4), (1e300, 1e-300, 4), (1e300, 1, 4)]:
+        with pytest.raises(ValueError, match=r"^\(d, d_ref, alpha\) = \(.+\) give a gain "
+                                             r"past the float range$"):
+            pathloss_gain(*bad)
+    assert pathloss_gain(1e80, 1, 4) == 1e-320  # a subnormal gain is still a gain
 
 
 def test_mean_max_single_and_pairs():
