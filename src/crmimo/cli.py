@@ -309,15 +309,16 @@ def cmd_validate(trials, seed, threads, out):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _check_mc(trials, seed, points):
-    """Reject Monte-Carlo settings the estimators cannot use; sweep point i
-    draws with seed + i, so each of those seeds must be an unsigned 64-bit
-    integer."""
-    if trials < 1:
-        raise ConfigError(f"trials (--trials or mc.trials): must be >= 1, got {trials}")
-    if seed < 0 or seed + points > 1 << 64:
-        raise ConfigError(f"seed (--seed or mc.seed): seed + sweep index must lie "
-                          f"in [0, 2^64), got seed {seed} with {points} sweep points")
+def _check_mc(trials, seed, threads, points):
+    """Refuse, before any work, Monte-Carlo settings that the estimators
+    refuse (`mcharness._check_mc`): sweep point i draws with seed + i, so
+    the first and the last point's seeds are checked."""
+    for point in (0, points - 1):
+        try:
+            mcharness._check_mc(trials, seed + point, threads)
+        except ValueError as exc:
+            where = f" (sweep point {point} draws with seed + {point})" if point else ""
+            raise ConfigError(f"{exc}{where}") from exc
 
 
 def _writable(path):
@@ -349,19 +350,17 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         if args.out and not _writable(args.out):
             raise ConfigError(f"--out: cannot write {args.out}")
         if args.command == "validate":
             trials = args.trials if args.trials is not None else 200000
             seed = args.seed if args.seed is not None else 0
-            _check_mc(trials, seed, 1)
+            _check_mc(trials, seed, args.threads, 1)
             return cmd_validate(trials, seed, args.threads, args.out)
         scenario = Scenario.load(args.config)
         trials = args.trials if args.trials is not None else scenario.trials
         seed = args.seed if args.seed is not None else scenario.seed
-        _check_mc(trials, seed, len(scenario.points))
+        _check_mc(trials, seed, args.threads, len(scenario.points))
         points = scenario.points
         fmt = args.format or ("csv" if scenario.sweep is not None else "json")
         if args.command == "power":  # the base point alone, sweep or not

@@ -7,10 +7,11 @@ transmit antennas until it is within a tolerated level, and estimates the
 law of the active-antenna count.  Antennas go by power, so a reduction is one
 stage chain per primary receiver, begun by a positive uniformization series
 (`linkstats`), whose prefix tails multiply into one receiver product: numpy
-only; scipy serves `validate` and the tests.
+only; scipy serves `validate` and the tests.  A silent antenna is a stage of
+mean 0, one of the chain's negligible stages, and leaks nothing.
 The active-antenna law draws and runs its blocks through `mcharness` and
-reduces each block at once: its rows are grouped by powered-antenna count,
-and each group and receiver is one stacked stage chain.
+reduces each block at once: per receiver, one stack of the block's rows,
+grouped by their count of negligible stages, silent ones included.
 """
 
 import math
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linkstats import _prefix_tails
-from .mcharness import STREAM_ANTENNA, _check_seed, _erlang_draw, run_blocks
+from .mcharness import STREAM_ANTENNA, _check_mc, _erlang_draw, run_blocks
 from .powalloc import optimal_power
-from .specfun import _check_int, _nonnegatives, _positive, _positives
+from .specfun import _nonnegatives, _positive, _positives
 
 
 def __getattr__(name):  # scipy's expm, loaded when bench/tracer.py looks up leakage.expm
@@ -70,41 +71,27 @@ def checked_leakage_inputs(powers, mean_y_per_pr, q):
     return p, np.array(_positives(mean_y_per_pr, "mean_y_per_pr")), _positive(q, "q")
 
 
-def _receiver_tails(powered, mean_y_per_pr, q):
+def _receiver_tails(powers, mean_y_per_pr, q):
     """Entry (b, j): the product over primary receivers of the tail at q of
-    the aggregate interference from the j + 1 weakest powered antennas of
-    row b of the (B, n) ascending powers, the prefix tails of one stage
-    chain per receiver, stacked over the rows (`_prefix_tails`)."""
-    tails = np.ones(powered.shape)
-    if powered.size:
-        for ey in mean_y_per_pr:
-            tails *= _prefix_tails(q, powered * ey)
+    the aggregate interference from the j + 1 weakest antennas of row b of
+    the (B, m) ascending powers, the prefix tails of one stage chain per
+    receiver, stacked over the rows (`_prefix_tails`)."""
+    tails = np.ones(powers.shape)
+    for ey in mean_y_per_pr:
+        tails *= _prefix_tails(q, powers * ey)
     return tails
-
-
-def _powered_groups(gains, sol, config, stats):
-    """The rows of the (B, m) stream gains grouped by their count n of
-    powered antennas: yields each group's row indices and the receiver
-    tails of its rows' ascending powered antennas, shape (rows, n)."""
-    powers = np.sort(optimal_power(gains, sol), axis=1)
-    counts = np.count_nonzero(powers, axis=1)
-    for n in np.unique(counts):
-        rows = np.flatnonzero(counts == n)
-        yield rows, _receiver_tails(powers[rows, config.m - n:], stats.mean_y_per_pr, config.q)
 
 
 def _active_counts(gains, sol, config, stats, t_g):
     """Final active count of the reduction for every row of the (B, m)
     stream gains: the first count from m down whose leakage is within t_g.
-    The survivors are the weakest antennas, silent ones first, so the count
-    is the silent ones plus the longest powered prefix within t_g; silent
-    antennas leak nothing, so an all-silent row keeps all m."""
-    active = np.empty(len(gains), dtype=np.intp)
-    for rows, tails in _powered_groups(gains, sol, config, stats):
-        n = tails.shape[1]
-        longest = np.max((tails <= t_g) * np.arange(1, n + 1), axis=1, initial=0)
-        active[rows] = config.m - n + longest
-    return active
+    The survivors are the weakest antennas, so the count is the longest
+    prefix of the ascending powers within t_g; silent antennas come first
+    and leak nothing, so an all-silent row keeps all m.  The rows are one
+    stack per receiver, grouped by their count of negligible stages."""
+    powers = np.sort(optimal_power(gains, sol), axis=1)
+    tails = _receiver_tails(powers, stats.mean_y_per_pr, config.q)
+    return np.max((tails <= t_g) * np.arange(1, config.m + 1), axis=1)
 
 
 def leakage_probability(powers, mean_y_per_pr, q):
@@ -115,16 +102,15 @@ def leakage_probability(powers, mean_y_per_pr, q):
 
     per receiver the aggregate is a sum of independent exponentials with
     means p_i E[Y^(j)], the stage chain over the sorted means.  It is the
-    last entry of the receiver product `_receiver_tails` over all powered
-    antennas, so the first step of `reduce_antennas` by construction.
-    Antennas with zero power are excluded; all-zero powers mean no
-    transmission and no leakage.
+    last entry of the receiver product `_receiver_tails` over all antennas,
+    so the first step of `reduce_antennas` by construction.  An antenna
+    with zero power is a stage of mean 0 and adds nothing; all-zero or no
+    powers mean no transmission and no leakage.
     """
-    p_all, means, q = checked_leakage_inputs(powers, mean_y_per_pr, q)
-    powered = np.sort(p_all[p_all > 0])
-    if powered.size == 0:
+    p, means, q = checked_leakage_inputs(powers, mean_y_per_pr, q)
+    if p.size == 0:
         return 0.0
-    return float(_receiver_tails(powered[None], means, q)[0, -1])
+    return float(_receiver_tails(np.sort(p)[None], means, q)[0, -1])
 
 
 def reduce_antennas(x_gains, sol, config, stats, t_g):
@@ -143,11 +129,11 @@ def reduce_antennas(x_gains, sol, config, stats, t_g):
     t_g, gains = _check_t_g(t_g), _nonnegatives(x_gains, "stream gains")
     if gains.shape != (config.m,):
         raise ValueError(f"expected {config.m} finite stream gains >= 0, got {x_gains!r}")
-    ((_, tails),) = _powered_groups(gains[None], sol, config, stats)
-    silent = config.m - tails.shape[1]
+    powers = np.sort(optimal_power(gains[None], sol), axis=1)
+    tails = _receiver_tails(powers, stats.mean_y_per_pr, config.q)
     steps = []
     for count in range(config.m, 0, -1):
-        prob = float(tails[0, count - silent - 1]) if count > silent else 0.0
+        prob = float(tails[0, count - 1])
         steps.append((count, prob))
         if prob <= t_g:
             return LeakageReport(steps=tuple(steps), m_effective=count, suspended=False)
@@ -158,12 +144,14 @@ def antenna_pmf(config, stats, sol, t_g, trials, seed=0):
     """Distribution of the active-antenna count over independent stream-gain
     realizations (Erlang(n-m+1, E[X]) per antenna), obtained by running the
     reduction on each draw.  t_g, trials and seed are checked before any
-    draw.  Each block of draws is reduced at once (`_active_counts`: one
-    stacked stage chain per powered count and receiver), and the blocks run
-    through `run_blocks` on one thread and add up their integer counts.
+    draw.  Each block of draws is reduced at once (`_active_counts`: per
+    receiver, one stack grouped by count of negligible stages, silent ones
+    included), and the blocks run through `run_blocks` on one thread and
+    add up their integer counts.
     """
-    t_g, trials = _check_t_g(t_g), _check_int(trials, "trials")
-    draw = _erlang_draw(config, stats, _check_seed(seed), STREAM_ANTENNA, (config.m,))
+    trials, seed, _ = _check_mc(trials, seed)
+    t_g = _check_t_g(t_g)
+    draw = _erlang_draw(config, stats, seed, STREAM_ANTENNA, (config.m,))
 
     def worker(block, size):
         active = _active_counts(draw(block, size), sol, config, stats, t_g)

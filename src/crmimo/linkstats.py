@@ -43,8 +43,8 @@ _STACK_BYTES = 1 << 17
 
 def _negligible_cuts(stack):
     """Per row, the number of leading stages with mean at most 1e-12 of the
-    row's largest: they only stiffen the generator, and dropping them shifts
-    the sum by at most their total mean."""
+    row's largest, means 0 included: they only stiffen the generator, and
+    dropping them shifts the sum by at most their total mean."""
     return np.count_nonzero(stack <= 1e-12 * stack[:, -1:], axis=1)
 
 
@@ -101,17 +101,18 @@ def _prefix_tails(q, means):
     sums of one stage chain's occupancy at q, since the leading j x j block of
     the bidiagonal generator evolves on its own; the last is the tail of the
     whole sum.  Rows that drop equally many negligible stages share one stage
-    chain, and the dropped stages get stacks of their own.  Raises unless
-    every row is non-empty, finite, positive and ascending; q is the
-    caller's to check."""
+    chain, and the dropped stages get stacks of their own; a row cut whole
+    holds means 0 alone, which never exceed q > 0, so its tails are 0.
+    Raises unless every row is non-empty, finite, nonnegative and
+    ascending; q > 0 is the caller's to check."""
     th = np.asarray(means, dtype=float)
     stack = np.atleast_2d(th)
-    if not (stack.size and (0.0 < stack[:, 0]).all() and (stack[:, -1] < math.inf).all()
+    if not (stack.size and (0.0 <= stack[:, 0]).all() and (stack[:, -1] < math.inf).all()
             and (np.diff(stack, axis=1) >= 0).all()):
-        raise ValueError(f"means must be finite, positive and ascending, got {th.tolist()}")
+        raise ValueError(f"means must be finite, nonnegative and ascending, got {th.tolist()}")
     cuts = _negligible_cuts(stack)
-    tails = np.empty(stack.shape)
-    for cut in np.unique(cuts):
+    tails = np.zeros(stack.shape)
+    for cut in np.unique(cuts[cuts < stack.shape[1]]):
         rows = np.flatnonzero(cuts == cut)
         tails[rows, cut:] = np.cumsum(_stage_chain(stack[rows, cut:], q), axis=1)
         if cut:

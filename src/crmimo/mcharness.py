@@ -5,7 +5,8 @@ inverse Gram matrix, and measures outage and rate empirically.
 Trials are grouped into fixed-size blocks, each driven by a counter-based
 Philox generator keyed by (seed, stream id, block index) and reduced in
 block order, so estimates are bit-identical for a given seed regardless of
-how many worker threads process the blocks.  Every block loop (that of
+how many worker threads process the blocks.  Each Monte-Carlo entry checks
+its settings first, by one rule (`_check_mc`).  Every block loop (that of
 `leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
 one ZF SINR body shared by outage and rate.  A ZF block uses its channel
 draws slab by slab and keeps each matrix product small enough that the BLAS
@@ -30,6 +31,9 @@ from .specfun import _check_int
 log = logging.getLogger(__name__)
 
 BLOCK_TRIALS = 1024
+# the Philox key holds a 52-bit block index: block 2^52 would repeat the
+# draws of block 0
+MAX_TRIALS = BLOCK_TRIALS << 52
 # a ZF block's complex Gaussian draws come, and are used, in slabs of whole
 # trials of at most this many bytes; only their real halves exist whole
 SLAB_BYTES = 1 << 20
@@ -41,7 +45,7 @@ SLAB_BYTES = 1 << 20
 SERIAL_GEMM_MADDS = 1 << 16
 
 # sub-stream ids keep the draws of every estimator, the Monte-Carlo oracles of
-# `validation` too, disjoint under one seed
+# `validation` and the SER check of the tests too, disjoint under one seed
 STREAM_OUTAGE = 1
 STREAM_RATE = 2
 STREAM_LEAKAGE = 3
@@ -50,6 +54,7 @@ STREAM_KS_GAIN_REF = 5
 STREAM_KS_INT_REF = 6
 STREAM_ANTENNA = 7
 STREAM_GAINS = 8
+STREAM_SER = 11
 
 
 @dataclass(frozen=True)
@@ -60,52 +65,47 @@ class McEstimate:
     seed: int
 
 
-def _check_seed(seed):
-    """seed as an int, checked: an unsigned 64-bit integer, since wider
-    values would alias other seeds."""
-    seed = _check_int(seed, "seed")
+def _check_mc(trials, seed, threads=1):
+    """(trials, seed, threads) as ints, checked: trials in [1, MAX_TRIALS],
+    a seed in [0, 2^64), since wider values would alias other seeds, and
+    threads >= 1.  Every Monte-Carlo entry calls it first."""
+    trials, seed = _check_int(trials, "trials"), _check_int(seed, "seed")
+    threads = _check_int(threads, "threads")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2^62], got {trials}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return trials, seed, threads
 
 
 def block_generator(seed, stream, block, retry=0):
     """Philox generator keyed by (seed, stream, retry, block); disjoint
-    streams for any distinct key tuple (`_check_seed` checks the seed)."""
-    seed = _check_seed(seed)
+    streams for any distinct key tuple (`_check_mc` checks the seed and
+    keeps the block index within its 52 bits)."""
     key = (seed << 64) | ((stream & 0xFF) << 56) \
         | ((retry & 0xF) << 52) | (block & ((1 << 52) - 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def block_sizes(trials):
-    trials = _check_int(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
-    if trials % BLOCK_TRIALS:
-        sizes.append(trials % BLOCK_TRIALS)
-    return sizes
-
-
 def run_blocks(trials, worker, threads=1):
-    """Evaluate worker(block_index, size) for every block and return the
-    results in block order; the reduction order never depends on threads."""
-    sizes = block_sizes(trials)
-    threads = _check_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    """Evaluate worker(block_index, size) for every block of at most
+    BLOCK_TRIALS trials and return the results in block order; the
+    reduction order never depends on threads.  The caller has checked its
+    arguments (`_check_mc`)."""
+    blocks = range(-(-trials // BLOCK_TRIALS))
+    sizes = (min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS) for b in blocks)
     if threads == 1:
-        return [worker(b, s) for b, s in enumerate(sizes)]
+        return list(map(worker, blocks, sizes))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(len(sizes)), sizes))
+        return list(pool.map(worker, blocks, sizes))
 
 
 def _estimate(per_trial, trials, seed):
     values = np.concatenate(per_trial)
     se = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(value=float(np.mean(values)), std_error=se,
-                      trials=_check_int(trials, "trials"), seed=_check_int(seed, "seed"))
+    return McEstimate(value=float(np.mean(values)), std_error=se, trials=trials, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,7 @@ def _zf_blocks(config, stats, trials, seed, threads, stream, reduce):
 def _zf_estimate(config, stats, sol, trials, seed, threads, stream, score):
     """Mean over trials of the per-trial stream mean of score(SINR), with the
     ZF-chain SINR p(x) x / (p_p z + N0) under the allocation."""
+    trials, seed, threads = _check_mc(trials, seed, threads)
 
     def mean_score(x_gain, z):
         sinr = optimal_power(x_gain, sol) * x_gain / (config.p_p * z + config.n0)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import leakage, linkstats, mcharness, outage, powalloc
-from .specfun import _check_int, _finite, _positives, erlang_tails, regularized_upper_gamma
+from .specfun import _finite, _positives, erlang_tails, regularized_upper_gamma
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at interference cap 7 dB,
 # primary power 10 dB, power cap 20 dB and threshold 3 dB: both multiplier
@@ -102,6 +102,7 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
 
 def sample_stream_gains(config, stats, trials, seed, threads=1):
     """Direct Erlang(n-m+1, E[X]) draws of the per-stream effective gain."""
+    trials, seed, threads = mcharness._check_mc(trials, seed, threads)
     draw = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_GAINS)
     return np.concatenate(mcharness.run_blocks(trials, draw, threads))
 
@@ -110,6 +111,7 @@ def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
     """Frequency of min_j sum_i p_i |y_j^(i)|^2 > q over exponential draws
     of the interfering gains (the event that every primary receiver sees
     aggregate interference above q)."""
+    trials, seed, threads = mcharness._check_mc(trials, seed, threads)
     p, means, q = leakage.checked_leakage_inputs(powers, mean_y_per_pr, q)
 
     def worker(block, size):
@@ -136,6 +138,7 @@ class DistributionCheck:
 
 
 def zf_distribution_check(config, stats, trials, seed, threads=1):
+    trials, seed, threads = mcharness._check_mc(trials, seed, threads)
     from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
     parts = mcharness._zf_blocks(config, stats, trials, seed, threads, mcharness.STREAM_KS_ZF,
                                  lambda x_gain, z: (x_gain[:, 0], z[:, 0]))
@@ -159,7 +162,7 @@ def zf_distribution_check(config, stats, trials, seed, threads=1):
         gain_pvalue=float(ks_x.pvalue),
         interference_stat=float(ks_z.statistic),
         interference_pvalue=float(ks_z.pvalue),
-        trials=_check_int(trials, "trials"),
+        trials=trials,
     )
 
 

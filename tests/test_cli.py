@@ -124,6 +124,19 @@ def test_bad_monte_carlo_settings_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_trial_count_past_bound_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_solve(*_):
+        raise AssertionError("solved before checking the Monte-Carlo settings")
+
+    monkeypatch.setattr(powalloc, "solve_lambda", no_solve)
+    path = write_scenario(tmp_path, base_scenario())
+    big = write_scenario(tmp_path, base_scenario(mc={"trials": 10 ** 30, "seed": 1}), "big.json")
+    for argv in (["--config", path, "--trials", str(10 ** 30)], ["--config", big]):
+        assert main(["outage"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: trials must lie in [1, 2^62], got {10 ** 30}\n"
+
+
 MEANS = {"mean_x": 1.0, "mean_y_per_pr": [1.0, 2.0], "mean_z_per_pt": 1.0}
 # (field, value, what the error names): a gain past the float range is
 # refused by `pathloss_gain`, which names its arguments d, d_ref and alpha

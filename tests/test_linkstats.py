@@ -454,11 +454,23 @@ def test_stacked_prefix_tails_mix_negligible_cuts():
 
 def test_hypoexp_prefix_ccdf_domain():
     # the stage chain trusts its stack: `_prefix_tails` refuses descending,
-    # zero, NaN, inf and missing means, in any row
-    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [0.0, 1.0], [1.0, INF], [],
+    # negative, NaN, inf and missing means, in any row
+    for bad in ([2.0, 1.0], [1.0, NAN, 2.0], [-1.0, 1.0], [1.0, INF], [],
                 [[0.5, 1.0], [1.0, 0.5]]):
-        with pytest.raises(ValueError, match="finite, positive and ascending"):
+        with pytest.raises(ValueError, match="finite, nonnegative and ascending"):
             _prefix_tails(1.0, bad)
+    # a stage of mean 0 is in the domain: it never exceeds q > 0
+    assert np.array_equal(_prefix_tails(1.0, [0.0, 1.0]), [[0.0, *_prefix_tails(1.0, [1.0])[0]]])
+    assert np.array_equal(_prefix_tails(1.0, [[0.0, 0.0], [0.0, 1.0]])[0], [0.0, 0.0])
+
+
+@given(hypoexp_case(), st.integers(1, 8))
+@example(([1e-13, 0.5, 2.0], 1e-10), 3)                 # zeros, then a stage below 1e-12 max
+@example(([1e-14, 1e-13, 1.0], 1e-14), 1)
+def test_zero_mean_stages_prefix_zero_tails(case, k):
+    means, q = sorted(case[0]), case[1]
+    got = _prefix_tails(q, [0.0] * k + means)
+    assert np.array_equal(got, [[0.0] * k + _prefix_tails(q, means)[0].tolist()])
 
 
 @ORACLE

@@ -16,6 +16,8 @@ from crmimo import mcharness
 from crmimo.leakage import antenna_pmf
 from crmimo.linkstats import Geometry, LinkStats
 from crmimo.mcharness import (
+    BLOCK_TRIALS,
+    MAX_TRIALS,
     STREAM_OUTAGE,
     STREAM_RATE,
     _complex_slabs,
@@ -439,6 +441,7 @@ def test_zero_trials_rejected():
 
 @pytest.mark.parametrize("name, value", [
     ("trials", 2000.0), ("trials", True), ("trials", 0), ("trials", -3),
+    ("trials", MAX_TRIALS + 1), ("trials", 10 ** 30),
     ("threads", 0), ("threads", -2), ("threads", 2.5), ("threads", True),
     ("seed", 1.5), ("seed", -1), ("seed", 2 ** 64), ("seed", "1"),
     ("t_g", 0.0), ("t_g", math.nan), ("t_g", 1.5),
@@ -485,9 +488,25 @@ def test_seed_outside_u64_rejected():
     top = 2 ** 64 - 1
     a = block_generator(top, 1, 0).standard_normal(4)
     assert not np.array_equal(a, block_generator(0, 1, 0).standard_normal(4))
+    # the key's block field is 52 bits wide: block 2^52 repeats block 0, so
+    # the trial bound stops one block short of it
+    assert np.array_equal(block_generator(1, 1, 1 << 52).standard_normal(4),
+                          block_generator(1, 1, 0).standard_normal(4))
+    assert MAX_TRIALS // BLOCK_TRIALS == 1 << 52
+    config, stats = anchor_setup()
+    sol = solve_lambda(config, stats)
+    estimators = (
+        lambda seed: empirical_outage(config, stats, sol, 100, seed),
+        lambda seed: empirical_rate(config, stats, sol, 100, seed),
+        lambda seed: empirical_leakage([1.0], [1.0], 1.0, 100, seed),
+        lambda seed: antenna_pmf(config, stats, sol, 0.02, 100, seed),
+        lambda seed: sample_stream_gains(config, stats, 100, seed),
+        lambda seed: zf_distribution_check(config, stats, 100, seed),
+    )
     for bad in (2 ** 64, -1, 2 ** 65 + 3):
-        with pytest.raises(ValueError, match="seed"):
-            block_generator(bad, 1, 0)
+        for estimate in estimators:
+            with pytest.raises(ValueError, match="seed"):
+                estimate(bad)
 
 
 def test_empirical_outage_extremes():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from crmimo import validation
 from crmimo.linkstats import Geometry, LinkStats
-from crmimo.mcharness import empirical_outage, empirical_rate
+from crmimo.mcharness import STREAM_SER, _zf_estimate, empirical_outage, empirical_rate
 from crmimo.outage import (
     _cdf_coefficients,
     _mixed_success,
@@ -423,22 +423,14 @@ def test_average_ser_binary():
 
 def test_average_ser_matches_monte_carlo():
     # per-draw symbol error a*Q(sqrt(2 b sinr)) averaged over the chain
-    from crmimo.mcharness import _stream_stats_block
     from scipy.special import erfc
 
     config, stats = anchor_setup()
     sol = solve_lambda(config, stats)
     ana = average_ser_binary(config, stats, sol, 1.0, 1.0)
-    vals = []
-    for block in range(196):
-        x, z = _stream_stats_block(config, stats, 2571, 11, block, 1024, {})
-        p = optimal_power(x, sol)
-        sinr = p * x / (config.p_p * z + config.n0)
-        ser = 0.5 * erfc(np.sqrt(2 * sinr) / math.sqrt(2))
-        vals.append(np.mean(ser, axis=1))
-    v = np.concatenate(vals)
-    se = v.std(ddof=1) / math.sqrt(v.size)
-    assert abs(ana - v.mean()) <= 3 * se
+    est = _zf_estimate(config, stats, sol, 196 * 1024, 2571, 1, STREAM_SER,
+                       lambda sinr: 0.5 * erfc(np.sqrt(2 * sinr) / math.sqrt(2)))
+    assert abs(ana - est.value) <= 3 * est.std_error
 
 
 
