@@ -8,7 +8,8 @@ interferer means, evaluated by one kernel over an array of thresholds.
 `outage_auto` is the one outage function for the optimal allocation, and
 its `branch` names the paper's case.  A scalar outage is the kernel's
 one-element case, and each integral is one kernel call on the nodes of the
-fixed exp-sinh rule of `specfun`.
+exp-sinh rule of `specfun` (one more per halving of its step, where the
+rule's error estimate asks for it).
 """
 
 import math

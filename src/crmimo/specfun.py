@@ -3,7 +3,8 @@
 Every closed form in this package reduces to the Erlang tail Q(n, x), the
 finite series of the regularized upper incomplete gamma at integer order,
 and the exponential integral E1; every integral (capacity, SER, E[max]) is
-one fixed exp-sinh rule.  The scalar functions are pure Python and bit-stable
+one exp-sinh rule, which halves its step only where its error estimate
+asks.  The scalar functions are pure Python and bit-stable
 across platforms; `erlang_tails` gives every order at an array of arguments.
 
 It owns the library's input rules too: one converter per kind of input
@@ -26,11 +27,20 @@ _LOG_SAFE_X = 700.0
 # math.exp(-x) is 0.0 from here on
 _E1_UNDERFLOW_X = 746.0
 
+
+def _de_nodes(k, level):
+    """Nodes x = exp(pi/2 sinh t) of the exp-sinh rule at t = k 2^-level, and
+    their weights dx/dt times the step 2^-6."""
+    t = k / 2.0 ** level
+    x = np.exp(np.pi / 2 * np.sinh(t))
+    return x, x * np.cosh(t) * (np.pi / 128.0)
+
+
 # the exp-sinh rule (Takahasi and Mori, 1974): the trapezoid rule at step
-# 2^-6 in t for x = exp(pi/2 sinh t), |t| <= 4.5 (x from 2e-31 to 5e30)
-_DE_T = np.arange(-288, 289) / 64.0
-_DE_X = np.exp(np.pi / 2 * np.sinh(_DE_T))
-_DE_W = _DE_X * np.cosh(_DE_T) * (np.pi / 128.0)
+# 2^-6 in t for |t| <= 4.5 (x from 2e-31 to 5e30), and the odd k of steps
+# 2^-7, 2^-8 and 2^-9, the midpoints that halve its step in turn
+_DE_X, _DE_W = _de_nodes(np.arange(-288, 289), 6)
+_DE_MIDPOINTS = [_de_nodes(np.arange(1 - 288 * 2 ** j, 288 * 2 ** j, 2), 6 + j) for j in (1, 2, 3)]
 
 
 def _check_int(n, name):
@@ -173,15 +183,41 @@ def erlang_tails(n, x):
     return tails
 
 
-def _exp_sinh(f, scale, atol=0.0):
-    """int_0^inf f(x) dx for an f smooth on (0, inf) that takes the array of
-    nodes scale * _DE_X and decays at both ends.  The gap to the nested rule
-    at step 2^-5 (every other node) estimates the error; past both 1e-13 of
-    the integral and atol it raises ArithmeticError."""
-    terms = f(scale * _DE_X) * _DE_W
-    fine = math.fsum(terms)
-    err = scale * abs(fine - 2.0 * math.fsum(terms[::2]))
-    if not err <= max(1e-13 * abs(scale * fine), atol):
-        raise ArithmeticError(f"exp-sinh error estimate {err:.2e} too large for {scale * fine:.6e}")
-    return scale * fine
+def _ordered_fsum(terms):
+    """math.fsum of an array, fed as a list from the largest term down: the
+    value is fsum's, and the order keeps its list of partial sums short."""
+    return math.fsum(np.sort(terms)[::-1].tolist())
 
+
+def _exp_sinh(f, scale, atol=0.0):
+    """int_0^inf f(x) dx for an f >= 0, smooth on (0, inf), that takes an
+    array of nodes scale * x and decays at both ends.
+
+    The trapezoid rule at step 2^-6 in t (577 nodes, one call of f) is
+    checked against the nested rule at step 2^-5 (every other node).  If
+    their gap passes both 1e-13 of the integral and atol, the step-2^-6 value
+    is returned; if not, f is called on the midpoints of the last step, and
+    the rules at steps 2^-7 and 2^-6 are compared in turn, and so on down to
+    step 2^-9 (4609 nodes).  The first step whose gap passes is returned;
+    past step 2^-9, ArithmeticError is raised.  Where the integrand narrows,
+    as the capacity's does like 1/sqrt(n - m + 1), the step-2^-5 rule misses
+    it long before the finer ones do.
+
+    Each rule is one `math.fsum` of the terms f(x) w, fed from the largest
+    down.  fsum is correctly rounded, so its value does not depend on that
+    order; and with terms >= 0 every partial sum is at most the total, so no
+    intermediate overflow depends on it either.
+    """
+    terms = f(scale * _DE_X) * _DE_W
+    fine, coarse = _ordered_fsum(terms), 2.0 * _ordered_fsum(terms[::2])
+    for level in range(6, 10):  # fine is the rule at step 2^-level
+        err = scale * abs(fine - coarse)
+        if err <= max(1e-13 * abs(scale * fine), atol):
+            return scale * fine
+        if level < 9:
+            x, w = _DE_MIDPOINTS[level - 6]
+            terms = np.concatenate((terms, f(scale * x) * w))
+            # the terms carry the step 2^-6; the new rule's is 2^-(level + 1)
+            fine, coarse = _ordered_fsum(terms) / 2.0 ** (level - 5), fine
+    raise ArithmeticError(f"exp-sinh error estimate {err:.2e} at step 2^-9 "
+                          f"too large for {scale * fine:.6e}")

@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import quad
 
 import crmimo as cr
+from crmimo import specfun
 from crmimo.cli import main
 from crmimo.validation import (
     _mixed_outage_quadrature,
@@ -371,3 +372,22 @@ def test_analytic_chain_pinned_on_regression_grid():
                cr.outage_fixed_power(config, stats, cr.conventional_power(config, stats)),
                cr.ergodic_capacity(config, stats, sol))
         assert got == pytest.approx(pinned, rel=1e-14, abs=0.0), f"grid {idx}"
+
+
+def test_ordered_sums_leave_the_integrals_bit_identical(monkeypatch):
+    # the exp-sinh sums are fsum of the terms fed largest-first; fsum of the
+    # array as it comes must give the same bits for every integral
+    def integrals():
+        out = []
+        for spec in REGRESSION_GRID:
+            config, stats = build(*spec)
+            sol = cr.solve_lambda(config, stats)
+            out += [cr.ergodic_capacity(config, stats, sol),
+                    cr.average_ser_binary(config, stats, sol, 1.0, 1.0),
+                    cr.average_ser_binary(config, stats, sol, 2.0, 0.5),
+                    cr.mean_max_inid(stats.mean_y_per_pr + stats.mean_z_per_pt)]
+        return out
+
+    ordered = integrals()
+    monkeypatch.setattr(specfun, "_ordered_fsum", math.fsum)
+    assert integrals() == ordered

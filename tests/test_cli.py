@@ -387,6 +387,22 @@ def test_rate_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.err == "numerical error: exp-sinh estimate misses its gate\n"
 
 
+def test_rate_at_large_diversity_order(tmp_path, capsys):
+    # capacity's integrand narrows like 1 / sqrt(n - m + 1): from n = 100 on,
+    # the step-2^-6 rule must refine, where it once raised (exit 1)
+    raw = base_scenario(sweep={"parameter": "n", "start": 80, "stop": 400, "steps": 3})
+    raw["system"].update(m=4, n=80)
+    raw["geometry"] = {"d_st_sr": 20.0, "d_pt_sr": [56.0, 70.0], "d_st_pr": [60.0, 60.0]}
+    path = write_scenario(tmp_path, raw)
+    assert main(["rate", "--config", path, "--trials", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [int(r["n_value"]) for r in rows] == [80, 240, 400]
+    rates = [float(r["rate_semianalytic"]) for r in rows]
+    assert rates == sorted(rates) and rates[0] > 5.0
+
+
 def test_antennas_trivial_threshold(tmp_path):
     raw = base_scenario(t_g=1.0,
                         sweep={"parameter": "d_st_pr", "start": 40.0,

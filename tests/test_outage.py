@@ -1,11 +1,14 @@
+import decimal
 import math
 from collections import Counter
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from crmimo import validation
 from crmimo.linkstats import Geometry, LinkStats
@@ -656,3 +659,67 @@ def test_capacity_and_ser_match_mpmath_quadrature(spec, b):
     cap, ser = quadrature_oracles(config, stats, sol, b)
     assert abs(ergodic_capacity(config, stats, sol) - cap) <= 1e-13
     assert abs(average_ser_binary(config, stats, sol, 1.0, b) - ser) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# capacity at large diversity order against a 30-digit oracle
+# ---------------------------------------------------------------------------
+
+def decimal_success(a, bn, n_terms, means):
+    """The kernel's positive sum, E_Z[Q(N, a Z + bn)] =
+    prod_k (1 - r_k) sum_{s<N} h_s(r) Q(N - s, bn), at object arrays of
+    Decimal (a, bn) in the context's precision: h_s by one running sum per
+    mean and Q(N - s, bn) by one running sum of the Poisson terms, so
+    O(N l_t) operations per node.  decimal's C arithmetic makes the
+    large-N rows affordable, where mpmath's pure-Python numbers would take
+    seconds per row."""
+    one = np.full(a.shape, Decimal(1), dtype=object)
+    weight, h = one, [one] + [0 * one] * (n_terms - 1)
+    for m in map(Decimal, means):
+        t = a * m
+        weight, r = weight / (1 + t), t / (1 + t)
+        for s in range(1, n_terms):
+            h[s] = h[s] + r * h[s - 1]
+    term, cdf = np.array([(-b).exp() for b in bn], dtype=object), [0 * one]
+    for j in range(n_terms):
+        cdf.append(cdf[-1] + term)
+        term = term * bn / (j + 1)
+    return weight * sum(hs * q for hs, q in zip(h, cdf[:0:-1]))
+
+
+def capacity_oracle(config, stats, sol, degree):
+    """ergodic_capacity in 30-digit arithmetic: int_0^inf success(e^u - 1) du
+    with u = ln(1 + x), by composite Gauss-Legendre (3 2^(degree - 1) mpmath
+    nodes per piece).  The success falls on the scale of the typical SINR
+    x_t, then drops where the noise alone reaches N, at x_0 = (N - c) / b
+    (bn = b x + c), over a width w = sqrt(N) / b; the pieces end at x_t 4^k
+    and at x_0 + k w.  Past x_0 + 40 w the success is below e^-150."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        n_terms = config.diversity_order
+        gain = Decimal(sol.slope) * Decimal(stats.mean_x)
+        a, b = Decimal(config.p_p) / gain, Decimal(config.n0) / gain
+        c = Decimal(sol.c_threshold) / Decimal(stats.mean_x)
+        typical = n_terms / (a * Decimal(stats.mean_z) + b)
+        x0, w = (n_terms - c) / b, Decimal(n_terms).sqrt() / b
+        ends = [Decimal(0)] + [typical * Decimal(4) ** k for k in range(-3, 12)
+                               if typical * Decimal(4) ** k < x0 - 8 * w]
+        ends = [(1 + x).ln() for x in ends + [x0 + k * w for k in (-8, -2, 0, 2, 8, 40)]]
+        rule = [(Decimal(mpmath.nstr(x, 32)), Decimal(mpmath.nstr(wt, 32)))
+                for x, wt in GaussLegendre(mpmath.mp).calc_nodes(degree, 110)]
+        nodes = [((lo + hi + (hi - lo) * x) / 2, (hi - lo) * wt / 2)
+                 for lo, hi in zip(ends, ends[1:]) for x, wt in rule]
+        x = np.array([u.exp() - 1 for u, _ in nodes], dtype=object)
+        success = decimal_success(a * x, b * x + c, n_terms, stats.mean_z_per_pt)
+        return sum(f * wt for f, (_, wt) in zip(success, nodes)) / Decimal(2).ln()
+
+
+@pytest.mark.parametrize("n", [100, 400, 1000, 2000])
+def test_capacity_at_large_diversity_order_matches_oracle(n):
+    # the exp-sinh estimate fails at step 2^-6 on these rows (it raised at
+    # n = 100 and 400 before the rule refined); at N = n - 3 the success
+    # drops over a width about x_0 / sqrt(N)
+    config, stats, sol = validation._point(4, n, 2, 2, 20.0, (56.0, 70.0), (60.0, 60.0))
+    want = capacity_oracle(config, stats, sol, 4)
+    assert abs(capacity_oracle(config, stats, sol, 3) - want) <= Decimal("1e-15") * want
+    assert abs(ergodic_capacity(config, stats, sol) - float(want)) <= 1e-13 * float(want)

@@ -3,11 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from crmimo.linkstats import mean_max_iid
 from crmimo.powalloc import SystemConfig
-from crmimo.specfun import _exp_sinh, erlang_tails, exp1, regularized_upper_gamma
+from crmimo.specfun import _exp_sinh, _ordered_fsum, erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import empirical_leakage
 
 # frozen from the adaptive-quadrature oracles below
@@ -53,8 +55,41 @@ def test_numpy_integers_pass(entry):
 
 def test_exp_sinh_gate_raises_on_slow_decay():
     # 1 / (1 + x) is not integrable: the nested-rule gap is far past 1e-13
-    with pytest.raises(ArithmeticError, match="exp-sinh error estimate"):
+    # at every step down to 2^-9
+    with pytest.raises(ArithmeticError, match="exp-sinh error estimate .* at step 2\\^-9"):
         _exp_sinh(lambda x: 1 / (1 + x), 1.0)
+
+
+@pytest.mark.parametrize("width, sizes", [
+    (0.1, [577]),                     # passes at step 2^-6: one call on its nodes
+    (0.03, [577, 576, 1152]),         # the midpoints of steps 2^-7 and 2^-8
+    (0.003, [577, 576, 1152, 2304]),  # still misses its gate at step 2^-9
+])
+def test_exp_sinh_refines_a_narrow_peak(width, sizes):
+    # a Gaussian peak at x = 1, exp(-((x - 1) / width)^2): its integral is
+    # width sqrt(pi) to far below 1e-16 once the tail under 0 is negligible
+    calls = []
+
+    def peak(x):
+        calls.append(x.size)
+        return np.exp(-((x - 1.0) / width) ** 2)
+
+    if width > 0.01:
+        assert _exp_sinh(peak, 1.0) == pytest.approx(width * math.sqrt(math.pi), rel=1e-15)
+    else:
+        with pytest.raises(ArithmeticError, match="at step 2\\^-9"):
+            _exp_sinh(peak, 1.0)
+    assert calls == sizes
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308),
+                          st.floats(1e-300, 1e300)), min_size=1, max_size=2000))
+def test_ordered_fsum_is_fsum_bit_for_bit(terms):
+    # fsum is correctly rounded: the largest-first order cannot move a bit,
+    # subnormals and exact zeros included
+    terms = np.array(terms)
+    assert _ordered_fsum(terms) == math.fsum(terms)
 
 
 def test_upper_incomplete_order_one_is_exponential():
