@@ -9,12 +9,16 @@ how many worker threads process the blocks.  Each Monte-Carlo entry checks
 its settings first, by one rule (`_check_mc`).  Every block loop (that of
 `leakage.antenna_pmf` too) is `run_blocks`, with one Erlang gain draw and
 one ZF SINR body shared by outage and rate.  A ZF block uses its channel
-draws slab by slab and keeps each matrix product small enough that the BLAS
-starts no threads, so `run_blocks`' workers are the only parallelism.  Each
-worker thread fills one workspace of flat buffers in place, block after
-block of an estimator call, so a small block does not fault fresh pages in
-for its arrays; the workspaces are freed when the call returns, and a block
-peaks at about 0.8 times the bytes of its complex interfering channel.
+draws slab by slab and splits each matrix product of 16 or more columns so
+that the BLAS keeps it on the calling thread.  Narrower products are not
+split, and OpenBLAS threads a stack of matrix-vector products by a rule of
+its own: at m = n = 64, l_t = 1 its helper threads run beside
+`run_blocks`' workers.  Each worker thread fills one workspace of flat
+buffers in place, block after block of an estimator call, so a small block
+does not fault fresh pages in for its arrays; the workspaces are freed when
+the call returns.  The Gram stack is inverted in place, so a block peaks at
+about 0.76 times the bytes of its complex interfering channel at m = 16,
+n = l_t = 80; at m = n = 64 the Gram stack is its largest array after h^H.
 """
 
 import logging
@@ -41,7 +45,11 @@ SLAB_BYTES = 1 << 20
 # 65 536 multiply-adds to helper threads: on a 2-vCPU host a stack of
 # (16x80)@(80x48) products ran at CPU time = wall time, (16x80)@(80x52) to
 # @(80x80) at 1.9-2.3 times wall time with no wall-time gain, and the helpers
-# then spin against the worker threads.  Per-trial products stay under this.
+# then spin against the worker threads.  Per-trial products of 16 or more
+# columns stay under this (`_serial_matmul`).  Narrower ones are one call, and
+# OpenBLAS threads stacked matrix-vector products on its own rule: a
+# (608, 64, 64) @ (608, 64, 1) stack ran at 7-8 ms CPU time against 3-4 ms
+# wall time, so a block at m = n = 64, l_t = 1 is not serial.
 SERIAL_GEMM_MADDS = 1 << 16
 
 # sub-stream ids keep the draws of every estimator, the Monte-Carlo oracles of
@@ -122,6 +130,13 @@ def _buffer(work, name, shape, dtype=float):
     return buf[:count].reshape(shape)
 
 
+def _slab_rows(shape):
+    """Slices over the leading axis of a complex array of shape, each of
+    whole trials of at most SLAB_BYTES (at least one trial)."""
+    step = max(1, SLAB_BYTES // (16 * math.prod(shape[1:])))
+    return (slice(start, start + step) for start in range(0, shape[0], step))
+
+
 def _complex_slabs(rng, shape, variance, work, scale=None):
     """Yield (rows, slab) over slabs of whole trials, of at most SLAB_BYTES,
     of ((re + 1j*im) * sqrt(variance/2)) * scale, bit for bit as whole-array
@@ -131,9 +146,7 @@ def _complex_slabs(rng, shape, variance, work, scale=None):
     so a slab holds its values only until the next is taken."""
     s = math.sqrt(variance / 2.0)
     re = rng.standard_normal(out=_buffer(work, "re", shape))
-    step = max(1, SLAB_BYTES // (16 * math.prod(shape[1:])))
-    for start in range(0, shape[0], step):
-        rows = slice(start, start + step)
+    for rows in _slab_rows(shape):
         x = re[rows]
         slab = _buffer(work, "slab", x.shape, complex)
         for i, half in enumerate((slab.real, slab.imag)):
@@ -151,7 +164,8 @@ def _serial_matmul(a, b, out):
     each product on the calling thread.  Chunks are whole 8-column groups,
     the remainder under 8 folded into the last, which keeps the bits of one
     call; a product under the cutoff, or too narrow to split so, is one
-    call.  The product is written to out."""
+    call, which OpenBLAS may still thread (see SERIAL_GEMM_MADDS).  The
+    product is written to out."""
     m, k = a.shape[-2:]
     width = b.shape[-1]
     if m * k * width <= SERIAL_GEMM_MADDS or width < 16:
@@ -170,15 +184,18 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work):
 
     Rank-deficient draws (probability zero) are redrawn under a bumped key.
     h and h_p come from `_complex_slabs` and are used slab by slab, never
-    whole.  Every array but the inverse Gram matrices and the returned
-    statistics is a view of a buffer of the workspace work (a dict) that a
-    worker thread carries from block to block of an estimator call.  h and h_p share the real-half buffer, sized for the
-    larger before h is drawn, so a block peaks at the real half of h_p,
-    h^H, the Gram and inverse Gram matrices and a few slabs.  The
-    Gram, projection and inverse-Gram products go through `_serial_matmul`,
-    so each runs on the calling worker thread.  Each trial makes the same
-    matrix products, on operands of the same layout, as a whole-block
-    computation, so the bits are those of one.
+    whole.  Every array but the returned statistics and temporaries of at
+    most SLAB_BYTES is a view of a buffer of the workspace work (a dict)
+    that a worker thread carries from block to block of an estimator call.
+    The Gram stack is inverted in place, slab by slab, since the Gram
+    matrices are never read again; LAPACK inverts each matrix on its own,
+    so the bits are those of one whole-stack inverse.  h and h_p share the
+    real-half buffer, sized for the larger before h is drawn, so a block
+    peaks at the real half of the larger draw, h^H, one m x m stack and a
+    few slabs.  The Gram, projection and inverse-Gram products go through
+    `_serial_matmul`.  Each trial makes the same matrix products, on
+    operands of the same layout, as a whole-block computation, so the bits
+    are those of one.
     """
     scale = np.sqrt(np.asarray(stats.mean_z_per_pt))
     n, m, l_t = config.n, config.m, scale.size
@@ -192,18 +209,19 @@ def _stream_stats_block(config, stats, seed, stream, block, size, work):
         for rows, h in _complex_slabs(rng, (size, n, m), stats.mean_x, work):
             np.conj(h.transpose(0, 2, 1), out=hh[rows])
             _serial_matmul(hh[rows], h, out=gram[rows])
-        try:
-            gram_inv = np.linalg.inv(gram)
+        try:  # gram then holds the inverse Gram matrices
+            for rows in _slab_rows(gram.shape):
+                gram[rows] = np.linalg.inv(gram[rows])
         except np.linalg.LinAlgError:
             log.warning("rank-deficient channel block %d (retry %d); redrawing", block, retry)
             continue
         for rows, hp in _complex_slabs(rng, (size, n, l_t), 1.0, work, scale):
             shape = hp.shape[:1] + (m, l_t)
             c = _serial_matmul(hh[rows], hp, out=_buffer(work, "c", shape, complex))
-            w = _serial_matmul(gram_inv[rows], c, out=_buffer(work, "w", shape, complex))
+            w = _serial_matmul(gram[rows], c, out=_buffer(work, "w", shape, complex))
             w2 = np.abs(w, out=_buffer(work, "w2", shape))
             np.sum(np.square(w2, out=w2), axis=2, out=cross2[rows])
-        row_norm2 = np.einsum("bii->bi", gram_inv).real
+        row_norm2 = np.einsum("bii->bi", gram).real
         if np.all(np.isfinite(row_norm2)) and np.all(row_norm2 > 0):
             x_gain = 1.0 / row_norm2
             return x_gain, cross2 * x_gain

@@ -165,16 +165,20 @@ def regularized_upper_gamma(n, x):
 def erlang_tails(n, x):
     """The (n, x.size) array of [Q(1, x_i), ..., Q(n, x_i)], the running sums
     of the Poisson(x_i) pmf, for integer n >= 1 and a 1-d array of finite x >= 0,
-    in one pass of the finite series.  Past the underflow guard the terms
+    in one pass of the finite series, written row by row into the returned
+    array.  Past the underflow guard the terms
     x^k / k! are formed in log space, relative to the largest."""
     if not ((0.0 <= x) & (x < math.inf)).all():  # NaN fails both
         raise ValueError(f"the Erlang tail Q(n, x) requires a finite x >= 0, got {x}")
     near = np.minimum(x, _LOG_SAFE_X)
-    term, sums = 1.0, [np.ones_like(near)]
+    tails = np.empty((n, *near.shape))
+    tails[0] = term = np.ones_like(near)
+    ratio = np.empty_like(near)
     for k in range(1, n):
-        term = term * (near / k)
-        sums.append(sums[-1] + term)
-    tails, far = np.exp(-near) * np.array(sums), x > _LOG_SAFE_X
+        np.multiply(term, np.divide(near, k, out=ratio), out=term)
+        np.add(tails[k - 1], term, out=tails[k])
+    tails *= np.exp(-near)
+    far = x > _LOG_SAFE_X
     if far.any():
         logs = np.multiply.outer(np.arange(n), np.log(x[far])) \
             - np.array([math.lgamma(k + 1) for k in range(n)])[:, None]

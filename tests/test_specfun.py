@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -182,3 +183,19 @@ def test_regularized_tail_cross_check():
             mine = regularized_upper_gamma(n, x)
             assert mine == pytest.approx(float(ref[-1]), rel=1e-11, abs=1e-280)
             assert columns[:, i] == pytest.approx(ref, rel=1e-11, abs=1e-280)
+
+
+def test_erlang_tails_fills_one_array():
+    # the running sums are written into the returned array row by row: at
+    # n = 1997 over 1152 nodes below the underflow guard (a capacity
+    # integrand at diversity order 1997) the call peaks at its output,
+    # where a list of rows copied into one array peaked at 3.0 times it
+    x = np.linspace(0.0, 700.0, 1152)
+    tracemalloc.start()
+    try:
+        tails = erlang_tails(1997, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tails.shape == (1997, 1152)
+    assert peak <= 1.5 * tails.nbytes, peak / tails.nbytes
