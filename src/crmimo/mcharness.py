@@ -53,7 +53,7 @@ SLAB_BYTES = 1 << 20
 SERIAL_GEMM_MADDS = 1 << 16
 
 # sub-stream ids keep the draws of every estimator, the Monte-Carlo oracles of
-# `validation` and the SER check of the tests too, disjoint under one seed
+# `validation` and of the tests too, disjoint under one seed
 STREAM_OUTAGE = 1
 STREAM_RATE = 2
 STREAM_LEAKAGE = 3

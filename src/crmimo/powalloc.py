@@ -178,9 +178,10 @@ def solve_lambda(config, stats):
 def optimal_power(x_i, sol):
     """Per-stream power max(0, slope - offset / x) for realized gain x.
 
-    Accepts scalars or arrays of finite gains >= 0; a zero gain gets zero.
+    Accepts scalars or arrays of finite gains >= 0; a zero gain, or one so
+    small that offset / x overflows, gets zero.
     """
     x = _nonnegatives(x_i, "stream gains")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         p = np.maximum(sol.slope - sol.offset / x, 0.0)
     return p if x.ndim else float(p)

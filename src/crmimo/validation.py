@@ -4,17 +4,18 @@
 order-statistic and hypoexponential laws, the multiplier equation, the
 outage mixture and the Monte-Carlo agreement of the zero-forcing chain on a
 small grid of scenarios; `crmimo validate` prints its rows and writes them
-as a report.  The oracles are written once, here, and the tests call them.
-Its Monte-Carlo oracles run on `mcharness` blocks and stream ids: direct
-Erlang draws of the stream gain (`sample_stream_gains`), the empirical
-leakage (`empirical_leakage`) and the Kolmogorov-Smirnov check of the ZF
-statistics against their reference laws (`zf_distribution_check`).
-The library never imports this module.
+as a report.  This module holds the double-precision oracles that grid
+runs: inclusion-exclusion, the hypoexponential density, quadrature of the
+outage mixture and of the mean power, and Monte-Carlo draws on `mcharness`
+blocks and stream ids (direct Erlang draws of the stream gain,
+`sample_stream_gains`, and the empirical leakage, `empirical_leakage`).
+The high-precision and test-only oracles, the Kolmogorov-Smirnov check of
+the ZF statistics among them, live in `tests/oracles.py`.  The library
+never imports this module.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,12 +36,17 @@ GRID = (
 TIED = (4, 5, 3, 2, 18.0, (56.0, 56.0, 70.0), (60.0, 60.0))
 
 
-def _point(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
-    """(SystemConfig, LinkStats, PowerSolution) at the validation powers."""
+def _system(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
+    """(SystemConfig, LinkStats) at the validation powers."""
     config = powalloc.SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=10.0, p_max=100.0,
                                    q=10 ** 0.7, gamma_th=10 ** 0.3)
-    stats = linkstats.LinkStats.from_geometry(linkstats.Geometry(
+    return config, linkstats.LinkStats.from_geometry(linkstats.Geometry(
         d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
+
+
+def _point(*spec):
+    """(SystemConfig, LinkStats, PowerSolution) of `_system`."""
+    config, stats = _system(*spec)
     return config, stats, powalloc.solve_lambda(config, stats)
 
 
@@ -96,6 +102,25 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
     return min(1.0, max(0.0, val))
 
 
+def mean_power_quadrature(lam, config, stats):
+    """`powalloc.mean_power` by quadrature: the allocation slope - offset / x
+    over the Erlang(n - m + 1, E[X]) density of the stream gain, from the
+    activation threshold offset / slope on.  Raises ArithmeticError when
+    quad's error estimate exceeds 1e-10."""
+    slope = lam / (powalloc.LN2 * stats.mean_y)
+    offset = config.p_p * stats.mean_z + config.n0
+    shape, ex = config.diversity_order, stats.mean_x
+
+    def integrand(x):
+        return (slope - offset / x) * (
+            x ** (shape - 1) * math.exp(-x / ex) / (math.gamma(shape) * ex ** shape))
+
+    val, err = quad(integrand, offset / slope, np.inf, limit=300, epsabs=1e-13, epsrel=1e-12)
+    if err > 1e-10:
+        raise ArithmeticError(f"mean power quadrature error {err:.2e} exceeds 1e-10")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo oracles
 # ---------------------------------------------------------------------------
@@ -121,49 +146,6 @@ def empirical_leakage(powers, mean_y_per_pr, q, trials, seed, threads=1):
         return (s > q).all(axis=1).astype(float)
 
     return mcharness._estimate(mcharness.run_blocks(trials, worker, threads), trials, seed)
-
-
-@dataclass(frozen=True)
-class DistributionCheck:
-    """Two-sample KS comparison of the ZF-chain statistics against their
-    reference laws: the effective gain against Erlang(n-m+1, E[X]) and the
-    projected-interference ratio against the hypoexponential of the
-    per-transmitter means."""
-
-    gain_stat: float
-    gain_pvalue: float
-    interference_stat: float
-    interference_pvalue: float
-    trials: int
-
-
-def zf_distribution_check(config, stats, trials, seed, threads=1):
-    trials, seed, threads = mcharness._check_mc(trials, seed, threads)
-    from scipy.stats import ks_2samp  # loaded on use: it is most of the import time
-    parts = mcharness._zf_blocks(config, stats, trials, seed, threads, mcharness.STREAM_KS_ZF,
-                                 lambda x_gain, z: (x_gain[:, 0], z[:, 0]))
-    x0 = np.concatenate([p[0] for p in parts])
-    z0 = np.concatenate([p[1] for p in parts])
-
-    def int_ref(block, size):
-        rng = mcharness.block_generator(seed, mcharness.STREAM_KS_INT_REF, block)
-        draws = np.zeros(size)
-        for ez in stats.mean_z_per_pt:
-            draws += rng.exponential(ez, size=size)
-        return draws
-
-    gain_ref = mcharness._erlang_draw(config, stats, seed, mcharness.STREAM_KS_GAIN_REF)
-    x_ref = np.concatenate(mcharness.run_blocks(trials, gain_ref, threads))
-    z_ref = np.concatenate(mcharness.run_blocks(trials, int_ref, threads))
-    ks_x = ks_2samp(x0, x_ref)
-    ks_z = ks_2samp(z0, z_ref)
-    return DistributionCheck(
-        gain_stat=float(ks_x.statistic),
-        gain_pvalue=float(ks_x.pvalue),
-        interference_stat=float(ks_z.statistic),
-        interference_pvalue=float(ks_z.pvalue),
-        trials=trials,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +185,6 @@ def _max_oracle_gap(seed):
         oracle = max_mean_oracle(means)
         err = max(err, abs(linkstats.mean_max_inid(list(means)) - oracle) / oracle)
     return err
-
-
-def _power_quadrature_gap(config, stats, sol):
-    """The enforced mean power against quadrature of the allocation over
-    the Erlang density of the stream gain."""
-    shape, ex = config.diversity_order, stats.mean_x
-
-    def integrand(x):
-        return (sol.slope - sol.offset / x) * (
-            x ** (shape - 1) * math.exp(-x / ex) / (math.gamma(shape) * ex ** shape))
-
-    val, _ = quad(integrand, sol.c_threshold, np.inf, limit=200)
-    return abs(val - sol.target_mean_power) / sol.target_mean_power
 
 
 def _kernel_gap(config, stats, sol):
@@ -266,7 +235,8 @@ def run_validation(trials, seed, threads):
          max(abs(powalloc.mean_power(sol.lam, config, stats) - sol.target_mean_power)
              / sol.target_mean_power for config, stats, sol in points)),
         ("powalloc.quadrature_oracle", 1e-8,
-         max(_power_quadrature_gap(*point) for point in points)),
+         max(abs(mean_power_quadrature(sol.lam, config, stats) - sol.target_mean_power)
+             / sol.target_mean_power for config, stats, sol in points)),
         ("outage.closed_form_vs_quadrature", 1e-12,
          max(_kernel_gap(*point) for point in points[1:])),
         ("outage.tied_vs_quadrature", 1e-12,

@@ -12,24 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import crmimo as cr
 from crmimo import specfun
 from crmimo.cli import main
 from crmimo.validation import (
     _mixed_outage_quadrature,
+    _system,
     empirical_leakage,
     max_mean_oracle,
+    mean_power_quadrature,
     run_validation,
     sample_stream_gains,
-    zf_distribution_check,
 )
 
-from test_outage import colocated_double_sum
+from oracles import paper_outage, zf_distribution_check
 
-Q_7DB = 10 ** 0.7
-GAMMA_3DB = 10 ** 0.3
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # (m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr): spans equal/unequal antenna
@@ -53,10 +51,11 @@ REGRESSION_GRID = [
 
 # (outage_auto, outage_fixed_power at conventional_power, ergodic_capacity)
 # per REGRESSION_GRID entry.  outage_auto and the capacity are oracle values
-# at the PowerSolution of the 50-digit root of the multiplier equation:
-# test_outage's partial_fraction_oracle (distinct interferer means) or
-# positive_sum_oracle (tied ones) for the outage, and its 30-digit
-# quadrature_oracles for the capacity.  outage_fixed_power, which takes no
+# at the PowerSolution of the 50-digit root of the multiplier equation: the
+# outage from the 60-digit partial fractions (distinct interferer means) or
+# the 50-digit positive sum (tied ones), which `oracles.paper_outage` and
+# `oracles.decimal_success` now hold, and the capacity from
+# `oracles.quadrature_oracles`.  outage_fixed_power, which takes no
 # multiplier, is as computed before the outage evaluator cached its
 # per-interferer-tuple terms.  A speed-up of the analytic chain must leave
 # them unchanged.
@@ -76,14 +75,6 @@ REGRESSION_PIN = [
 ]
 
 
-def build(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr):
-    config = cr.SystemConfig(m=m, n=n, l_t=l_t, l_r=l_r, p_p=10.0,
-                             p_max=100.0, q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = cr.LinkStats.from_geometry(cr.Geometry(
-        d_st_sr=d_st_sr, d_pt_sr=d_pt_sr, d_st_pr=d_st_pr))
-    return config, stats
-
-
 def report(num, text):
     print(f"PASS criterion {num}: {text}")
 
@@ -92,7 +83,7 @@ def test_criterion_1_outage_closed_form_vs_monte_carlo():
     worst = 0.0
     slowest = 0.0
     for idx, spec in enumerate(REGRESSION_GRID):
-        config, stats = build(*spec)
+        config, stats = _system(*spec)
         sol = cr.solve_lambda(config, stats)
         start = time.time()
         est = cr.empirical_outage(config, stats, sol, trials=10 ** 6,
@@ -111,7 +102,7 @@ def test_criterion_1_outage_closed_form_vs_monte_carlo():
 
 
 def test_criterion_2_mean_power_constraint_closure():
-    config, stats = build(*REGRESSION_GRID[6])
+    config, stats = _system(*REGRESSION_GRID[6])
     sol = cr.solve_lambda(config, stats)
     target = sol.target_mean_power
 
@@ -124,15 +115,7 @@ def test_criterion_2_mean_power_constraint_closure():
     residual = abs(cr.mean_power(sol.lam, config, stats) - target)
     assert residual <= 1e-10 * target
 
-    shape, scale = config.diversity_order, stats.mean_x
-
-    def integrand(x):
-        pdf = x ** (shape - 1) * math.exp(-x / scale) / (
-            math.gamma(shape) * scale ** shape)
-        return (sol.slope - sol.offset / x) * pdf
-
-    oracle, _ = quad(integrand, sol.c_threshold, np.inf, limit=300,
-                     epsabs=1e-13, epsrel=1e-12)
+    oracle = mean_power_quadrature(sol.lam, config, stats)
     assert abs(oracle - target) <= 1e-8 * target
     report(2, f"MC mean within {dev / se:.2f} standard errors; closed-form "
               f"residual {residual / target:.1e}, quadrature gap "
@@ -144,7 +127,7 @@ def test_criterion_3_reduction_identities():
 
     # equal antenna counts: the closed form against direct quadrature of
     # the same mixture
-    config, stats = build(*REGRESSION_GRID[2])
+    config, stats = _system(*REGRESSION_GRID[2])
     sol = cr.solve_lambda(config, stats)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
@@ -155,7 +138,7 @@ def test_criterion_3_reduction_identities():
 
     # identical transmitters with equal antenna counts: the single term
     # 1 - e^{-bn} (1 + a E_z)^{-l_t}
-    config, stats = build(*REGRESSION_GRID[3])
+    config, stats = _system(*REGRESSION_GRID[3])
     sol = cr.solve_lambda(config, stats)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
@@ -166,22 +149,21 @@ def test_criterion_3_reduction_identities():
 
     # a single primary transmitter: the paper's co-located double sum at
     # l_t = 1
-    config, stats = build(*REGRESSION_GRID[5])
+    config, stats = _system(*REGRESSION_GRID[5])
     sol = cr.solve_lambda(config, stats)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
     gap_lt1 = abs(cr.outage_auto(config, stats, sol).p_out
-                  - colocated_double_sum(a, bn, config.diversity_order,
-                                         stats.mean_z_per_pt[0], 1))
+                  - paper_outage(a, bn, config.diversity_order, stats.mean_z_per_pt))
     assert gap_lt1 <= 1e-12
     report(3, f"equal-antenna gap {gap_equal:.1e}, identical-transmitter gap "
               f"{gap_iid:.1e}, single-transmitter gap {gap_lt1:.1e}")
 
 
 def test_criterion_4_distributional_equivalence():
-    cases = [build(1, 1, 1, 1, 30.0, (56.0,), (60.0,)),
-             build(4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
-             build(2, 6, 3, 1, 30.0, (45.0, 60.0, 75.0), (60.0,))]
+    cases = [_system(1, 1, 1, 1, 30.0, (56.0,), (60.0,)),
+             _system(4, 5, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0)),
+             _system(2, 6, 3, 1, 30.0, (45.0, 60.0, 75.0), (60.0,))]
     min_p = 1.0
     for config, stats in cases:
         chk = zf_distribution_check(config, stats, trials=10 ** 5, seed=12, threads=4)
@@ -246,7 +228,7 @@ def test_criterion_6_leakage_tail_anchors():
 
 def test_criterion_7_large_array_limits():
     # deterministic per-stream power at n = 512
-    config, stats = build(4, 512, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0))
+    config, stats = _system(4, 512, 2, 2, 18.0, (56.0, 56.0), (60.0, 60.0))
     sol = cr.solve_lambda(config, stats)
     gains = sample_stream_gains(config, stats, 10 ** 6, seed=700)
     mc_mean = float(np.mean(cr.optimal_power(gains, sol)))
@@ -258,8 +240,7 @@ def test_criterion_7_large_array_limits():
     # as n = l_t grows and is inside 5% at 80
     gaps = []
     for idx, n_lt in enumerate((20, 80)):
-        config, stats = build(16, n_lt, n_lt, 1, 15.0,
-                              tuple([30.0] * n_lt), (300.0,))
+        config, stats = _system(16, n_lt, n_lt, 1, 15.0, tuple([30.0] * n_lt), (300.0,))
         sol = cr.solve_lambda(config, stats)
         est = cr.empirical_rate(config, stats, sol, trials=16384,
                                 seed=701 + idx, threads=4)
@@ -366,7 +347,7 @@ def test_criterion_9_deterministic_output(tmp_path):
 
 def test_analytic_chain_pinned_on_regression_grid():
     for idx, (spec, pinned) in enumerate(zip(REGRESSION_GRID, REGRESSION_PIN)):
-        config, stats = build(*spec)
+        config, stats = _system(*spec)
         sol = cr.solve_lambda(config, stats)
         got = (cr.outage_auto(config, stats, sol).p_out,
                cr.outage_fixed_power(config, stats, cr.conventional_power(config, stats)),
@@ -380,7 +361,7 @@ def test_ordered_sums_leave_the_integrals_bit_identical(monkeypatch):
     def integrals():
         out = []
         for spec in REGRESSION_GRID:
-            config, stats = build(*spec)
+            config, stats = _system(*spec)
             sol = cr.solve_lambda(config, stats)
             out += [cr.ergodic_capacity(config, stats, sol),
                     cr.average_ser_binary(config, stats, sol, 1.0, 1.0),

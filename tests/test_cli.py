@@ -515,7 +515,7 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     """No scipy module at all loads with the library and the CLI: the stage
     chain needs numpy only.  scipy's `expm` loads on a lookup of
     `leakage.expm` (the benchmark tracer's name for it), the only scipy
-    import outside `validation`, which imports the KS test in-function."""
+    import outside `validation`."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -531,4 +531,4 @@ def test_cli_import_leaves_scipy_stats_and_integrate_unloaded():
     imports = sorted((path.name, line[0].isspace()) for path in (src / "crmimo").glob("*.py")
                      for line in path.read_text().splitlines()
                      if line.lstrip().startswith(("from scipy", "import scipy")))
-    assert imports == [("leakage.py", True), ("validation.py", False), ("validation.py", True)]
+    assert imports == [("leakage.py", True), ("validation.py", False)]

@@ -20,6 +20,8 @@ from crmimo.linkstats import (
 from crmimo.linkstats import _prefix_tails, _stage_chain
 from crmimo.validation import _mixed_outage_quadrature, max_mean_oracle, sum_density_inid
 
+from oracles import stage_chain_oracle
+
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112
 PATHLOSS_56M = 10.168289254477298  # (56/100)^-4, quoted rounded to 10 elsewhere
@@ -270,38 +272,6 @@ def test_means_match_monte_carlo():
 # ---------------------------------------------------------------------------
 
 ORACLE = settings(max_examples=40)
-
-
-def stage_chain_oracle(means, z):
-    """(prefix tails, pdf) at z of a sum of independent exponentials, from
-    the stage chain Exp(m_1) -> Exp(m_2) -> ... in 40-digit arithmetic: the
-    tail of every prefix sum m_1 + ... + m_j, j = 1..len(means), whose last
-    entry is the tail of the whole sum, and the density of the whole sum.
-
-    Uniformization: with L the largest rate, expm(G z) = sum_k Pois(k; L z)
-    P^k for the substochastic P = I + G / L, so every term is nonnegative
-    and no cancellation occurs; the series stops once the Poisson tail
-    falls below 1e-30.  The first j stages evolve on their own, so the
-    running sums of the stage occupancies are the prefix tails.
-    """
-    with mpmath.workdps(40):
-        rates = [1 / mpmath.mpf(m) for m in means]
-        big = max(rates)
-        x = big * mpmath.mpf(z)
-        stay = [1 - r / big for r in rates]
-        move = [r / big for r in rates]
-        occ = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(rates) - 1)
-        seen = [mpmath.mpf(0)] * len(rates)
-        pk, mass, k = mpmath.exp(-x), 0, 0
-        while k <= x or 1 - mass > mpmath.mpf(10) ** -30:
-            seen = [s + pk * o for s, o in zip(seen, occ)]
-            mass += pk
-            occ = [occ[0] * stay[0]] + [occ[j] * stay[j] + occ[j - 1] * move[j - 1]
-                                        for j in range(1, len(occ))]
-            k += 1
-            pk *= x / k
-        prefix = [float(mpmath.fsum(seen[:j])) for j in range(1, len(seen) + 1)]
-        return prefix, float(seen[-1] * rates[-1])
 
 
 # log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%

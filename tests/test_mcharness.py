@@ -29,11 +29,9 @@ from crmimo.mcharness import (
 )
 from crmimo.outage import ergodic_capacity, outage_auto
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
-from crmimo.validation import (
-    empirical_leakage,
-    sample_stream_gains,
-    zf_distribution_check,
-)
+from crmimo.validation import _system, empirical_leakage, sample_stream_gains
+
+from oracles import anchor_setup, zf_distribution_check
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -88,14 +86,6 @@ def zf_sinr(draw, powers, config):
     if draw.h_p.shape[1] > 0:
         denom = denom + config.p_p * np.sum(np.abs(gp @ draw.h_p) ** 2, axis=1)
     return 1.0 / denom
-
-
-def anchor_setup():
-    geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0), d_st_pr=(60.0, 60.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=4, n=5, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    return config, stats
 
 
 def test_zf_sinr_scalar_channel():
@@ -165,10 +155,7 @@ def test_batched_block_matches_per_draw_zf():
     # rebuild one block's channels in the batched draw order (all desired
     # channels, then all unit-variance interfering channels scaled per
     # transmitter) and run each through the per-draw pseudo-inverse chain
-    geom = Geometry(d_st_sr=22.0, d_pt_sr=(50.0, 65.0, 80.0), d_st_pr=(60.0,))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=3, n=5, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    config, stats = _system(3, 5, 3, 1, 22.0, (50.0, 65.0, 80.0), (60.0,))
     seed, block = 17, 2
     for size in (1, 7, 64):
         x_gain, z = _stream_stats_block(config, stats, seed, STREAM_OUTAGE, block, size, {})
@@ -586,19 +573,10 @@ def test_interferer_count_follows_the_means():
 
 
 def test_distribution_check_small_arrays():
-    geom = Geometry(d_st_sr=30.0, d_pt_sr=(56.0,), d_st_pr=(60.0,))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=1, n=1, l_t=1, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    chk = zf_distribution_check(config, stats, trials=30000, seed=11)
-    assert chk.gain_pvalue > 0.01 and chk.interference_pvalue > 0.01
-
-    geom = Geometry(d_st_sr=30.0, d_pt_sr=(45.0, 60.0, 75.0), d_st_pr=(60.0,))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=2, n=6, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    chk = zf_distribution_check(config, stats, trials=30000, seed=11)
-    assert chk.gain_pvalue > 0.01 and chk.interference_pvalue > 0.01
+    for spec in ((1, 1, 1, 1, 30.0, (56.0,), (60.0,)),
+                 (2, 6, 3, 1, 30.0, (45.0, 60.0, 75.0), (60.0,))):
+        chk = zf_distribution_check(*_system(*spec), trials=30000, seed=11)
+        assert chk.gain_pvalue > 0.01 and chk.interference_pvalue > 0.01
 
 
 def test_empirical_leakage_extremes():

@@ -1,17 +1,14 @@
 import decimal
 import math
-from collections import Counter
 from decimal import Decimal
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.calculus.quadrature import GaussLegendre
 
 from crmimo import validation
-from crmimo.linkstats import Geometry, LinkStats
+from crmimo.linkstats import LinkStats
 from crmimo.mcharness import STREAM_SER, _zf_estimate, empirical_outage, empirical_rate
 from crmimo.outage import (
     _cdf_coefficients,
@@ -33,25 +30,20 @@ from crmimo.powalloc import (
 from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
+from oracles import (
+    anchor_setup,
+    capacity_oracle,
+    decimal_success,
+    paper_outage,
+    quadrature_oracles,
+)
+
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
 
 
-def anchor_setup():
-    geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0), d_st_pr=(60.0, 60.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=4, n=5, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    return config, stats
-
-
 def inid_setup(m=3, n=6):
-    geom = Geometry(d_st_sr=28.0, d_pt_sr=(45.0, 60.0, 75.0, 90.0),
-                    d_st_pr=(58.0, 72.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=m, n=n, l_t=4, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    return config, stats
+    return validation._system(m, n, 4, 2, 28.0, (45.0, 60.0, 75.0, 90.0), (58.0, 72.0))
 
 
 def degenerate_solution():
@@ -88,11 +80,8 @@ def test_branch_names_the_paper_case(m, n, d_pt_sr, branch):
     # randomly placed transmitters (means that differ) are "general" at any
     # antenna counts; co-located ones (equal means) are "iid_pts", with the
     # single-term label at m == n
-    geom = Geometry(d_st_sr=25.0, d_pt_sr=d_pt_sr, d_st_pr=(60.0, 75.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=m, n=n, l_t=len(d_pt_sr), l_r=2, p_p=10.0,
-                          p_max=100.0, q=Q_7DB, gamma_th=GAMMA_3DB)
-    assert outage_auto(config, stats, solve_lambda(config, stats)).branch == branch
+    config, stats, sol = validation._point(m, n, len(d_pt_sr), 2, 25.0, d_pt_sr, (60.0, 75.0))
+    assert outage_auto(config, stats, sol).branch == branch
 
 
 def test_equal_antenna_reduction_identity():
@@ -100,11 +89,7 @@ def test_equal_antenna_reduction_identity():
     # single sum 1 - sum_k w_k e^{-bn} / (a E[Z_k] + 1) with the two-mean
     # partial-fraction weights w_1 = m_1 / (m_1 - m_2), w_2 = m_2 / (m_2 - m_1);
     # it must agree with direct quadrature of the same mixture
-    geom = Geometry(d_st_sr=30.0, d_pt_sr=(45.0, 70.0), d_st_pr=(55.0, 75.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=3, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    sol = solve_lambda(config, stats)
+    config, stats, sol = validation._point(3, 3, 2, 2, 30.0, (45.0, 70.0), (55.0, 75.0))
     general = outage_auto(config, stats, sol)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
@@ -117,34 +102,15 @@ def test_equal_antenna_reduction_identity():
     assert abs(general.p_out - quadrature) <= 1e-12
 
 
-def colocated_double_sum(a, bn, n_terms, ez, l_t):
-    """The paper's co-located-transmitter outage, where the interference is
-    an Erlang of order l_t:
-    1 - e^{-bn} sum_{l<N} sum_{s<=l} C(l,s) (s+l_t-1)! / (l! (l_t-1)!)
-        bn^{l-s} a^s / (E_z^{l_t} (a + 1/E_z)^{s+l_t})."""
-    beta = a + 1.0 / ez
-    acc = math.fsum(
-        math.comb(l, s) * math.factorial(s + l_t - 1)
-        / (math.factorial(l) * math.factorial(l_t - 1))
-        * bn ** (l - s) * a ** s / (ez ** l_t * beta ** (s + l_t))
-        for l in range(n_terms) for s in range(l + 1))
-    return 1.0 - math.exp(-bn) * acc
-
-
 def test_single_transmitter_collapses_branches():
-    geom = Geometry(d_st_sr=25.0, d_pt_sr=(56.0,), d_st_pr=(60.0, 75.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=2, n=4, l_t=1, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    sol = solve_lambda(config, stats)
+    config, stats, sol = validation._point(2, 4, 1, 2, 25.0, (56.0,), (60.0, 75.0))
     # one transmitter is the co-located case at l_t = 1: the paper's double
     # sum with an exponential interference
     res = outage_auto(config, stats, sol)
     assert res.branch == "iid_pts"
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
-    want = colocated_double_sum(a, bn, config.diversity_order,
-                                stats.mean_z_per_pt[0], 1)
+    want = paper_outage(a, bn, config.diversity_order, stats.mean_z_per_pt)
     assert abs(res.p_out - want) <= 1e-12
 
 
@@ -154,15 +120,15 @@ def test_tied_means_match_iid_branch_without_the_iid_flag():
     config, stats = anchor_setup()
     assert stats.iid_z
     sol = solve_lambda(config, stats)
-    ez, l_t, n_terms = stats.mean_z_per_pt[0], stats.l_t, config.diversity_order
+    means, n_terms = stats.mean_z_per_pt, config.diversity_order
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
-    want = colocated_double_sum(a, bn, n_terms, ez, l_t)
+    want = paper_outage(a, bn, n_terms, means)
     assert abs(outage_auto(config, stats, sol).p_out - want) <= 1e-12
     power = conventional_power(config, stats)
     a, bn = _cdf_coefficients(config, stats, power, 0.0, config.gamma_th)
     assert abs(outage_fixed_power(config, stats, power)
-               - colocated_double_sum(a, bn, n_terms, ez, l_t)) <= 1e-12
+               - paper_outage(a, bn, n_terms, means)) <= 1e-12
 
 
 def test_equal_means_take_the_iid_branch_however_built():
@@ -184,11 +150,7 @@ def test_equal_means_take_the_iid_branch_however_built():
 
 
 def test_iid_equal_antenna_reduction():
-    geom = Geometry(d_st_sr=20.0, d_pt_sr=(56.0, 56.0, 56.0), d_st_pr=(60.0,))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=4, n=4, l_t=3, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    sol = solve_lambda(config, stats)
+    config, stats, sol = validation._point(4, 4, 3, 1, 20.0, (56.0, 56.0, 56.0), (60.0,))
     res = outage_auto(config, stats, sol)
     assert res.branch == "iid_pts_equal_antennas"
     # the single term 1 - e^{-bn} (1 + a E_z)^{-l_t}
@@ -219,8 +181,8 @@ def test_outage_monotone_in_threshold_and_primary_power():
 def test_threshold_array_matches_scalar_calls():
     # an array of thresholds is one kernel call, bit for bit the scalar calls
     gammas = np.geomspace(1e-3, 1e4, 29)
-    for config, stats in (anchor_setup(), validation._point(
-            16, 80, 80, 1, 30.0, tuple(np.linspace(40.0, 90.0, 80)), (70.0,))[:2]):
+    for config, stats in (anchor_setup(), validation._system(
+            16, 80, 80, 1, 30.0, tuple(np.linspace(40.0, 90.0, 80)), (70.0,))):
         sol = solve_lambda(config, stats)
         power = conventional_power(config, stats)
         for f in (lambda g: outage_auto(config, stats, sol, gamma_th=g).p_out,
@@ -402,13 +364,8 @@ def test_ergodic_capacity():
 
 
 def test_capacity_grows_with_interference_headroom():
-    config, _ = anchor_setup()
-    caps = []
-    for d in (30.0, 100.0):
-        geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0), d_st_pr=(d, d))
-        stats = LinkStats.from_geometry(geom)
-        sol = solve_lambda(config, stats)
-        caps.append(ergodic_capacity(config, stats, sol))
+    caps = [ergodic_capacity(*validation._point(4, 5, 2, 2, 18.0, (56.0, 56.0), (d, d)))
+            for d in (30.0, 100.0)]
     assert caps[1] > caps[0]
 
 
@@ -436,10 +393,8 @@ def test_average_ser_matches_monte_carlo():
     assert abs(ana - est.value) <= 3 * est.std_error
 
 
-
-
 # ---------------------------------------------------------------------------
-# the positive-term kernel against high-precision oracles
+# the positive-term kernel against the paper's forms and a 50-digit replay
 # ---------------------------------------------------------------------------
 
 ORACLE = settings(max_examples=200)
@@ -451,53 +406,12 @@ def mixed_outage(a, bn, n_terms, means):
     return np.clip(1.0 - _mixed_success(a, bn, n_terms, means), 0.0, 1.0)
 
 
-def _mp_erlang_sums(bn, n_terms):
-    """[0, T_1, ..., T_N] with T_j = sum_{i<j} bn^i / i!, in mpmath."""
-    sums, term = [mpmath.mpf(0)], mpmath.mpf(1)
-    for i in range(n_terms):
-        sums.append(sums[-1] + term)
-        term *= bn / (i + 1)
-    return sums
-
-
-def partial_fraction_oracle(a, bn, n_terms, means):
-    """The outage as the paper writes it for distinct means: the density of
-    the interference in partial fractions, w_k = prod_{j!=k} m_k / (m_k - m_j),
-    mixed into the Erlang tail term by term,
-    1 - e^{-bn} sum_k (w_k / m_k) sum_{l<N} sum_{s<=l}
-        bn^{l-s} a^s / ((l-s)! (a + 1/m_k)^{s+1}),
-    with 40 digits left after the weights' cancellation."""
-    with mpmath.workdps(60):
-        ms = [mpmath.mpf(m) for m in means]
-        lost = max(abs(mpmath.fprod(mk / (mk - mj) for j, mj in enumerate(ms) if j != k))
-                   for k, mk in enumerate(ms))
-    with mpmath.workdps(40 + max(0, int(mpmath.log10(lost)) + 1)):
-        a, bn = mpmath.mpf(a), mpmath.mpf(bn)
-        ms = [mpmath.mpf(m) for m in means]
-        sums = _mp_erlang_sums(bn, n_terms)
-        total = mpmath.mpf(0)
-        for k, mk in enumerate(ms):
-            wk = mpmath.fprod(mk / (mk - mj) for j, mj in enumerate(ms) if j != k)
-            beta = a + 1 / mk
-            # sum over l of the inner sum, regrouped by s
-            total += wk / mk * mpmath.fsum(a ** s / beta ** (s + 1) * sums[n_terms - s]
-                                           for s in range(n_terms))
-        return float(1 - mpmath.exp(-bn) * total)
-
-
-def positive_sum_oracle(a, bn, n_terms, means):
-    """The kernel's positive sum in 50-digit arithmetic, for tied means."""
-    with mpmath.workdps(50):
-        a, bn = mpmath.mpf(a), mpmath.mpf(bn)
-        weight, h = mpmath.mpf(1), [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n_terms - 1)
-        for m in means:
-            r = a * m / (1 + a * m)
-            weight *= 1 - r
-            for s in range(1, n_terms):
-                h[s] += r * h[s - 1]
-        sums = _mp_erlang_sums(bn, n_terms)
-        mix = mpmath.fsum(h[s] * sums[n_terms - s] for s in range(n_terms))
-        return float(1 - weight * mpmath.exp(-bn) * mix)
+def replayed_outage(a, bn, n_terms, means):
+    """1 - `decimal_success` at 50 digits: the oracle for partial ties,
+    which the paper's forms leave out, and for N past 40."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float(1 - decimal_success(Decimal(a), Decimal(bn), n_terms, means))
 
 
 def spread(lo, mid, hi):
@@ -530,10 +444,10 @@ def interferer_means(draw):
 @example(0.0, 2.5, 7, [1.0, 2.0])
 def test_kernel_matches_mpmath_oracle(a, bn, n_terms, means):
     got = mixed_outage(a, bn, n_terms, means)
-    if len(set(means)) == len(means):
-        want = partial_fraction_oracle(a, bn, n_terms, means)
+    if len(set(means)) in (1, len(means)):
+        want = paper_outage(a, bn, n_terms, means)
     else:
-        want = positive_sum_oracle(a, bn, n_terms, means)
+        want = replayed_outage(a, bn, n_terms, means)
     assert abs(got - want) <= 1e-14
 
 
@@ -549,11 +463,7 @@ TIED_CAPACITY = 1.0744074578158771
 
 
 def test_partial_tie_never_takes_the_quadrature(monkeypatch):
-    geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0, 70.0), d_st_pr=(60.0, 60.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=4, n=5, l_t=3, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    sol = solve_lambda(config, stats)
+    config, stats, sol = validation._point(*validation.TIED)
     a, bn = _cdf_coefficients(config, stats, sol.slope, sol.c_threshold,
                               config.gamma_th)
     want = _mixed_outage_quadrature(a, bn, config.diversity_order, stats.mean_z_per_pt)
@@ -577,55 +487,20 @@ def test_kernel_past_the_log_space_switch():
     # bn past 700: the Erlang tails are summed in log space, for many terms
     for args in ((0.01, 900.0, 1000, [1.0, 2.0, 5.0]), (0.05, 750.0, 800, [0.5] * 4),
                  (1e-3, 1200.0, 1200, [3.0, 3.0, 7.0])):
-        assert abs(mixed_outage(*args) - positive_sum_oracle(*args)) <= 2e-13
+        assert abs(mixed_outage(*args) - replayed_outage(*args)) <= 2e-13
 
 
 # ---------------------------------------------------------------------------
 # capacity and SER against 30-digit quadrature
 # ---------------------------------------------------------------------------
 
-def negative_binomial_success(a, bn, n_terms, means):
-    """E_Z[Q(N, a Z + bn)] in the working precision, by a second route: the
-    tilted stage count of the c copies of one mean m is negative binomial,
-    C(c + j - 1, j) (1 - r)^c r^j with r = a m / (1 + a m); the counts of the
-    distinct means are convolved and mixed into the Erlang tails."""
-    pmf = None
-    for m, c in Counter(means).items():
-        r = a * m / (1 + a * m)
-        nb = [(1 + a * m) ** -c]
-        for j in range(1, n_terms):
-            nb.append(nb[-1] * r * (c + j - 1) / j)
-        pmf = nb if pmf is None else [mpmath.fsum(pmf[i] * nb[s - i] for i in range(s + 1))
-                                      for s in range(n_terms)]
-    sums = _mp_erlang_sums(bn, n_terms)
-    return mpmath.exp(-bn) * mpmath.fsum(pmf[s] * sums[n_terms - s] for s in range(n_terms))
-
-
-def quadrature_oracles(config, stats, sol, b=1.0):
-    """(ergodic_capacity, average_ser_binary at A = 1 and B = b) by 30-digit
-    adaptive mpmath quadrature of the negative-binomial success probability."""
-    with mpmath.workdps(30):
-        gain = mpmath.mpf(sol.slope) * stats.mean_x
-
-        def success(x):
-            return negative_binomial_success(
-                config.p_p * x / gain, config.n0 * x / gain + mpmath.mpf(sol.c_threshold)
-                / stats.mean_x, config.diversity_order, stats.mean_z_per_pt)
-
-        typical = gain * config.diversity_order / (config.p_p * stats.mean_z + config.n0)
-        cap = mpmath.quad(lambda x: success(x) / (1 + x), [0, typical, mpmath.inf])
-        ser = mpmath.quad(lambda t: mpmath.exp(-b * t * t) * (1 - success(t * t)),
-                          [0, 1 / mpmath.sqrt(b), mpmath.inf])
-        return float(cap / mpmath.log(2)), float(ser * mpmath.sqrt(b / mpmath.pi))
-
-
 @st.composite
 def receiver_systems(draw):
     """(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at one primary receiver,
     with interferer distances exactly tied in two groups (l_t up to 80),
-    distinct or 1e-8 apart (relative).  The oracle's cost grows with
-    (distinct means) x N^2, which bounds N = n - m + 1 here; the explicit
-    examples reach n - m = 64."""
+    distinct or 1e-8 apart (relative).  N = n - m + 1 stays within
+    sqrt(200 / distinct means), which keeps the mpmath quadrature short;
+    the explicit examples reach n - m = 64."""
     tie = draw(st.sampled_from(["none", "exact", "near"]))
     l_t = draw(st.integers(1, 80 if tie == "exact" else 24))
     d = draw(st.floats(30.0, 100.0))
@@ -664,55 +539,6 @@ def test_capacity_and_ser_match_mpmath_quadrature(spec, b):
 # ---------------------------------------------------------------------------
 # capacity at large diversity order against a 30-digit oracle
 # ---------------------------------------------------------------------------
-
-def decimal_success(a, bn, n_terms, means):
-    """The kernel's positive sum, E_Z[Q(N, a Z + bn)] =
-    prod_k (1 - r_k) sum_{s<N} h_s(r) Q(N - s, bn), at object arrays of
-    Decimal (a, bn) in the context's precision: h_s by one running sum per
-    mean and Q(N - s, bn) by one running sum of the Poisson terms, so
-    O(N l_t) operations per node.  decimal's C arithmetic makes the
-    large-N rows affordable, where mpmath's pure-Python numbers would take
-    seconds per row."""
-    one = np.full(a.shape, Decimal(1), dtype=object)
-    weight, h = one, [one] + [0 * one] * (n_terms - 1)
-    for m in map(Decimal, means):
-        t = a * m
-        weight, r = weight / (1 + t), t / (1 + t)
-        for s in range(1, n_terms):
-            h[s] = h[s] + r * h[s - 1]
-    term, cdf = np.array([(-b).exp() for b in bn], dtype=object), [0 * one]
-    for j in range(n_terms):
-        cdf.append(cdf[-1] + term)
-        term = term * bn / (j + 1)
-    return weight * sum(hs * q for hs, q in zip(h, cdf[:0:-1]))
-
-
-def capacity_oracle(config, stats, sol, degree):
-    """ergodic_capacity in 30-digit arithmetic: int_0^inf success(e^u - 1) du
-    with u = ln(1 + x), by composite Gauss-Legendre (3 2^(degree - 1) mpmath
-    nodes per piece).  The success falls on the scale of the typical SINR
-    x_t, then drops where the noise alone reaches N, at x_0 = (N - c) / b
-    (bn = b x + c), over a width w = sqrt(N) / b; the pieces end at x_t 4^k
-    and at x_0 + k w.  Past x_0 + 40 w the success is below e^-150."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 30
-        n_terms = config.diversity_order
-        gain = Decimal(sol.slope) * Decimal(stats.mean_x)
-        a, b = Decimal(config.p_p) / gain, Decimal(config.n0) / gain
-        c = Decimal(sol.c_threshold) / Decimal(stats.mean_x)
-        typical = n_terms / (a * Decimal(stats.mean_z) + b)
-        x0, w = (n_terms - c) / b, Decimal(n_terms).sqrt() / b
-        ends = [Decimal(0)] + [typical * Decimal(4) ** k for k in range(-3, 12)
-                               if typical * Decimal(4) ** k < x0 - 8 * w]
-        ends = [(1 + x).ln() for x in ends + [x0 + k * w for k in (-8, -2, 0, 2, 8, 40)]]
-        rule = [(Decimal(mpmath.nstr(x, 32)), Decimal(mpmath.nstr(wt, 32)))
-                for x, wt in GaussLegendre(mpmath.mp).calc_nodes(degree, 110)]
-        nodes = [((lo + hi + (hi - lo) * x) / 2, (hi - lo) * wt / 2)
-                 for lo, hi in zip(ends, ends[1:]) for x, wt in rule]
-        x = np.array([u.exp() - 1 for u, _ in nodes], dtype=object)
-        success = decimal_success(a * x, b * x + c, n_terms, stats.mean_z_per_pt)
-        return sum(f * wt for f, (_, wt) in zip(success, nodes)) / Decimal(2).ln()
-
 
 @pytest.mark.parametrize("n", [100, 400, 1000, 2000])
 def test_capacity_at_large_diversity_order_matches_oracle(n):

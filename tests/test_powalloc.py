@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from crmimo import powalloc
-from crmimo.linkstats import Geometry, LinkStats
+from crmimo.linkstats import LinkStats
 from crmimo.outage import outage_auto
 from crmimo.powalloc import (
     LN2,
@@ -19,42 +18,16 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
+from crmimo.validation import _system, mean_power_quadrature
+
+from oracles import anchor_setup, mp_mean_power
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
 
 
-def anchor_setup(n=5):
-    geom = Geometry(d_st_sr=18.0, d_pt_sr=(56.0, 56.0), d_st_pr=(60.0, 60.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=4, n=n, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    return config, stats
-
-
 def equal_antenna_setup():
-    geom = Geometry(d_st_sr=30.0, d_pt_sr=(45.0, 70.0), d_st_pr=(55.0, 75.0))
-    stats = LinkStats.from_geometry(geom)
-    config = SystemConfig(m=3, n=3, l_t=2, l_r=2, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    return config, stats
-
-
-def erlang_pdf(x, shape, scale):
-    return x ** (shape - 1) * math.exp(-x / scale) / (math.gamma(shape) * scale ** shape)
-
-
-def quadrature_mean_power(lam, config, stats):
-    """Independent oracle: numerically integrate the clipped allocation
-    against the stream-gain density."""
-    slope = lam / (LN2 * stats.mean_y)
-    offset = config.p_p * stats.mean_z + config.n0
-    c = offset / slope
-    shape, scale = config.diversity_order, stats.mean_x
-    val, err = quad(lambda x: (slope - offset / x) * erlang_pdf(x, shape, scale),
-                    c, np.inf, limit=300, epsabs=1e-13, epsrel=1e-12)
-    assert err < 1e-10
-    return val
+    return _system(3, 3, 2, 2, 30.0, (45.0, 70.0), (55.0, 75.0))
 
 
 def test_config_validation():
@@ -124,7 +97,7 @@ def test_root_residual_and_quadrature_oracle():
         sol = solve_lambda(config, stats)
         residual = abs(mean_power(sol.lam, config, stats) - sol.target_mean_power)
         assert residual <= 1e-10 * sol.target_mean_power
-        oracle = quadrature_mean_power(sol.lam, config, stats)
+        oracle = mean_power_quadrature(sol.lam, config, stats)
         assert oracle == pytest.approx(sol.target_mean_power, rel=1e-8)
 
 
@@ -181,7 +154,7 @@ def test_multiplier_matches_independent_quadrature_bisection():
     lo, hi = sol.lam * 0.2, sol.lam * 5.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if quadrature_mean_power(mid, config, stats) < target:
+        if mean_power_quadrature(mid, config, stats) < target:
             lo = mid
         else:
             hi = mid
@@ -235,6 +208,9 @@ def test_optimal_power_shape():
     c = sol.c_threshold
     assert optimal_power(c, sol) == pytest.approx(0.0, abs=1e-15)
     assert optimal_power(0.0, sol) == 0.0
+    # offset / x overflows at a subnormal gain: still zero power, no warning
+    assert optimal_power(1e-320, sol) == 0.0
+    assert optimal_power(np.array([0.0, 1e-320, 5e-324]), sol).tolist() == [0.0] * 3
     assert optimal_power(1e12 * c, sol) == pytest.approx(sol.slope, rel=1e-10)
     # at 2C the rule gives exactly half the asymptotic power
     assert optimal_power(2 * c, sol) == pytest.approx(sol.slope / 2, rel=1e-12)
@@ -283,20 +259,6 @@ def test_mean_power_converges_with_receive_antennas():
 # ---------------------------------------------------------------------------
 # the multiplier against a 50-digit root
 # ---------------------------------------------------------------------------
-
-def mp_mean_power(lam, config, stats):
-    """mean_power's closed form in the working mpmath precision, on
-    mpmath's incomplete gamma and E1."""
-    ex, ey = mpmath.mpf(stats.mean_x), mpmath.mpf(stats.mean_y)
-    slope = lam / (mpmath.log(2) * ey)
-    offset = mpmath.mpf(config.p_p) * mpmath.mpf(stats.mean_z) + mpmath.mpf(config.n0)
-    u = offset / (slope * ex)
-    shape = config.diversity_order
-    if shape > 1:
-        return slope * mpmath.gammainc(shape, u, regularized=True) \
-            - offset * mpmath.gammainc(shape - 1, u, regularized=True) / ((shape - 1) * ex)
-    return slope * mpmath.exp(-u) - offset * mpmath.e1(u) / ex
-
 
 def system_at(m, n, u, mean_x=1.0, mean_y=1.0, mean_z=1.0, p_p=10.0, q_limited=True):
     """(config, stats) whose multiplier puts u = C / E[X] at the given value,
