@@ -105,11 +105,10 @@ def leakage_probability(powers, mean_y_per_pr, q):
     last entry of the receiver product `_receiver_tails` over all antennas,
     so the first step of `reduce_antennas` by construction.  An antenna
     with zero power is a stage of mean 0 and adds nothing; all-zero or no
-    powers mean no transmission and no leakage.  At one receiver it is
-    within 1e-12 absolute of a 40-digit stage-chain oracle for up to 64
-    powers (`test_hypoexp_ccdf_and_density_match_oracle` in
-    tests/test_linkstats.py); a product of tails in [0, 1] is off by at
-    most the sum of their errors.
+    powers mean no transmission and no leakage.  Tolerance
+    (tests/accuracy.py): 1e-14 absolute at one receiver, for up to 64
+    powers; a product of tails in [0, 1] is off by at most the sum of their
+    errors.
     """
     p, means, q = checked_leakage_inputs(powers, mean_y_per_pr, q)
     if p.size == 0:

@@ -41,13 +41,14 @@ MAX_TRIALS = BLOCK_TRIALS << 52
 # a ZF block's complex Gaussian draws come, and are used, in slabs of whole
 # trials of at most this many bytes; only their real halves exist whole
 SLAB_BYTES = 1 << 20
-# OpenBLAS (0.3.31, bundled with numpy 2.4) hands a complex gemm of more than
-# 65 536 multiply-adds to helper threads: on a 2-vCPU host a stack of
+# OpenBLAS (0.3.31, bundled with numpy 2.4) hands a complex gemm of 65 536
+# multiply-adds or more to helper threads: on a 2-vCPU host a stack of
 # (16x80)@(80x48) products ran at CPU time = wall time, (16x80)@(80x52) to
 # @(80x80) at 1.9-2.3 times wall time with no wall-time gain, and the helpers
-# then spin against the worker threads.  Per-trial products of 16 or more
-# columns stay under this (`_serial_matmul`).  Narrower ones are one call, and
-# OpenBLAS threads stacked matrix-vector products on its own rule: a
+# then spin against the worker threads; (64x64)@(64x16), exactly 65 536, ran
+# at 21.8 ms CPU time against 10.5 ms wall time.  Per-trial products of 16 or
+# more columns stay under this (`_serial_matmul`).  Narrower ones are one call,
+# and OpenBLAS threads stacked matrix-vector products on its own rule: a
 # (608, 64, 64) @ (608, 64, 1) stack ran at 7-8 ms CPU time against 3-4 ms
 # wall time, so a block at m = n = 64, l_t = 1 is not serial.
 SERIAL_GEMM_MADDS = 1 << 16
@@ -159,16 +160,16 @@ def _complex_slabs(rng, shape, variance, work, scale=None):
 
 
 def _serial_matmul(a, b, out):
-    """a @ b for stacks of matrices, in column chunks of b holding at most
-    SERIAL_GEMM_MADDS multiply-adds per matrix product, so the BLAS keeps
-    each product on the calling thread.  Chunks are whole 8-column groups,
-    the remainder under 8 folded into the last, which keeps the bits of one
-    call; a product under the cutoff, or too narrow to split so, is one
-    call, which OpenBLAS may still thread (see SERIAL_GEMM_MADDS).  The
+    """a @ b for stacks of matrices, in column chunks of b holding fewer
+    than SERIAL_GEMM_MADDS multiply-adds per matrix product, so the BLAS
+    keeps each product on the calling thread.  Chunks are whole 8-column
+    groups, the remainder under 8 folded into the last, which keeps the bits
+    of one call; a product under the cutoff, or too narrow to split so, is
+    one call, which OpenBLAS may still thread (see SERIAL_GEMM_MADDS).  The
     product is written to out."""
     m, k = a.shape[-2:]
     width = b.shape[-1]
-    if m * k * width <= SERIAL_GEMM_MADDS or width < 16:
+    if m * k * width < SERIAL_GEMM_MADDS or width < 16:
         return np.matmul(a, b, out=out)
     step = 8 * max(1, (SERIAL_GEMM_MADDS // (m * k) - 7) // 8)
     edges = list(range(0, width - 7, step)) + [width]

@@ -113,12 +113,11 @@ def outage_auto(config, stats, sol, gamma_th=None):
     equal), and "iid_pts_equal_antennas" for co-located ones at m == n,
     where the sum is the single term 1 - e^{-bn} / (1 + a E_z)^{l_t}.
 
-    Its kernel is within 1e-14 absolute of 40- to 60-digit oracles for
-    N = n - m + 1 <= 40, and within 2e-13 absolute past bn = 700 (N up to
-    1200): `test_kernel_matches_mpmath_oracle` and
-    `test_kernel_past_the_log_space_switch` in tests/test_outage.py pin
-    both.  The bound is absolute, not relative: a small outage carries
-    fewer digits."""
+    Tolerance of its kernel (tests/accuracy.py): 1e-14 absolute for
+    N = n - m + 1 <= 40, and 2e-13 absolute past bn = 700 on the pinned
+    cases there (N up to 1200); 4.7e-13 has been seen at other such points
+    (ROADMAP item 4).  The bound is absolute, not relative: a small outage
+    carries fewer digits."""
     p = _outage(config, stats, sol.slope, sol.c_threshold, gamma_th)
     branch = ("general" if not stats.iid_z
               else "iid_pts_equal_antennas" if config.m == config.n else "iid_pts")
@@ -129,8 +128,7 @@ def outage_auto(config, stats, sol, gamma_th=None):
 def outage_fixed_power(config, stats, power, gamma_th=None):
     """Outage probability under a fixed per-stream power (the conventional
     baseline); returns the bare probability, 1 for a power <= 0.  The
-    kernel and its absolute tolerance are those of `outage_auto`: 1e-14
-    for N <= 40 and 2e-13 past bn = 700, pinned by the same two tests."""
+    kernel and its tolerance are those of `outage_auto`."""
     power = _finite(power, "power")
     if power <= 0:
         g = _threshold(config, gamma_th)
@@ -172,18 +170,16 @@ def asymptotic_sinr(case, config, stats, sol, z_realization=None):
         raise ValueError(f"unknown case {case!r}; expected one of {ASYMPTOTIC_CASES}")
     if z_realization is not None and _nonnegatives(z_realization, "z_realization").ndim:
         raise ValueError(f"z_realization must be one finite number >= 0, got {z_realization!r}")
+    if z_realization is None and case != "both_massive_lt_massive":
+        raise ValueError(f"{case} requires an interference realization z_realization")
     shape = config.diversity_order
     if case == "rx_massive":
-        if z_realization is None:
-            raise ValueError("rx_massive requires an interference realization z_realization")
         pre = sol.slope * stats.mean_x * shape / (config.p_p * z_realization + config.n0)
         return AsymptoticSinr(limit=math.inf, pre_limit=pre)
     if case == "both_massive_lt_massive":
         mu_x = shape * stats.mean_x
         val = optimal_power(mu_x, sol) * mu_x / (config.p_p * stats.mean_z + config.n0)
         return AsymptoticSinr(limit=val, pre_limit=val)
-    if z_realization is None:
-        raise ValueError("both_massive_lt_finite requires an interference realization z_realization")
     ey = stats.mean_y
     val = (min(config.q, ey * config.p_max) * stats.mean_x / ey) * (shape / config.m) \
         / (config.p_p * z_realization + config.n0)
@@ -198,8 +194,11 @@ def ergodic_capacity(config, stats, sol):
     """Mean stream rate (1/ln2) int_0^inf (1 - P_out(x)) / (1 + x) dx in bps/Hz.
 
     1 - P_out is the kernel's own success probability; the exp-sinh rule of
-    `specfun`, finest near the typical SINR, is good to 1e-13 relative
-    (ArithmeticError otherwise).
+    `specfun`, finest near the typical SINR, stops once its error estimate
+    is below 1e-13 relative (ArithmeticError otherwise).  Tolerance
+    (tests/accuracy.py): 1e-14 relative on the systems its row draws (N up
+    to 64 with l_t up to 80, and N up to 1997 at two interferers); the
+    rule's 1e-13 gate is all that is claimed elsewhere.
     """
 
     def integrand(x):
@@ -217,8 +216,9 @@ def average_ser_binary(config, stats, sol, a, b):
     The integrable endpoint is removed by x = t^2, giving
     (A sqrt(B) / sqrt(pi)) int_0^inf e^{-B t^2} P_out(t^2) dt: the exp-sinh
     rule of `specfun` on the scale 1/sqrt(B).  P_out = 1 - success carries
-    a few 1e-15 absolute error, so the SER is good to 1e-13 absolute, not
-    relative (ArithmeticError otherwise).
+    a few 1e-15 absolute error, so the rule's gate and the tolerance
+    (tests/accuracy.py) are 1e-13 absolute, not relative
+    (ArithmeticError past the gate).
     """
     a, b = _positive(a, "a"), _positive(b, "b")
     factor = a * math.sqrt(b) / math.sqrt(math.pi)

@@ -12,13 +12,17 @@ the library never loads.  Test modules import their shared oracles and
 setups from here, never from one another.
 """
 
+import collections
 import decimal
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from mpmath.calculus.quadrature import GaussLegendre
 from scipy.stats import ks_2samp
 
@@ -30,6 +34,67 @@ def anchor_setup(n=5):
     tied interferers at m = 4, with n receive antennas."""
     m, _, *rest = validation.GRID[0]
     return validation._system(m, n, *rest)
+
+
+def equal_antenna_setup():
+    """(SystemConfig, LinkStats) at m = n = 3 with two distinct interferers."""
+    return validation._system(3, 3, 2, 2, 30.0, (45.0, 70.0), (55.0, 75.0))
+
+
+_exp = np.frompyfunc(Decimal.exp, 1, 1)
+
+
+@functools.cache
+def _legendre_rule(degree):
+    """mpmath's 3 2^(degree - 1) Gauss-Legendre (node, weight) pairs on
+    [-1, 1], in 32-digit Decimals."""
+    return [(Decimal(mpmath.nstr(x, 32)), Decimal(mpmath.nstr(wt, 32)))
+            for x, wt in GaussLegendre(mpmath.mp).calc_nodes(degree, 110)]
+
+
+def _gauss_legendre(ends, degree):
+    """(nodes, weights) as Decimal object arrays: the rule on each piece
+    between consecutive Decimal ends."""
+    nodes = [((lo + hi + (hi - lo) * x) / 2, (hi - lo) * wt / 2)
+             for lo, hi in zip(ends, ends[1:]) for x, wt in _legendre_rule(degree)]
+    return (np.array([x for x, _ in nodes], dtype=object),
+            np.array([wt for _, wt in nodes], dtype=object))
+
+
+# ---------------------------------------------------------------------------
+# the Erlang tail, and the sum and the largest of independent exponentials
+# ---------------------------------------------------------------------------
+
+def erlang_tail(n, x):
+    """Formula-independent: Q(n, x) = Gamma(n, x) / Gamma(n), mpmath's
+    regularized upper incomplete gamma in 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(n, x, regularized=True))
+
+
+def exact_sum(values):
+    """Formula-independent: the sum of floats in exact rational arithmetic,
+    rounded once."""
+    return float(sum(map(Fraction, values)))
+
+
+def max_mean(means, degree=4):
+    """Formula-independent: E[max of independent exponentials] =
+    int_0^inf 1 - prod_j (1 - e^{-t/m_j}) dt in 30 digits, by composite
+    Gauss-Legendre on pieces ending at M 2^-12, M 2^-11, ..., M and M (2, 4,
+    8, ..., 96), M the largest mean; past 96 M the integrand is below
+    64 e^-96.  Degree 4 gives the double of degree 5; degree 3 was 3e-15 off
+    for 60 tied means."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        top = Decimal(max(means))
+        ends = [top * Decimal(2) ** -k for k in range(12, -1, -1)]
+        t, wt = _gauss_legendre([Decimal(0)] + ends + [top * k for k in (2, 4, 8, 16, 32, 64, 96)],
+                                degree)
+        survive = 0 * t + 1
+        for m, count in collections.Counter(means).items():
+            survive = survive * (1 - _exp(-t / Decimal(m))) ** count
+        return float(sum((1 - survive) * wt))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +150,6 @@ def paper_outage(a, bn, n_terms, means):
         return float(1 - mpmath.exp(-bn) * total)
 
 
-_exp = np.frompyfunc(Decimal.exp, 1, 1)
-
-
 def decimal_success(a, bn, n_terms, means):
     """Replay for rounding: the kernel's positive sum, E_Z[Q(N, a Z + bn)] =
     prod_k (1 - r_k) sum_{s<N} h_s(r) Q(N - s, bn), at Decimal scalars
@@ -114,59 +176,37 @@ def decimal_success(a, bn, n_terms, means):
 # capacity and SER: integrals of the success law
 # ---------------------------------------------------------------------------
 
-def quadrature_oracles(config, stats, sol, b=1.0):
+def quadrature_oracles(config, stats, sol, b=1.0, degree=4):
     """Formula-independent of the exp-sinh rule: (ergodic_capacity,
-    average_ser_binary at A = 1 and B = b) by 30-digit adaptive mpmath
-    quadrature of the success law, with `decimal_success` at 40 digits at
-    each node."""
-    def to_decimal(x):
-        return Decimal(mpmath.nstr(x, 40))
-
-    with mpmath.workdps(30):
-        gain = mpmath.mpf(sol.slope) * stats.mean_x
-
-        def success(x):
-            a = config.p_p * x / gain
-            bn = config.n0 * x / gain + mpmath.mpf(sol.c_threshold) / stats.mean_x
-            with decimal.localcontext() as ctx:
-                ctx.prec = 40
-                s = decimal_success(to_decimal(a), to_decimal(bn), config.diversity_order,
-                                    stats.mean_z_per_pt)
-            return mpmath.mpf(str(s))
-
-        typical = gain * config.diversity_order / (config.p_p * stats.mean_z + config.n0)
-        cap = mpmath.quad(lambda x: success(x) / (1 + x), [0, typical, mpmath.inf])
-        ser = mpmath.quad(lambda t: mpmath.exp(-b * t * t) * (1 - success(t * t)),
-                          [0, 1 / mpmath.sqrt(b), mpmath.inf])
-        return float(cap / mpmath.log(2)), float(ser * mpmath.sqrt(b / mpmath.pi))
-
-
-def capacity_oracle(config, stats, sol, degree):
-    """Formula-independent of the exp-sinh rule: ergodic_capacity in 30-digit
-    arithmetic, int_0^inf success(e^u - 1) du with u = ln(1 + x), by
-    composite Gauss-Legendre (3 2^(degree - 1) mpmath nodes per piece) of
-    `decimal_success`.  The success falls on the scale of the typical SINR
-    x_t, then drops where the noise alone reaches N, at x_0 = (N - c) / b
-    (bn = b x + c), over a width w = sqrt(N) / b; the pieces end at x_t 4^k
-    and at x_0 + k w.  Past x_0 + 40 w the success is below e^-150."""
+    average_ser_binary at A = 1 and B = b) in 30 digits, by composite
+    Gauss-Legendre in t = sqrt(x) on one `decimal_success` S(t^2) per node:
+    capacity = (1 / ln 2) int 2t S / (1 + t^2) dt and
+    SER = sqrt(b / pi) int e^{-b t^2} (1 - S) dt.  S falls on the scale of the
+    typical SINR x_t and drops where the noise alone reaches N, at
+    x_0 = (N - c) / b_n (bn = b_n x + c), over a width w = sqrt(N) / b_n: the
+    pieces end at x_t 4^k, x_0 + k w and t = k / sqrt(b) (e^{-b t^2} < e^-144
+    past t = 12 / sqrt(b)), up to bn = N + 40 sqrt(N) + 150, past which
+    S < e^-80.  Degree 4 gives the doubles of degree 5; degree 3 was 1e-13 off
+    at small N."""
     with decimal.localcontext() as ctx:
         ctx.prec = 30
         n_terms = config.diversity_order
         gain = Decimal(sol.slope) * Decimal(stats.mean_x)
-        a, b = Decimal(config.p_p) / gain, Decimal(config.n0) / gain
+        a, b_n = Decimal(config.p_p) / gain, Decimal(config.n0) / gain
         c = Decimal(sol.c_threshold) / Decimal(stats.mean_x)
-        typical = n_terms / (a * Decimal(stats.mean_z) + b)
-        x0, w = (n_terms - c) / b, Decimal(n_terms).sqrt() / b
-        ends = [Decimal(0)] + [typical * Decimal(4) ** k for k in range(-3, 12)
-                               if typical * Decimal(4) ** k < x0 - 8 * w]
-        ends = [(1 + x).ln() for x in ends + [x0 + k * w for k in (-8, -2, 0, 2, 8, 40)]]
-        rule = [(Decimal(mpmath.nstr(x, 32)), Decimal(mpmath.nstr(wt, 32)))
-                for x, wt in GaussLegendre(mpmath.mp).calc_nodes(degree, 110)]
-        nodes = [((lo + hi + (hi - lo) * x) / 2, (hi - lo) * wt / 2)
-                 for lo, hi in zip(ends, ends[1:]) for x, wt in rule]
-        x = np.array([u.exp() - 1 for u, _ in nodes], dtype=object)
-        success = decimal_success(a * x, b * x + c, n_terms, stats.mean_z_per_pt)
-        return sum(f * wt for f, (_, wt) in zip(success, nodes)) / Decimal(2).ln()
+        typical = n_terms / (a * Decimal(stats.mean_z) + b_n)
+        x0, w = (n_terms - c) / b_n, Decimal(n_terms).sqrt() / b_n
+        last = (n_terms + 40 * Decimal(n_terms).sqrt() + 150 - c) / b_n
+        ends = [typical * Decimal(4) ** k for k in range(-4, 200)] \
+            + [x0 + k * w for k in (-8, -2, 0, 2, 8)] + [last]
+        b = Decimal(b)
+        t, wt = _gauss_legendre(sorted({Decimal(0), *(x.sqrt() for x in ends if 0 < x <= last),
+                                        *(k / b.sqrt() for k in (1, 2, 3, 4, 6, 8, 12))}), degree)
+        x = t * t
+        success = decimal_success(a * x, b_n * x + c, n_terms, stats.mean_z_per_pt)
+        pi = Decimal(mpmath.nstr(mpmath.pi, 32))
+        return (float(sum(2 * t * success / (1 + x) * wt) / Decimal(2).ln()),
+                float(sum(_exp(-b * x) * (1 - success) * wt) * (b / pi).sqrt()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +230,33 @@ def mp_mean_power(lam, config, stats):
 # ---------------------------------------------------------------------------
 # the stage chain: sums of independent exponentials
 # ---------------------------------------------------------------------------
+
+# log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%
+MEAN_GRID = [0.2 * 25.0 ** (i / 999) for i in range(1000)]
+# pairs 1e-8 apart: unscaled squaring of the stage chain lost 1.8e-9 here
+NEAR_TIED_PAIRS = [m * f for m in (0.3, 0.6, 1.2, 2.4) for f in (1.0, 1.0 + 1e-8)]
+# explicit (means, q) of the hypoexponential tail and density checks: partial-
+# fraction weights 6e36, 3e28, 2.5e7 and 1e6, exact ties, and near-tied pairs
+HYPOEXP_EXAMPLES = (
+    ([1.0 + 1e-3 * k for k in range(16)], 12.0), ([0.2 + 0.01 * k for k in range(40)], 30.0),
+    ([1.0, 1.0002, 1.0004], 0.3), ([1.0, 1.001, 1.002], 1.5), ([1.0, 1.0], 1.0),
+    ([2.0] * 4, 5.0), ([0.5, 1.3, 1.3, 2.2], 2.0), (NEAR_TIED_PAIRS, 4.5))
+
+
+@st.composite
+def hypoexp_case(draw):
+    """(means, q): 1-64 spread or near-tied (0.1% spacing) means, in random
+    order, and a threshold between 5% and 200% of their sum."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, len(MEAN_GRID) - 1), min_size=n,
+                            max_size=n, unique=True))
+        means = [MEAN_GRID[i] for i in idx]
+    else:
+        base = draw(st.floats(0.2, 5.0))
+        means = draw(st.permutations([base * (1 + 1e-3 * k) for k in range(n)]))
+    return means, draw(st.floats(0.05, 2.0)) * math.fsum(means)
+
 
 def stage_chain_oracle(means, z):
     """Formula-independent: (prefix tails, pdf) at z of a sum of independent
@@ -227,6 +294,29 @@ def stage_chain_oracle(means, z):
 # ---------------------------------------------------------------------------
 # the zero-forcing statistics
 # ---------------------------------------------------------------------------
+
+def complex_gaussian(rng, shape, variance):
+    """Whole-array circular complex Gaussian draw: all real parts, then all
+    imaginary parts."""
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) * math.sqrt(variance / 2.0)
+
+
+def zf_block_replay(config, stats, seed, stream, block, size, retry=0):
+    """Replay for rounding: (x_gain, z) of one ZF block of `mcharness` as a
+    whole-block computation, from whole-array draws of h and h_p under the
+    block's key: the inverse Gram stack, its diagonal and the projection of
+    h_p, with no slab, chunk or workspace."""
+    rng = mcharness.block_generator(seed, stream, block, retry)
+    h = complex_gaussian(rng, (size, config.n, config.m), stats.mean_x)
+    hh = np.conj(np.transpose(h, (0, 2, 1)))
+    gram_inv = np.linalg.inv(hh @ h)
+    hp = complex_gaussian(rng, (size, config.n, len(stats.mean_z_per_pt)), 1.0) \
+        * np.sqrt(np.asarray(stats.mean_z_per_pt))
+    x_gain = 1.0 / np.einsum("bii->bi", gram_inv).real
+    return x_gain, np.sum(np.abs(gram_inv @ (hh @ hp)) ** 2, axis=2) * x_gain
+
 
 @dataclass(frozen=True)
 class DistributionCheck:

@@ -11,9 +11,8 @@ from crmimo.validation import empirical_leakage
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
 
-# exact single- and two-stage anchors
-E_MINUS_1 = 0.36787944117144233
-TWO_STAGE = 0.8451818782538245  # 2 e^-1/2 - e^-1
+# the exact two-stage tail 2 e^-1/2 - e^-1
+TWO_STAGE = 0.8451818782538245
 
 
 def single_pr_setup(m=4, d_st_pr=60.0, q=Q_7DB):
@@ -24,14 +23,11 @@ def single_pr_setup(m=4, d_st_pr=60.0, q=Q_7DB):
     return config, stats
 
 
-def test_anchor_values():
-    assert leakage_probability([1.0], [1.0], 1.0) == pytest.approx(E_MINUS_1, rel=1e-12)
-    assert leakage_probability([1.0, 2.0], [1.0], 1.0) == pytest.approx(TWO_STAGE, rel=1e-12)
-    assert leakage_probability([1.0, 2.0], [1.0], 1e9) == pytest.approx(0.0, abs=1e-200)
-    # single antenna, single receiver: exactly exp(-q / (p ey))
-    for p, ey, q in [(0.7, 2.0, 3.0), (5.0, 0.3, 1.2)]:
-        assert leakage_probability([p], [ey], q) == pytest.approx(
-            math.exp(-q / (p * ey)), rel=1e-13)
+def test_leakage_far_past_the_cap_is_zero():
+    # the tail e^{-q/2} underflows long before q = 1e9, where the stage-chain
+    # oracle's series would need 1e9 terms; the anchors nearer the cap are
+    # explicit cases of the leakage_probability row of tests/accuracy.py
+    assert leakage_probability([1.0, 2.0], [1.0], 1e9) == 0.0
 
 
 def test_zero_power_handling():

@@ -18,9 +18,17 @@ from crmimo.linkstats import (
     pathloss_gain,
 )
 from crmimo.linkstats import _prefix_tails, _stage_chain
-from crmimo.validation import _mixed_outage_quadrature, max_mean_oracle, sum_density_inid
+from crmimo.validation import _mixed_outage_quadrature, sum_density_inid
 
-from oracles import stage_chain_oracle
+from accuracy import (
+    HARMONIC_CASES,
+    MAX_IID_VALUES,
+    MAX_PAIRS,
+    MEAN_SUM_EXAMPLES,
+    check,
+    check_drawn,
+)
+from oracles import HYPOEXP_EXAMPLES, MEAN_GRID, NEAR_TIED_PAIRS, hypoexp_case, stage_chain_oracle
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
 HYPO_DENSITY_1 = 0.23865121854119112
@@ -53,28 +61,20 @@ def test_pathloss_domain():
     assert pathloss_gain(1e80, 1, 4) == 1e-320  # a subnormal gain is still a gain
 
 
+# the accuracy of each mean is a row of tests/accuracy.py; these tests check
+# some of its cases, at the row's tolerance
+
 def test_mean_max_single_and_pairs():
-    assert mean_max_inid([2.0]) == pytest.approx(2.0, rel=1e-14)
-    # two i.i.d. exponentials: m (1 + 1/2)
-    assert mean_max_inid([1.0, 1.0]) == pytest.approx(1.5, rel=1e-12)
-    # distinct pair: a + b - 1/(1/a + 1/b) = 7/3
-    assert mean_max_inid([1.0, 2.0]) == pytest.approx(7.0 / 3.0, rel=1e-12)
+    check("mean_max_inid", MAX_PAIRS)
 
 
 def test_mean_max_matches_inclusion_exclusion():
-    rng = np.random.default_rng(101)
-    for _ in range(50):
-        means = list(rng.uniform(0.1, 9.0, size=rng.integers(1, 13)))
-        assert mean_max_inid(means) == pytest.approx(max_mean_oracle(means), rel=1e-12)
+    check_drawn("mean_max_inid")
 
 
-def test_mean_max_of_64_receivers_against_mpmath():
-    # far past the reach of inclusion-exclusion (2^64 subsets)
+def test_mean_max_of_64_receivers_takes_under_10_ms():
+    # its accuracy is a row of tests/accuracy.py
     means = list(np.random.default_rng(64).uniform(0.1, 9.0, size=64))
-    with mpmath.workdps(30):
-        want = mpmath.quad(lambda t: 1 - mpmath.fprod(1 - mpmath.exp(-t / m) for m in means),
-                           [0, max(means), 8 * max(means), mpmath.inf])
-    assert mean_max_inid(means) == pytest.approx(float(want), rel=1e-14)
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
@@ -84,16 +84,17 @@ def test_mean_max_of_64_receivers_against_mpmath():
 
 
 def test_mean_max_iid_values():
-    assert mean_max_iid(1.0, 1) == pytest.approx(1.0, rel=1e-14)
-    assert mean_max_iid(1.0, 2) == pytest.approx(1.5, rel=1e-14)
-    # harmonic number: 2 * (1 + 1/2 + 1/3)
-    assert mean_max_iid(2.0, 3) == pytest.approx(2 * 11.0 / 6.0, rel=1e-14)
+    check("mean_max_iid", MAX_IID_VALUES)
 
 
 def test_mean_max_iid_matches_harmonic_numbers():
-    for l_r in range(1, 12):
-        h = sum(1.0 / k for k in range(1, l_r + 1))
-        assert mean_max_iid(3.7, l_r) == pytest.approx(3.7 * h, rel=1e-11)
+    check("mean_max_iid", HARMONIC_CASES)
+
+
+def test_mean_max_iid_matches_inclusion_exclusion_oracle():
+    # inclusion-exclusion, sum_k (-1)^(k+1) C(l_r, k) / k, cancels by up to
+    # 2^60 at (1, 60), an explicit case of the row; its oracle integrates
+    check_drawn("mean_max_iid")
 
 
 def test_mean_max_equal_means_agree_with_iid_form():
@@ -112,9 +113,11 @@ def test_mean_max_bounds():
 
 
 def test_mean_sum_examples():
-    assert mean_sum_inid([5.0]) == pytest.approx(5.0, rel=1e-14)
-    assert mean_sum_inid([1.0, 2.0]) == pytest.approx(3.0, rel=1e-12)
-    assert mean_sum_inid([1.0, 2.0, 3.0]) == pytest.approx(6.0, rel=1e-12)
+    check("mean_sum_inid", MEAN_SUM_EXAMPLES)
+
+
+def test_mean_sum_matches_exact_sum():
+    check_drawn("mean_sum_inid")
 
 
 def test_mean_sum_linearity_property():
@@ -274,29 +277,6 @@ def test_means_match_monte_carlo():
 ORACLE = settings(max_examples=40)
 
 
-# log-spaced grid over [0.2, 5]: neighbouring means differ by 0.3%
-GRID = [0.2 * 25.0 ** (i / 999) for i in range(1000)]
-
-
-@st.composite
-def hypoexp_case(draw):
-    """(means, q): 1-64 spread or near-tied (0.1% spacing) means, in random
-    order, and a threshold between 5% and 200% of their sum."""
-    n = draw(st.integers(1, 64))
-    if draw(st.booleans()):
-        idx = draw(st.lists(st.integers(0, len(GRID) - 1), min_size=n,
-                            max_size=n, unique=True))
-        means = [GRID[i] for i in idx]
-    else:
-        base = draw(st.floats(0.2, 5.0))
-        means = draw(st.permutations([base * (1 + 1e-3 * k) for k in range(n)]))
-    return means, draw(st.floats(0.05, 2.0)) * math.fsum(means)
-
-
-# pairs 1e-8 apart: unscaled squaring of the stage chain lost 1.8e-9 here
-NEAR_TIED_PAIRS = [m * f for m in (0.3, 0.6, 1.2, 2.4) for f in (1.0, 1.0 + 1e-8)]
-
-
 def test_stage_chain_oracle_matches_mpmath_expm():
     for means, z in (([1.0, 2.0], 1.0), ([0.5, 0.6, 1.3, 2.0, 0.1], 2.3),
                      ([1.0 + 1e-3 * k for k in range(6)], 5.0)):
@@ -318,25 +298,22 @@ def test_stage_chain_oracle_matches_mpmath_expm():
 
 @ORACLE
 @given(hypoexp_case())
-@example(([1.0 + 1e-3 * k for k in range(16)], 12.0))    # partial-fraction weights 6e36
-@example(([0.2 + 0.01 * k for k in range(40)], 30.0))    # ... 3e28
-@example(([1.0, 1.0002, 1.0004], 0.3))                   # ... 2.5e7
-@example(([1.0, 1.001, 1.002], 1.5))                     # ... 1e6
-@example(([1.0, 1.0], 1.0))                              # exact ties
-@example(([2.0] * 4, 5.0))
-@example(([0.5, 1.3, 1.3, 2.2], 2.0))
-@example((NEAR_TIED_PAIRS, 4.5))
-def test_hypoexp_ccdf_and_density_match_oracle(case):
+def test_hypoexp_density_matches_oracle(case):
+    # the tail at the same cases is the leakage_probability row of
+    # tests/accuracy.py
     means, q = case
-    prefix, pdf = stage_chain_oracle(means, q)
-    assert abs(tail(q, means) - prefix[-1]) <= 1e-12
+    _, pdf = stage_chain_oracle(means, q)
     assert abs(sum_density_inid(q, means) - pdf) * math.fsum(means) <= 1e-12
+
+
+for case in HYPOEXP_EXAMPLES:
+    test_hypoexp_density_matches_oracle = example(case)(test_hypoexp_density_matches_oracle)
 
 
 @ORACLE
 @given(hypoexp_case())
 @example(([1.0, 1.0, 1.0, 2.0, 2.0], 4.0))                # exact ties
-@example((GRID[::15][:64], 100.0))                       # 64 means
+@example((MEAN_GRID[::15][:64], 100.0))                       # 64 means
 @example(([0.7], 0.5))                                   # a single mean
 @example(([1e-13, 0.5, 2.0], 1e-10))                     # leading stage below 1e-12 max
 @example(([1e-13, 1.0], 1e-14))                          # ... that alone leaks at q
@@ -381,7 +358,7 @@ def test_stacked_stage_chain_matches_oracle():
         stiff = rng.uniform(0.2, 3.0, size=k)
         stiff[0] *= 1e-4
         rows = [np.sort(rng.uniform(0.2, 3.0, size=k)) for _ in range(3)]
-        rows += [np.full(k, 0.7), np.sort(NEAR_TIED_PAIRS[:k] + GRID[:max(0, k - 8)])]
+        rows += [np.full(k, 0.7), np.sort(NEAR_TIED_PAIRS[:k] + MEAN_GRID[:max(0, k - 8)])]
         stack = np.array(rows + [np.sort(stiff)])
         z = 0.6 * float(np.median(stack.sum(axis=1)))
         occupancy = _stage_chain(stack, z)
@@ -441,26 +418,3 @@ def test_zero_mean_stages_prefix_zero_tails(case, k):
     means, q = sorted(case[0]), case[1]
     got = _prefix_tails(q, [0.0] * k + means)
     assert np.array_equal(got, [[0.0] * k + _prefix_tails(q, means)[0].tolist()])
-
-
-@ORACLE
-@given(st.one_of(
-    st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=64),
-    st.builds(lambda base, n: [base * (1 + 1e-3 * k) for k in range(n)],
-              st.floats(1e-3, 1e3), st.integers(1, 64))))
-def test_mean_sum_matches_exact_sum(means):
-    with mpmath.workdps(40):
-        exact = float(mpmath.fsum(mpmath.mpf(m) for m in means))
-    assert mean_sum_inid(means) == pytest.approx(exact, rel=1e-12)
-
-
-@ORACLE
-@given(st.floats(1e-3, 1e3), st.integers(1, 64))
-@example(1.0, 60)
-def test_mean_max_iid_matches_inclusion_exclusion_oracle(mean, l_r):
-    # E[max] = mean * sum_k (-1)^(k+1) C(l_r, k) / k, cancelling by up to
-    # 2^64, so evaluated with 60 digits
-    with mpmath.workdps(60):
-        exact = mpmath.mpf(mean) * mpmath.fsum(
-            (-1) ** (k + 1) * mpmath.binomial(l_r, k) / k for k in range(1, l_r + 1))
-    assert mean_max_iid(mean, l_r) == pytest.approx(float(exact), rel=1e-12)

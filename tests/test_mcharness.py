@@ -31,10 +31,32 @@ from crmimo.outage import ergodic_capacity, outage_auto
 from crmimo.powalloc import PowerSolution, SystemConfig, solve_lambda
 from crmimo.validation import _system, empirical_leakage, sample_stream_gains
 
-from oracles import anchor_setup, zf_distribution_check
+from oracles import anchor_setup, complex_gaussian, zf_block_replay, zf_distribution_check
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
+
+
+def zf_setup(m, n, l_t, mean_x=1.3):
+    """(SystemConfig, LinkStats) of an (m, n, l_t) ZF block with distinct
+    interferer means over [0.1, 1]."""
+    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
+                          q=Q_7DB, gamma_th=GAMMA_3DB)
+    return config, LinkStats(mean_x=mean_x, mean_y_per_pr=(1.0,),
+                             mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+
+
+def recording_inv(calls, singular_first, inv=np.linalg.inv):
+    """np.linalg.inv (as imported, not as patched) recording the stack size of
+    each call into calls; if singular_first, the first call raises."""
+
+    def record(a):
+        calls.append(len(a))
+        if singular_first and len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +71,6 @@ class ChannelDraw:
     h: np.ndarray
     h_p: np.ndarray
     y: np.ndarray
-
-
-def complex_gaussian(rng, shape, variance):
-    """Whole-array draw: all real parts, then all imaginary parts."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * math.sqrt(variance / 2.0)
 
 
 def sample_channel(config, stats, rng):
@@ -203,28 +218,19 @@ def test_slab_draw_matches_whole_array_draw(size, shape):
 def test_slab_projection_matches_whole_block(m, n, l_t, sizes):
     # the slab-by-slab projection of h_p rounds exactly as the whole-block
     # expression, on either side of each slab boundary
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    config, stats = zf_setup(m, n, l_t)
     for size in sizes:
         x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
-        rng = block_generator(4, STREAM_RATE, 3)
-        h = complex_gaussian(rng, (size, n, m), stats.mean_x)
-        hh = np.conj(np.transpose(h, (0, 2, 1)))
-        gram_inv = np.linalg.inv(hh @ h)
-        hp = complex_gaussian(rng, (size, n, l_t), 1.0) \
-            * np.sqrt(np.asarray(stats.mean_z_per_pt))
-        cross2 = np.sum(np.abs(gram_inv @ (hh @ hp)) ** 2, axis=2)
-        want_x = 1.0 / np.einsum("bii->bi", gram_inv).real
+        want_x, want_z = zf_block_replay(config, stats, 4, STREAM_RATE, 3, size)
         assert np.array_equal(x_gain, want_x)
-        assert np.array_equal(z, cross2 * want_x)
+        assert np.array_equal(z, want_z)
 
 
 @pytest.mark.parametrize("m, k, width", [
     *((16, 80, w) for w in range(56, 64)),  # 40 + 16..23: remainders 0-7
     (16, 80, 80),  # 40 + 40
     (64, 80, 17), (64, 80, 23), (64, 80, 64),  # the 8-column floor: 8 + 8 + ...
+    (64, 64, 16),  # exactly at the cutoff: 8 + 8
     (16, 16, 80),  # under the cutoff: one call
     (16, 80, 1), (300, 300, 1), (300, 300, 15),  # too narrow to split
 ])
@@ -240,7 +246,10 @@ def test_serial_matmul_matches_one_product(m, k, width):
         assert np.array_equal(out, a @ b)
 
 
-@pytest.mark.parametrize("m, n, l_t", [(16, 20, 20), (16, 40, 40), (16, 80, 80), (64, 80, 17)])
+@pytest.mark.parametrize("m, n, l_t", [
+    (16, 20, 20), (16, 40, 40), (16, 80, 80), (64, 80, 17),
+    (32, 64, 32),  # the Gram and h^H h_p: exactly SERIAL_GEMM_MADDS, split
+])
 def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
     # every per-trial product of the ZF block is small enough that the BLAS
     # keeps it on the worker thread, and together they do the block's whole
@@ -254,23 +263,17 @@ def test_block_products_stay_under_the_serial_cutoff(m, n, l_t, monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(mcharness.np, "matmul", spy)
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    config, stats = zf_setup(m, n, l_t)
     size = 64
     _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
-    assert max(madds) <= mcharness.SERIAL_GEMM_MADDS
+    assert max(madds) < mcharness.SERIAL_GEMM_MADDS
     assert sum(work) == size * m * (n * m + n * l_t + m * l_t)
 
 
 def block_peaks(m, n, l_t, size, blocks):
     """The traced peak of each of blocks blocks of size trials run on one
     workspace, over the bytes of the larger complex channel array."""
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    config, stats = zf_setup(m, n, l_t, mean_x=1.0)
     channel_bytes = size * n * max(m, l_t) * np.dtype(complex).itemsize
     work, peaks = {}, []
     tracemalloc.start()
@@ -312,10 +315,7 @@ def test_estimator_call_frees_its_workspaces(threads):
     # the per-thread workspaces live for one estimator call: nothing of the
     # worker threads' buffers outlives it, also where the calling thread is
     # the worker and lives on
-    config = SystemConfig(m=16, n=80, l_t=80, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.0, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, 80)))
+    config, stats = zf_setup(16, 80, 80, mean_x=1.0)
     sol = solve_lambda(config, stats)
     hp_bytes = 1024 * config.n * config.l_t * np.dtype(complex).itemsize
     tracemalloc.start()
@@ -362,33 +362,17 @@ def test_rank_deficient_block_is_redrawn(monkeypatch, caplog):
     # a singular Gram stack abandons the block's draws and redraws the whole
     # block under retry key 1, whose statistics are those of a whole-array
     # computation keyed so
-    inv, calls = np.linalg.inv, []
-
-    def singular_once(a):
-        calls.append(len(a))
-        if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return inv(a)
-
-    monkeypatch.setattr(mcharness.np.linalg, "inv", singular_once)
+    calls = []
+    monkeypatch.setattr(mcharness.np.linalg, "inv", recording_inv(calls, True))
     m, n, l_t, size = 16, 80, 80, 23  # 10 trials a slab: h_p in three slabs
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    config, stats = zf_setup(m, n, l_t)
     with caplog.at_level("WARNING", logger=mcharness.__name__):
         x_gain, z = _stream_stats_block(config, stats, 4, STREAM_RATE, 3, size, {})
     assert calls == [size, size]
     assert "rank-deficient channel block 3 (retry 0)" in caplog.text
-    rng = block_generator(4, STREAM_RATE, 3, retry=1)
-    h = complex_gaussian(rng, (size, n, m), stats.mean_x)
-    hh = np.conj(np.transpose(h, (0, 2, 1)))
-    gram_inv = inv(hh @ h)
-    hp = complex_gaussian(rng, (size, n, l_t), 1.0) \
-        * np.sqrt(np.asarray(stats.mean_z_per_pt))
-    want_x = 1.0 / np.einsum("bii->bi", gram_inv).real
+    want_x, want_z = zf_block_replay(config, stats, 4, STREAM_RATE, 3, size, retry=1)
     assert np.array_equal(x_gain, want_x)
-    assert np.array_equal(z, np.sum(np.abs(gram_inv @ (hh @ hp)) ** 2, axis=2) * want_x)
+    assert np.array_equal(z, want_z)
 
 
 @pytest.mark.parametrize("m, n, l_t", [
@@ -400,28 +384,12 @@ def test_workspace_reuse_is_bit_identical(m, n, l_t, monkeypatch):
     # one workspace carried through full, short-last and tiny blocks, and a
     # rank-deficient redraw of the third, gives the bits of fresh workspaces
     # and allocates no buffer after the first block
-    inv = np.linalg.inv
-
-    def recording(calls, singular_first):
-        # inv recording the stack size of each call; if singular_first, the
-        # first call raises
-        def record(a):
-            calls.append(len(a))
-            if singular_first and len(calls) == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return inv(a)
-
-        return record
-
-    config = SystemConfig(m=m, n=n, l_t=l_t, l_r=1, p_p=10.0, p_max=100.0,
-                          q=Q_7DB, gamma_th=GAMMA_3DB)
-    stats = LinkStats(mean_x=1.3, mean_y_per_pr=(1.0,),
-                      mean_z_per_pt=tuple(np.linspace(0.1, 1.0, l_t)))
+    config, stats = zf_setup(m, n, l_t)
     sizes = (1024, 424, 7, 1024)
     work, reused, calls = {}, [], []
     for block, size in enumerate(sizes):
         calls.append([])
-        monkeypatch.setattr(mcharness.np.linalg, "inv", recording(calls[-1], block == 2))
+        monkeypatch.setattr(mcharness.np.linalg, "inv", recording_inv(calls[-1], block == 2))
         reused.append(_stream_stats_block(config, stats, 4, STREAM_RATE, block, size, work))
         if not block:
             first = dict(work)
@@ -431,7 +399,7 @@ def test_workspace_reuse_is_bit_identical(m, n, l_t, monkeypatch):
     assert work.keys() == first.keys()
     assert all(work[name] is buf for name, buf in first.items())
     for block, size in enumerate(sizes):
-        monkeypatch.setattr(mcharness.np.linalg, "inv", recording([], block == 2))
+        monkeypatch.setattr(mcharness.np.linalg, "inv", recording_inv([], block == 2))
         fresh = _stream_stats_block(config, stats, 4, STREAM_RATE, block, size, {})
         assert all(np.array_equal(a, b) for a, b in zip(reused[block], fresh))
 

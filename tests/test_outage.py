@@ -1,11 +1,7 @@
-import decimal
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from crmimo import validation
 from crmimo.linkstats import LinkStats
@@ -30,13 +26,8 @@ from crmimo.powalloc import (
 from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
-from oracles import (
-    anchor_setup,
-    capacity_oracle,
-    decimal_success,
-    paper_outage,
-    quadrature_oracles,
-)
+from accuracy import LARGE_N, LOG_SPACE_CASES, check, check_drawn, integrals, large_n_system, point
+from oracles import anchor_setup, paper_outage, quadrature_oracles
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -393,62 +384,10 @@ def test_average_ser_matches_monte_carlo():
     assert abs(ana - est.value) <= 3 * est.std_error
 
 
-# ---------------------------------------------------------------------------
-# the positive-term kernel against the paper's forms and a 50-digit replay
-# ---------------------------------------------------------------------------
-
-ORACLE = settings(max_examples=200)
-
-
 def mixed_outage(a, bn, n_terms, means):
     """The kernel's outage at each threshold, 1 - success clipped to [0, 1],
     as `outage_auto` forms it."""
     return np.clip(1.0 - _mixed_success(a, bn, n_terms, means), 0.0, 1.0)
-
-
-def replayed_outage(a, bn, n_terms, means):
-    """1 - `decimal_success` at 50 digits: the oracle for partial ties,
-    which the paper's forms leave out, and for N past 40."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        return float(1 - decimal_success(Decimal(a), Decimal(bn), n_terms, means))
-
-
-def spread(lo, mid, hi):
-    """Floats over [lo, hi], drawn as often below mid as above it."""
-    return st.one_of(st.floats(lo, mid), st.floats(mid, hi))
-
-
-@st.composite
-def interferer_means(draw):
-    """1..64 means over 1e-2..10, then exact ties, near ties (1e-8 apart,
-    relative) or neither."""
-    size = draw(st.integers(1, 64))
-    means = draw(st.lists(spread(1e-2, 1.0, 10.0), min_size=size, max_size=size))
-    tie = draw(st.sampled_from(["none", "exact", "near"]))
-    if len(means) > 1 and tie != "none":
-        k = draw(st.integers(1, len(means) - 1))
-        step = 0.0 if tie == "exact" else 1e-8
-        means[1:k + 1] = [means[0] * (1.0 + step * i) for i in range(1, k + 1)]
-    return means
-
-
-@ORACLE
-@given(spread(1e-4, 1.0, 1e4), spread(1e-4, 1.0, 60.0),
-       st.integers(1, 40), interferer_means())
-@example(0.7, 1.3, 4, [0.5, 0.5, 0.8])
-@example(1e4, 5.0, 40, [0.3] * 64)
-@example(2.0, 3.0, 40, [0.05 * 1.1 ** k for k in range(64)])
-@example(0.7, 1.3, 6, [1.0, 1.0 + 1e-8, 1.0 + 2e-8, 2.0])
-@example(1e-4, 60.0, 40, [10.0] * 3 + [1e-2])
-@example(0.0, 2.5, 7, [1.0, 2.0])
-def test_kernel_matches_mpmath_oracle(a, bn, n_terms, means):
-    got = mixed_outage(a, bn, n_terms, means)
-    if len(set(means)) in (1, len(means)):
-        want = paper_outage(a, bn, n_terms, means)
-    else:
-        want = replayed_outage(a, bn, n_terms, means)
-    assert abs(got - want) <= 1e-14
 
 
 def test_kernel_rejects_non_finite_or_negative_means():
@@ -483,69 +422,29 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
     assert abs(ergodic_capacity(config, stats, sol) - TIED_CAPACITY) <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# the kernel, capacity and the SER at their rows' tolerances in
+# tests/accuracy.py: explicit cases of a row, or further draws of its strategy
+# ---------------------------------------------------------------------------
+
+def test_kernel_matches_mpmath_oracle():
+    check_drawn("outage_auto")
+
+
 def test_kernel_past_the_log_space_switch():
-    # bn past 700: the Erlang tails are summed in log space, for many terms
-    for args in ((0.01, 900.0, 1000, [1.0, 2.0, 5.0]), (0.05, 750.0, 800, [0.5] * 4),
-                 (1e-3, 1200.0, 1200, [3.0, 3.0, 7.0])):
-        assert abs(mixed_outage(*args) - replayed_outage(*args)) <= 2e-13
+    check("outage_auto", LOG_SPACE_CASES)
 
 
-# ---------------------------------------------------------------------------
-# capacity and SER against 30-digit quadrature
-# ---------------------------------------------------------------------------
-
-@st.composite
-def receiver_systems(draw):
-    """(m, n, l_t, l_r, d_st_sr, d_pt_sr, d_st_pr) at one primary receiver,
-    with interferer distances exactly tied in two groups (l_t up to 80),
-    distinct or 1e-8 apart (relative).  N = n - m + 1 stays within
-    sqrt(200 / distinct means), which keeps the mpmath quadrature short;
-    the explicit examples reach n - m = 64."""
-    tie = draw(st.sampled_from(["none", "exact", "near"]))
-    l_t = draw(st.integers(1, 80 if tie == "exact" else 24))
-    d = draw(st.floats(30.0, 100.0))
-    if tie == "exact":
-        k = draw(st.integers(0, l_t))
-        d_pt_sr = (d,) * k + (draw(st.floats(30.0, 100.0)),) * (l_t - k)
-    elif tie == "near":
-        d_pt_sr = tuple(d * (1.0 + 1e-8 * i) for i in range(l_t))
-    else:
-        d_pt_sr = tuple(draw(st.lists(st.floats(30.0, 100.0), min_size=l_t, max_size=l_t)))
-    shape = draw(st.integers(1, max(1, math.isqrt(200 // len(set(d_pt_sr))))))
-    m = draw(st.integers(1, 16))
-    return (m, m + shape - 1, l_t, 1, draw(st.floats(15.0, 45.0)), d_pt_sr,
-            (draw(st.floats(30.0, 100.0)),))
+def test_capacity_and_ser_match_mpmath_quadrature():
+    check_drawn("ergodic_capacity")
+    check_drawn("average_ser_binary")
 
 
-@settings(max_examples=4)
-@given(receiver_systems(), st.sampled_from([0.25, 1.0, 4.0]))
-# an analytic_curves geometry that adaptive quad had 2.0e-9 off
-@example((4, 4, 2, 1, 36.259, (35.258, 59.279), (85.586,)), 1.0)
-# a system whose SER adaptive quad could not converge
-@example((16, 40, 40, 1, 30.0, (60.0,) * 40, (70.0,)), 1.0)
-@example((2, 66, 2, 1, 20.0, (50.0, 50.0), (40.0,)), 1.0)
-@example((4, 5, 80, 1, 25.0, (40.0,) * 40 + (90.0,) * 40, (60.0,)), 1.0)
-# strong links, SER 1.1e-7 and 1.0e-8: the outage's rounding noise exceeds
-# 1e-13 of the SER there, so its gate is absolute
-@example((4, 8, 2, 1, 12.0, (70.0, 70.0), (80.0,)), 1.0)
-@example((2, 6, 2, 1, 15.0, (80.0, 90.0), (80.0,)), 1.0)
-def test_capacity_and_ser_match_mpmath_quadrature(spec, b):
-    config, stats, sol = validation._point(*spec)
-    cap, ser = quadrature_oracles(config, stats, sol, b)
-    assert abs(ergodic_capacity(config, stats, sol) - cap) <= 1e-13
-    assert abs(average_ser_binary(config, stats, sol, 1.0, b) - ser) <= 1e-13
-
-
-# ---------------------------------------------------------------------------
-# capacity at large diversity order against a 30-digit oracle
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [100, 400, 1000, 2000])
+@pytest.mark.parametrize("n", LARGE_N)
 def test_capacity_at_large_diversity_order_matches_oracle(n):
-    # the exp-sinh estimate fails at step 2^-6 on these rows (it raised at
-    # n = 100 and 400 before the rule refined); at N = n - 3 the success
-    # drops over a width about x_0 / sqrt(N)
-    config, stats, sol = validation._point(4, n, 2, 2, 20.0, (56.0, 70.0), (60.0, 60.0))
-    want = capacity_oracle(config, stats, sol, 4)
-    assert abs(capacity_oracle(config, stats, sol, 3) - want) <= Decimal("1e-15") * want
-    assert abs(ergodic_capacity(config, stats, sol) - float(want)) <= 1e-13 * float(want)
+    # the library against the oracle here is a case of the ergodic_capacity
+    # row; this checks that the oracle converges at N = n - 3: degree 3
+    # already gives degree 4's capacity to 1e-15 relative
+    spec = large_n_system(n)
+    want = integrals(spec, 1.0)[0]
+    assert abs(quadrature_oracles(*point(spec), 1.0, degree=3)[0] - want) <= 1e-15 * want

@@ -1,10 +1,7 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from crmimo import powalloc
 from crmimo.linkstats import LinkStats
@@ -18,16 +15,12 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
-from crmimo.validation import _system, mean_power_quadrature
+from crmimo.validation import mean_power_quadrature
 
-from oracles import anchor_setup, mp_mean_power
+from oracles import anchor_setup, equal_antenna_setup
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
-
-
-def equal_antenna_setup():
-    return _system(3, 3, 2, 2, 30.0, (45.0, 70.0), (55.0, 75.0))
 
 
 def test_config_validation():
@@ -93,6 +86,9 @@ def test_solution_invariants():
 
 
 def test_root_residual_and_quadrature_oracle():
+    # the solver's residual, and the quadrature form of the mean power,
+    # independent of the closed form, at the root; the multiplier's own
+    # tolerance is the solve_lambda row of tests/accuracy.py
     for config, stats in (anchor_setup(), anchor_setup(n=8), equal_antenna_setup()):
         sol = solve_lambda(config, stats)
         residual = abs(mean_power(sol.lam, config, stats) - sol.target_mean_power)
@@ -104,7 +100,8 @@ def test_root_residual_and_quadrature_oracle():
 def test_solve_lambda_evaluates_no_multiplier_twice(monkeypatch):
     # the root is a bracket end, whose mean power the iteration already
     # holds; the multiplier is the 50-digit root 2.02868942356625467 of the
-    # same equation, correctly rounded (test_multiplier_matches_mpmath_root)
+    # same equation, correctly rounded (the solve_lambda row of
+    # tests/accuracy.py)
     calls = []
     water_fill = powalloc._water_fill
 
@@ -254,70 +251,3 @@ def test_mean_power_converges_with_receive_antennas():
         assert val > prev
         prev = val
     assert prev == pytest.approx(asym, rel=0.02)
-
-
-# ---------------------------------------------------------------------------
-# the multiplier against a 50-digit root
-# ---------------------------------------------------------------------------
-
-def system_at(m, n, u, mean_x=1.0, mean_y=1.0, mean_z=1.0, p_p=10.0, q_limited=True):
-    """(config, stats) whose multiplier puts u = C / E[X] at the given value,
-    the target set by the interference cap q or by the power cap p_max."""
-    stats = LinkStats(mean_x, [mean_y], [mean_z])
-    config = SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, p_max=1.0, q=1.0, gamma_th=1.0)
-    with mpmath.workdps(30):
-        slope = (p_p * mean_z + config.n0) / (u * mean_x)
-        target = float(mp_mean_power(mpmath.log(2) * mean_y * slope, config, stats))
-    q, p_max = target * m * mean_y, m * target
-    caps = {"q": q, "p_max": 2.0 * p_max} if q_limited else {"q": 2.0 * q, "p_max": p_max}
-    return SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, gamma_th=1.0, **caps), stats
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
-@st.composite
-def multiplier_systems(draw):
-    """n - m in [0, 40], u at the root in [1e-3, 50] (strong to weak links)."""
-    m = draw(st.integers(1, 8))
-    return system_at(m, m + draw(st.integers(0, 40)), draw(log_uniform(1e-3, 50.0)),
-                     draw(log_uniform(1e-2, 1e2)), draw(log_uniform(1e-2, 1e2)),
-                     draw(log_uniform(1e-3, 10.0)), draw(log_uniform(0.1, 1e3)),
-                     draw(st.booleans()))
-
-
-@settings(max_examples=60)
-@given(multiplier_systems())
-@example(anchor_setup())
-@example(equal_antenna_setup())
-# the weak link of test_upper_bracket_expansion_converges
-@example((SystemConfig(m=1, n=2, l_t=1, l_r=1, p_p=1e4, p_max=1e-3, q=1e-3, gamma_th=1.0),
-          LinkStats(1e-3, [1.0], [10.0])))
-# weak links: the most Newton steps (n - m = 1) and 18 bracket widenings (n = m)
-@example(system_at(1, 2, 50.0))
-@example(system_at(2, 2, 30.0))
-def test_multiplier_matches_mpmath_root(system):
-    config, stats = system
-    target = conventional_power(config, stats)
-    values = []
-    water_fill = powalloc._water_fill
-
-    def recorded(lam, config, stats):
-        f, d = water_fill(lam, config, stats)
-        values.append(f)
-        return f, d
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(powalloc, "_water_fill", recorded)
-        lam = solve_lambda(config, stats).lam
-    # at most 16 steps once the bracket closes (bisection took about 58)
-    bracketed = next(i for i, f in enumerate(values) if f >= target) + 1
-    assert len(values) - bracketed <= 16
-    with mpmath.workdps(50):
-        root = mpmath.findroot(lambda x: mp_mean_power(x, config, stats) - target,
-                               mpmath.mpf(lam))
-        assert abs(lam - root) <= 1e-14 * root
-        # the derivative is the closed form's first term over lam
-        slope = mpmath.diff(lambda x: mp_mean_power(x, config, stats), mpmath.mpf(lam))
-        assert abs(water_fill(lam, config, stats)[1] - slope) <= 1e-14 * slope

@@ -13,8 +13,10 @@ from crmimo.powalloc import SystemConfig
 from crmimo.specfun import _exp_sinh, _ordered_fsum, erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import empirical_leakage
 
-# frozen from the adaptive-quadrature oracles below
-GAMMA_3_2 = 1.3533528323661270   # int_2^inf t^2 e^-t dt = Gamma(3) Q(3, 2)
+from accuracy import ORDER_ONE_CASES, check
+from oracles import erlang_tail
+
+# frozen from the adaptive-quadrature oracle below
 E1_AT_1 = 0.21938393439552029    # int_1^inf e^-t / t dt
 
 
@@ -94,19 +96,15 @@ def test_ordered_fsum_is_fsum_bit_for_bit(terms):
 
 
 def test_upper_incomplete_order_one_is_exponential():
-    assert regularized_upper_gamma(1, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-15)
-    for x in np.geomspace(1e-6, 50, 60):
-        err = abs(regularized_upper_gamma(1, x) - math.exp(-x))
-        assert err <= 1e-14 * math.exp(-x) + 1e-300
+    check("regularized_upper_gamma", ORDER_ONE_CASES)
 
 
 def test_upper_incomplete_against_quadrature_oracle():
-    oracle, est_err = quad(lambda t: t ** 2 * np.exp(-t), 2, np.inf)
+    # the row's oracle at (3, 2) against int_2^inf t^2 e^-t dt = Gamma(3) Q(3, 2)
+    value, est_err = quad(lambda t: t ** 2 * np.exp(-t), 2, np.inf)
     assert est_err < 1e-8
-    assert oracle == pytest.approx(GAMMA_3_2, abs=1e-8)
-    assert regularized_upper_gamma(3, 2) == pytest.approx(GAMMA_3_2 / 2, rel=1e-12)
-    # the elementary series value: 5 e^-2
-    assert regularized_upper_gamma(3, 2) == pytest.approx(5 * math.exp(-2), rel=1e-14)
+    assert erlang_tail(3, 2.0) == pytest.approx(value / 2, abs=1e-8)
+    check("regularized_upper_gamma", [(3, 2.0)])
 
 
 def test_order_zero_is_exponential_integral():
@@ -172,16 +170,15 @@ def test_monotone_decreasing_in_x():
 
 
 def test_regularized_tail_cross_check():
+    # the array form gives every order 1..n at every x at once; the scalar
+    # Q(n, x) on the same grid is a row of tests/accuracy.py
     from scipy.special import gammaincc
 
     xs = [0.0, 1e-3, 0.5, 5.0, 50.0, 800.0, 1200.0]
     for n in [1, 2, 5, 30, 200]:
-        # the array form gives every order 1..n at every x at once
         columns = erlang_tails(n, np.array(xs))
         for i, x in enumerate(xs):
             ref = gammaincc(np.arange(1, n + 1), x)
-            mine = regularized_upper_gamma(n, x)
-            assert mine == pytest.approx(float(ref[-1]), rel=1e-11, abs=1e-280)
             assert columns[:, i] == pytest.approx(ref, rel=1e-11, abs=1e-280)
 
 
