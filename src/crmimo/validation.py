@@ -105,19 +105,22 @@ def _mixed_outage_quadrature(a, bn, n_terms, z_means):
 def mean_power_quadrature(lam, config, stats):
     """`powalloc.mean_power` by quadrature: the allocation slope - offset / x
     over the Erlang(n - m + 1, E[X]) density of the stream gain, from the
-    activation threshold offset / slope on.  Raises ArithmeticError when
-    quad's error estimate exceeds 1e-10."""
+    activation threshold C = offset / slope on.  Over s = (x - C) / E[X],
+    where the density has unit scale whatever u = C / E[X], the integrand
+    is slope s (u + s)^(N - 2) e^-(u + s) / Gamma(N), formed in log space.
+    Raises ArithmeticError when quad's error estimate exceeds 1e-10 of the
+    value."""
     slope = lam / (powalloc.LN2 * stats.mean_y)
-    offset = config.p_p * stats.mean_z + config.n0
-    shape, ex = config.diversity_order, stats.mean_x
+    u = (config.p_p * stats.mean_z + config.n0) / (slope * stats.mean_x)
+    shape = config.diversity_order
+    log_norm = -u - math.lgamma(shape)
 
-    def integrand(x):
-        return (slope - offset / x) * (
-            x ** (shape - 1) * math.exp(-x / ex) / (math.gamma(shape) * ex ** shape))
+    def integrand(s):
+        return slope * s * math.exp((shape - 2) * math.log(u + s) - s + log_norm)
 
-    val, err = quad(integrand, offset / slope, np.inf, limit=300, epsabs=1e-13, epsrel=1e-12)
-    if err > 1e-10:
-        raise ArithmeticError(f"mean power quadrature error {err:.2e} exceeds 1e-10")
+    val, err = quad(integrand, 0.0, np.inf, limit=300, epsabs=0.0, epsrel=1e-12)
+    if err > 1e-10 * val:
+        raise ArithmeticError(f"mean power quadrature error {err:.2e} exceeds 1e-10 of {val:.6e}")
     return val
 
 

@@ -72,6 +72,27 @@ def erlang_tail(n, x):
         return float(mpmath.gammainc(n, x, regularized=True))
 
 
+def erlang_tails_replay(n, x):
+    """Replay for rounding: `erlang_tails` with each branch as one array
+    expression, the per-order loop below the underflow guard (700) and every
+    order's log-space terms as one (n, far) array past it.  The library
+    writes the same operations into its output in place, so the two agree
+    bit for bit."""
+    near = np.minimum(x, 700.0)
+    tails = np.empty((n, x.size))
+    tails[0] = term = np.ones_like(near)
+    for k in range(1, n):
+        term = term * (near / k)
+        tails[k] = tails[k - 1] + term
+    tails *= np.exp(-near)
+    far = x > 700.0
+    logs = np.multiply.outer(np.arange(n), np.log(x[far])) \
+        - np.array([math.lgamma(k + 1) for k in range(n)])[:, None]
+    top = logs.max(axis=0, initial=-np.inf)
+    tails[:, far] = np.exp(top - x[far]) * np.exp(logs - top).cumsum(axis=0)
+    return tails
+
+
 def exact_sum(values):
     """Formula-independent: the sum of floats in exact rational arithmetic,
     rounded once."""

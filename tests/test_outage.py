@@ -1,9 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crmimo import validation
+from crmimo import outage, validation
 from crmimo.linkstats import LinkStats
 from crmimo.mcharness import STREAM_SER, _zf_estimate, empirical_outage, empirical_rate
 from crmimo.outage import (
@@ -23,10 +27,19 @@ from crmimo.powalloc import (
     optimal_power,
     solve_lambda,
 )
-from crmimo.specfun import erlang_tails, exp1, regularized_upper_gamma
+from crmimo.specfun import _tails_underflow, erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
-from accuracy import LARGE_N, LOG_SPACE_CASES, check, check_drawn, integrals, large_n_system, point
+from accuracy import (
+    LARGE_N,
+    LOG_SPACE_CASES,
+    check,
+    check_drawn,
+    integrals,
+    large_n_system,
+    log_uniform,
+    point,
+)
 from oracles import anchor_setup, paper_outage, quadrature_oracles
 
 Q_7DB = 10 ** 0.7
@@ -448,3 +461,89 @@ def test_capacity_at_large_diversity_order_matches_oracle(n):
     spec = large_n_system(n)
     want = integrals(spec, 1.0)[0]
     assert abs(quadrature_oracles(*point(spec), 1.0, degree=3)[0] - want) <= 1e-15 * want
+
+
+# ---------------------------------------------------------------------------
+# pruned and chunked thresholds: the kernel gives every threshold the value
+# it gives it alone
+# ---------------------------------------------------------------------------
+
+def near(value):
+    """Floats at value, one ulp either side, and within 10% of it."""
+    return st.one_of(st.sampled_from([value, math.nextafter(value, 0.0),
+                                      math.nextafter(value, math.inf)]),
+                     st.floats(0.9 * value, 1.1 * value))
+
+
+@st.composite
+def kernel_thresholds(draw):
+    """(a, bn, N, means): N up to 2000, up to 80 interferer means with exact
+    and near ties, and thresholds across the log-space switch at 700 and
+    across the bound past which every Erlang tail underflows."""
+    n_terms = draw(st.one_of(st.integers(1, 40), st.integers(1, 2000)))
+    base = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6))
+    means = draw(st.lists(st.builds(lambda m, f: m * f, st.sampled_from(base),
+                                    st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-8])),
+                          min_size=1, max_size=80))
+    bound = _tails_underflow(n_terms)
+    bn = draw(st.lists(st.one_of(st.floats(0.0, 2.0 * bound), near(700.0), near(bound)),
+                       min_size=1, max_size=12))
+    a = draw(st.lists(st.one_of(st.just(0.0), log_uniform(1e-4, 1e4)),
+                      min_size=len(bn), max_size=len(bn)))
+    return np.array(a), np.array(bn), n_terms, means
+
+
+@settings(max_examples=40)
+@given(kernel_thresholds(), st.data())
+def test_kernel_is_the_same_on_any_split_of_its_thresholds(case, data):
+    a, bn, n_terms, means = case
+    whole = _mixed_success(a, bn, n_terms, means)
+    cuts = sorted(data.draw(st.lists(st.integers(0, a.size), max_size=4)))
+    parts = [_mixed_success(a[i:j], bn[i:j], n_terms, means)
+             for i, j in zip([0, *cuts], [*cuts, a.size])]
+    assert np.array_equal(np.concatenate(parts), whole)
+    rows = data.draw(st.integers(1, 3))
+    with mock.patch.object(outage, "_CHUNK_BYTES", 8 * rows * max(n_terms, len(means))):
+        assert np.array_equal(_mixed_success(a, bn, n_terms, means), whole)
+    bound = _tails_underflow(n_terms)
+    pruned = bn > bound
+    assert (whole[pruned] == 0.0).all()
+    # every tail is 0.0 at each pruned threshold, and one ulp past the bound
+    past = np.append(bn[pruned], math.nextafter(bound, math.inf))
+    assert (erlang_tails(n_terms, past) == 0.0).all()
+
+
+# capacity and the SER (b = 1) on the geometry of large_n_system, recorded
+# before the kernel pruned and chunked its thresholds
+PINNED_INTEGRALS = {
+    100: (5.954898453565, 1.2919456424402232e-07),
+    400: (7.969840421163309, 9.301273032479128e-15),
+    1000: (9.294734992036448, 9.131064076175645e-17),
+    2000: (10.295722173984444, 9.345288325554266e-17),
+    4000: (11.296215455989236, 8.072414872721337e-17),
+    8000: (12.296462019669157, 1.0368827950481546e-16),
+}
+
+
+@pytest.mark.parametrize("n", [100, 400, 1000, 2000, 4000])
+def test_capacity_and_ser_keep_their_values_at_large_n(n):
+    config, stats, sol = point(large_n_system(n))
+    assert ergodic_capacity(config, stats, sol) == PINNED_INTEGRALS[n][0]
+    assert average_ser_binary(config, stats, sol, 1.0, 1.0) == PINNED_INTEGRALS[n][1]
+
+
+def test_capacity_and_ser_at_n_8000_run_in_bounded_memory():
+    # a kernel call holds a few (chunk x N) arrays of at most _CHUNK_BYTES;
+    # with every threshold in one chunk the two traced 433.6 and 100.6 MiB
+    config, stats, sol = point(large_n_system(8000))
+    calls = (lambda: ergodic_capacity(config, stats, sol),
+             lambda: average_ser_binary(config, stats, sol, 1.0, 1.0))
+    for call, want in zip(calls, PINNED_INTEGRALS[8000]):
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 64 * 2 ** 20, peak / 2 ** 20

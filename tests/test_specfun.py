@@ -14,7 +14,7 @@ from crmimo.specfun import _exp_sinh, _ordered_fsum, erlang_tails, exp1, regular
 from crmimo.validation import empirical_leakage
 
 from accuracy import ORDER_ONE_CASES, check
-from oracles import erlang_tail
+from oracles import erlang_tail, erlang_tails_replay
 
 # frozen from the adaptive-quadrature oracle below
 E1_AT_1 = 0.21938393439552029    # int_1^inf e^-t / t dt
@@ -183,16 +183,29 @@ def test_regularized_tail_cross_check():
 
 
 def test_erlang_tails_fills_one_array():
-    # the running sums are written into the returned array row by row: at
-    # n = 1997 over 1152 nodes below the underflow guard (a capacity
-    # integrand at diversity order 1997) the call peaks at its output,
-    # where a list of rows copied into one array peaked at 3.0 times it
-    x = np.linspace(0.0, 700.0, 1152)
-    tracemalloc.start()
-    try:
-        tails = erlang_tails(1997, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tails.shape == (1997, 1152)
-    assert peak <= 1.5 * tails.nbytes, peak / tails.nbytes
+    # the running sums are written into the returned array: at n = 1997
+    # over 1152 nodes (a capacity integrand at diversity order 1997) on
+    # [0, 700], below the underflow guard, and on [0, 3000], three quarters
+    # of them past it, the call peaks at no more than 1.5 times its output.
+    # A list of rows copied into one array peaked at 3.0 times it below the
+    # guard, and four (n x far) arrays at 3.3 times it past the guard; the
+    # values are those of the one-array-per-branch replay, bit for bit
+    for hi in (700.0, 3000.0):
+        x = np.linspace(0.0, hi, 1152)
+        tracemalloc.start()
+        try:
+            tails = erlang_tails(1997, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tails.shape == (1997, 1152)
+        assert peak <= 1.5 * tails.nbytes, (hi, peak / tails.nbytes)
+        assert np.array_equal(tails, erlang_tails_replay(1997, x))
+
+
+def test_erlang_tails_names_the_first_bad_argument():
+    # a 4609-node array is not printed whole
+    x = np.linspace(0.0, 10.0, 4609)
+    x[[7, 3000]] = math.nan, -1.0
+    with pytest.raises(ValueError, match=r"got x\[7\] = nan$"):
+        erlang_tails(3, x)
