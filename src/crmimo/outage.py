@@ -10,13 +10,13 @@ its `branch` names the paper's case.  A scalar outage is the kernel's
 one-element case, and each integral is one kernel call on the nodes of the
 exp-sinh rule of `specfun` (one more per halving of its step, where the
 rule's error estimate asks for it).  The kernel gives success 0.0, without
-the sum, to a threshold past the bound where every Erlang tail underflows
+the sum, to a threshold where every Erlang tail underflows to 0.0
 (`specfun._tails_underflow`), and runs the others in chunks whose
 (chunk x max(N, l_t)) arrays hold at most _CHUNK_BYTES (16 MiB), so a call
 peaks at a few times that whatever N and its number of thresholds.  On
 the probe (m, l_t, l_r) = (4, 2, 2), d_st_sr 20 m, d_pt_sr (56, 70) m,
 d_st_pr (60, 60) m at the validation powers, n = 8000, capacity traces
-50.5 MiB and the SER 39.5 MiB under tracemalloc.
+50.6 MiB and the SER 39.5 MiB under tracemalloc.
 """
 
 import math
@@ -65,42 +65,41 @@ def _mixed_success(a, bn, n_terms, z_means):
     Every term is positive and no difference of means appears, so ties need
     no special case; at a = 0 the sum is Q(N, bn).
 
-    Past bn = `_tails_underflow(N)` every tail Q(N - s, bn) is exactly 0.0,
-    so such a threshold's success is 0.0 without t, r, h or the tails
-    (summed, the zeros gave 0.0 too, or NaN where an h_s had overflowed to
-    inf, from l_t in the hundreds at N in the thousands).  The other
-    thresholds run in chunks whose (chunk x max(N, l_t)) arrays hold at most
-    _CHUNK_BYTES.  Each row is computed on its own, and einsum adds a row's
-    N products in order whatever the chunk holds (up to N = 8193: past it a
-    lone row is added in pieces of numpy's 8192-element buffer), so neither
-    the pruning nor the chunking changes a value.
+    Where `_tails_underflow(N, bn)` holds (bn > 746 and
+    bn - (N - 1) ln bn > 746) every tail Q(N - s, bn) is exactly 0.0, so
+    such a threshold's success is 0.0 without t, r, h or the tails (summed,
+    the zeros gave 0.0 too, or NaN where an h_s had overflowed to inf, from
+    l_t in the hundreds at N in the thousands).  The other thresholds run
+    in chunks whose (chunk x max(N, l_t)) arrays hold at most _CHUNK_BYTES.
+    Each row is computed on its own, and einsum adds each row of a
+    many-row operand in order; a lone row past N = 8193 it adds in pieces
+    of its 8192-element buffer, so a lone chunk of a many-threshold call is
+    run twice over, as two rows.  Neither the pruning nor the chunking
+    changes a value.
     """
     means = _positives(z_means, "interference means")
     a, bn = np.atleast_1d(a, bn)
     success = np.zeros(a.size)
-    live = (~(bn > _tails_underflow(n_terms))).nonzero()[0]  # NaN reaches erlang_tails
+    live = (~_tails_underflow(n_terms, bn)).nonzero()[0]  # NaN reaches erlang_tails
     step = max(1, _CHUNK_BYTES // (8 * max(n_terms, len(means))))
     for start in range(0, live.size, step):
         rows = live[start:start + step]
-        # one row per threshold, so each row is summed as a single threshold is
+        if rows.size == 1 < a.size:  # summed in order, as in a larger chunk
+            rows = rows.repeat(2)
+        # one row per threshold, each computed on its own
         t = np.multiply.outer(a[rows], means)
         # prod_k (1 - r_k) = prod_k 1 / (1 + t_k), summed in log space: a
         # product of l_t rounded factors drifts by up to l_t ulps
         weight = np.exp(-np.log1p(t).sum(axis=1))
+        r = t / (1.0 + t)
         # h_s over the first k means is h_s over the first k - 1 plus r_k
-        # times h_{s-1} over the first k: for each s, the products summed
-        # down the means in place, the additions of a cumsum over them, as
-        # one numpy call per mean (a cumsum's inner loop per threshold cost
-        # two to three times as much)
-        r = np.ascontiguousarray((t / (1.0 + t)).T)
+        # times h_{s-1} over the first k: for each s, one running sum over
+        # the means, in place (an array less per order, a tenth less time)
         h, row = np.empty((rows.size, n_terms)), np.ones_like(r)
-        columns, pairs = h.T, list(zip(row[:-1], row[1:]))
-        columns[0] = 1.0
+        h[:, 0] = 1.0
         for s in range(1, n_terms):
-            np.multiply(r, row, out=row)
-            for prev, cur in pairs:
-                np.add(prev, cur, out=cur)
-            columns[s] = row[-1]
+            np.add.accumulate(np.multiply(r, row, out=row), axis=1, out=row)
+            h[:, s] = row[:, -1]
         tails = erlang_tails(n_terms, bn[rows])
         success[rows] = weight * np.einsum("ts,st->t", h, tails[::-1])
     return success
@@ -235,9 +234,9 @@ def ergodic_capacity(config, stats, sol):
     is below 1e-13 relative (ArithmeticError otherwise).  Tolerance
     (tests/accuracy.py): 1e-14 relative on the systems its row draws (N up
     to 64 with l_t up to 80, and N up to 1997 at two interferers); the
-    rule's 1e-13 gate is all that is claimed elsewhere.  Nodes past the
-    kernel's underflow bound cost no sum, and each kernel call runs in
-    chunks of at most _CHUNK_BYTES per array: 50.5 MiB traced at n = 8000
+    rule's 1e-13 gate is all that is claimed elsewhere.  Nodes where every
+    Erlang tail underflows cost no sum, and each kernel call runs in
+    chunks of at most _CHUNK_BYTES per array: 50.6 MiB traced at n = 8000
     on the probe of the module docstring.
     """
 

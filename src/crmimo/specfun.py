@@ -170,15 +170,12 @@ def erlang_tails(n, x):
     """The (n, x.size) array of [Q(1, x_i), ..., Q(n, x_i)], the running sums
     of the Poisson(x_i) pmf, for integer n >= 1 and a 1-d array of finite
     x >= 0 (ValueError names the first other value), in one pass of the
-    finite series written into the returned array.  Up to the underflow
-    guard the terms x^k / k! are running products, one numpy call per
-    order, or one accumulation down the orders per argument where the
-    orders outnumber the arguments: the same operations in the same order.
-    Past the guard they are formed in log space, relative to the largest
-    (top <= (n - 1) ln x), in blocks of at most n / 8 orders (or 2^16
-    terms), so that a call whose output passes a few MiB peaks at no more
-    than 1.5 times it.  Past `_tails_underflow(n)` every tail is exactly
-    0.0, the bound past which the outage kernel forms none."""
+    finite series written into the returned array.  Past the underflow
+    guard the terms x^k / k! are formed in log space, relative to the
+    largest (top <= (n - 1) ln x), in blocks of at most n / 8 orders (or
+    2^16 terms), so that a call whose output passes a few MiB peaks at no
+    more than 1.5 times it.  Where `_tails_underflow(n, x)` holds, every
+    tail is exactly 0.0, and the outage kernel forms none."""
     valid = (0.0 <= x) & (x < math.inf)  # NaN fails both
     if not valid.all():
         i = int(np.argmin(valid))
@@ -187,19 +184,11 @@ def erlang_tails(n, x):
     far = x > _LOG_SAFE_X
     if not far.all():
         near = np.minimum(x, _LOG_SAFE_X)
-        # x^k / k! as the running product of the x / j, then the running
-        # sums of those terms; numpy's call per order costs a few
-        # microseconds, an accumulation's pass per argument some nanoseconds
-        tails[0] = 1.0
-        if n > x.size:
-            np.divide(near, np.arange(1, n)[:, None], out=tails[1:])
-            np.multiply.accumulate(tails, axis=0, out=tails)
-            np.add.accumulate(tails, axis=0, out=tails)
-        else:
-            term, ratio = np.ones_like(near), np.empty_like(near)
-            for k in range(1, n):
-                np.multiply(term, np.divide(near, k, out=ratio), out=term)
-                np.add(tails[k - 1], term, out=tails[k])
+        tails[0] = term = np.ones_like(near)
+        ratio = np.empty_like(near)
+        for k in range(1, n):
+            np.multiply(term, np.divide(near, k, out=ratio), out=term)
+            np.add(tails[k - 1], term, out=tails[k])
         tails *= np.exp(-near)
     if far.any():
         log_x = np.log(x[far])
@@ -225,21 +214,16 @@ def erlang_tails(n, x):
     return tails
 
 
-def _tails_underflow(n):
-    """The x past which every tail of `erlang_tails(n, x)` is exactly 0.0:
-    the root past max(n - 1, 746) of x - (n - 1) ln x = 746.  Past it the
-    log-space branch scales its sums by e^{top - x} <= e^{(n - 1) ln x - x},
-    below e^-746, which underflows to 0.0 with a margin of 0.8 over the
-    rounding of top - x.  Newton's steps on the convex left-hand side, from
-    a point past the root, stay past it."""
-    x = max(746.0, float(n))
-    while x - (n - 1) * math.log(x) < 746.0:
-        x *= 2.0
-    while True:
-        step = (x - (n - 1) * math.log(x) - 746.0) / (1.0 - (n - 1) / x)
-        x -= step
-        if step <= 1e-9 * x:
-            return x
+def _tails_underflow(n, x):
+    """True where every tail of `erlang_tails(n, x)` is exactly 0.0: where
+    x > 746 and x - (n - 1) ln x > 746.  There the log-space branch scales
+    its sums by e^{top - x} <= e^{(n - 1) ln x - x}, below e^-746, which
+    underflows to 0.0 with a margin of 0.8 over the rounding of top - x.
+    With x clipped to [1, 1e300] the second test alone decides (it fails
+    at every x <= 746 and holds at x = inf), and neither log(0) nor
+    inf - inf is formed; NaN gives False."""
+    x = np.minimum(np.maximum(x, 1.0), 1e300)  # np.clip costs twice as much
+    return x - (n - 1) * np.log(x) > 746.0
 
 
 def _ordered_fsum(terms):

@@ -468,6 +468,18 @@ def test_capacity_at_large_diversity_order_matches_oracle(n):
 # it gives it alone
 # ---------------------------------------------------------------------------
 
+def underflow_bound(n_terms):
+    """The least float past which `_tails_underflow(n_terms, x)` holds, by
+    bisection up from max(n_terms, 746), where it fails."""
+    lo = hi = max(float(n_terms), 746.0)
+    while not _tails_underflow(n_terms, hi):
+        lo, hi = hi, 2.0 * hi
+    while math.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _tails_underflow(n_terms, mid) else (mid, hi)
+    return hi
+
+
 def near(value):
     """Floats at value, one ulp either side, and within 10% of it."""
     return st.one_of(st.sampled_from([value, math.nextafter(value, 0.0),
@@ -485,7 +497,7 @@ def kernel_thresholds(draw):
     means = draw(st.lists(st.builds(lambda m, f: m * f, st.sampled_from(base),
                                     st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-8])),
                           min_size=1, max_size=80))
-    bound = _tails_underflow(n_terms)
+    bound = underflow_bound(n_terms)
     bn = draw(st.lists(st.one_of(st.floats(0.0, 2.0 * bound), near(700.0), near(bound)),
                        min_size=1, max_size=12))
     a = draw(st.lists(st.one_of(st.just(0.0), log_uniform(1e-4, 1e4)),
@@ -505,12 +517,27 @@ def test_kernel_is_the_same_on_any_split_of_its_thresholds(case, data):
     rows = data.draw(st.integers(1, 3))
     with mock.patch.object(outage, "_CHUNK_BYTES", 8 * rows * max(n_terms, len(means))):
         assert np.array_equal(_mixed_success(a, bn, n_terms, means), whole)
-    bound = _tails_underflow(n_terms)
-    pruned = bn > bound
+    pruned = _tails_underflow(n_terms, bn)
     assert (whole[pruned] == 0.0).all()
-    # every tail is 0.0 at each pruned threshold, and one ulp past the bound
-    past = np.append(bn[pruned], math.nextafter(bound, math.inf))
+    # every tail is 0.0 at each pruned threshold, and at the least pruned float
+    past = np.append(bn[pruned], underflow_bound(n_terms))
     assert (erlang_tails(n_terms, past) == 0.0).all()
+
+
+def test_kernel_sums_a_threshold_alone_in_its_chunk_as_the_whole_call_does():
+    # past N = 8193 einsum adds a lone row's products in pieces of 8192, and
+    # each row of a larger operand in order.  A threshold alone in its chunk
+    # (the last of chunks of two, or the one the pruning leaves) still gets
+    # the whole call's value.  At r_k near 1 and bn = 500 the products past
+    # the 8192nd are not 0.0, so the two sums differ in their last bits
+    n_terms, means = 9000, [1.0, 1.0 + 1e-8]
+    a, bn = np.array([1e4, 3e4, 1e5, 2e4, 5e4]), np.full(5, 500.0)
+    whole = _mixed_success(a, bn, n_terms, means)
+    with mock.patch.object(outage, "_CHUNK_BYTES", 8 * 2 * n_terms):
+        assert np.array_equal(_mixed_success(a, bn, n_terms, means), whole)
+    dead = 2.0 * underflow_bound(n_terms)
+    got = _mixed_success(a[[2, 2]], np.array([500.0, dead]), n_terms, means)
+    assert np.array_equal(got, [whole[2], 0.0])
 
 
 # capacity and the SER (b = 1) on the geometry of large_n_system, recorded
