@@ -106,9 +106,9 @@ def leakage_probability(powers, mean_y_per_pr, q):
     so the first step of `reduce_antennas` by construction.  An antenna
     with zero power is a stage of mean 0 and adds nothing; all-zero or no
     powers mean no transmission and no leakage.  Tolerance
-    (tests/accuracy.py): 1e-14 absolute at one receiver, for up to 64
-    powers; a product of tails in [0, 1] is off by at most the sum of their
-    errors.
+    (tests/test_accuracy.py): 1e-14 absolute at one to three receivers, for
+    up to 64 powers; a product of tails in [0, 1] is off by at most the sum
+    of their errors.
     """
     p, means, q = checked_leakage_inputs(powers, mean_y_per_pr, q)
     if p.size == 0:

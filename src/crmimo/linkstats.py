@@ -122,7 +122,7 @@ def _prefix_tails(q, means):
 
 def mean_sum_inid(means):
     """Mean of a sum of independent exponentials: sum(means), by linearity,
-    correctly rounded (tests/accuracy.py)."""
+    correctly rounded (tests/test_accuracy.py)."""
     return math.fsum(_positives(means, "means"))
 
 
@@ -132,9 +132,9 @@ def mean_max_inid(means):
     The product is summed in log space, log(1 - e^{-x}) = log(-expm1(-x)),
     and the exp-sinh rule of `specfun` on the scale of the largest mean
     stops once its error estimate is below 1e-13 relative.  Tolerance
-    (tests/accuracy.py): 1e-14 relative on the means its row draws (1 to
-    12 over 0.1-9, a tied pair, and 64); the rule's 1e-13 gate is all that
-    is claimed elsewhere.
+    (tests/test_accuracy.py): 1e-14 relative on the means its row draws
+    (1 to 12 over 0.1-9, a tied pair, and 64); the rule's 1e-13 gate is all
+    that is claimed elsewhere.
     """
     ms = _positives(means, "means")
     rates = 1.0 / np.array(ms)
@@ -148,7 +148,7 @@ def mean_max_inid(means):
 def mean_max_iid(mean, l_r):
     """E[max of l_r i.i.d. exponentials] = mean * H_{l_r}, the harmonic
     number (Renyi: the spacings of the order statistics are exponential).
-    Tolerance (tests/accuracy.py): 1e-15 relative."""
+    Tolerance (tests/test_accuracy.py): 1e-15 relative."""
     mean, l_r = _positive(mean, "mean"), _check_int(l_r, "l_r")
     if l_r < 1:
         raise ValueError(f"l_r must be a positive integer, got {l_r}")

@@ -73,9 +73,9 @@ def _mixed_success(a, bn, n_terms, z_means):
     in chunks whose (chunk x max(N, l_t)) arrays hold at most _CHUNK_BYTES.
     Each row is computed on its own, and einsum adds each row of a
     many-row operand in order; a lone row past N = 8193 it adds in pieces
-    of its 8192-element buffer, so a lone chunk of a many-threshold call is
-    run twice over, as two rows.  Neither the pruning nor the chunking
-    changes a value.
+    of its 8192-element buffer, so a lone row is run twice over, as two
+    rows.  Neither the pruning, the chunking nor the call's size changes a
+    value.
     """
     means = _positives(z_means, "interference means")
     a, bn = np.atleast_1d(a, bn)
@@ -84,7 +84,7 @@ def _mixed_success(a, bn, n_terms, z_means):
     step = max(1, _CHUNK_BYTES // (8 * max(n_terms, len(means))))
     for start in range(0, live.size, step):
         rows = live[start:start + step]
-        if rows.size == 1 < a.size:  # summed in order, as in a larger chunk
+        if rows.size == 1:  # summed in order, as in a larger chunk
             rows = rows.repeat(2)
         # one row per threshold, each computed on its own
         t = np.multiply.outer(a[rows], means)
@@ -149,7 +149,7 @@ def outage_auto(config, stats, sol, gamma_th=None):
     equal), and "iid_pts_equal_antennas" for co-located ones at m == n,
     where the sum is the single term 1 - e^{-bn} / (1 + a E_z)^{l_t}.
 
-    Tolerance of its kernel (tests/accuracy.py): 1e-14 absolute for
+    Tolerance of its kernel (tests/test_accuracy.py): 1e-14 absolute for
     N = n - m + 1 <= 40, and 2e-13 absolute past bn = 700 on the pinned
     cases there (N up to 1200); 4.7e-13 has been seen at other such points
     (ROADMAP item 4).  The bound is absolute, not relative: a small outage
@@ -232,9 +232,9 @@ def ergodic_capacity(config, stats, sol):
     1 - P_out is the kernel's own success probability; the exp-sinh rule of
     `specfun`, finest near the typical SINR, stops once its error estimate
     is below 1e-13 relative (ArithmeticError otherwise).  Tolerance
-    (tests/accuracy.py): 1e-14 relative on the systems its row draws (N up
-    to 64 with l_t up to 80, and N up to 1997 at two interferers); the
-    rule's 1e-13 gate is all that is claimed elsewhere.  Nodes where every
+    (tests/test_accuracy.py): 1e-14 relative on the systems its row draws
+    (N up to 64 with l_t up to 80, and N up to 1997 at two interferers);
+    the rule's 1e-13 gate is all that is claimed elsewhere.  Nodes where every
     Erlang tail underflows cost no sum, and each kernel call runs in
     chunks of at most _CHUNK_BYTES per array: 50.6 MiB traced at n = 8000
     on the probe of the module docstring.
@@ -256,7 +256,7 @@ def average_ser_binary(config, stats, sol, a, b):
     (A sqrt(B) / sqrt(pi)) int_0^inf e^{-B t^2} P_out(t^2) dt: the exp-sinh
     rule of `specfun` on the scale 1/sqrt(B).  P_out = 1 - success carries
     a few 1e-15 absolute error, so the rule's gate and the tolerance
-    (tests/accuracy.py) are 1e-13 absolute, not relative
+    (tests/test_accuracy.py) are 1e-13 absolute, not relative
     (ArithmeticError past the gate).  The outage is evaluated only at nodes
     where e^{-B t^2} > 0 (the others are 0.0), by the kernel with its
     pruning and chunking: 39.5 MiB traced at n = 8000 on the probe of the

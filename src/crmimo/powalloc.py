@@ -100,7 +100,7 @@ def mean_power(lam, config, stats):
 
     where u = C / E[X], C = offset / slope, slope = lam / (ln2 E[Y]).
     Convex and increasing in lam, with derivative Pr[X > C] / (ln2 E[Y]).
-    Tolerance (tests/accuracy.py): 1e-13 relative for u up to 50; the
+    Tolerance (tests/test_accuracy.py): 1e-13 relative for u up to 50; the
     difference of the two terms loses about u ulps to their cancellation.
     """
     return _water_fill(_finite(lam, "lam"), config, stats)[0]
@@ -118,7 +118,7 @@ def solve_lambda(config, stats):
     once the Newton step is within 4 ulps of lam or the bracket collapses;
     the root is the bracket end with the smaller residual.  Raises
     RootFindingError if no bracket exists or the residual does not close.
-    Tolerance (tests/accuracy.py): lam within 1e-14 relative of the
+    Tolerance (tests/test_accuracy.py): lam within 1e-14 relative of the
     root, for n - m up to 40 and u = C / E[X] at the root from 1e-3 to 50.
     """
     ey = stats.mean_y

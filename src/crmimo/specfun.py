@@ -148,7 +148,7 @@ def regularized_upper_gamma(n, x):
     The Erlang-tail form; valid for any integer n >= 1 without factorial
     overflow.  Summed in pure Python below the underflow guard, so the
     multiplier equation sees bit-stable values; past it, the log-space last
-    tail of `erlang_tails`.  Tolerance (tests/accuracy.py): 1e-14
+    tail of `erlang_tails`.  Tolerance (tests/test_accuracy.py): 1e-14
     relative for x <= 700 (1e-15 at n = 1, where it is e^-x alone), 2e-12
     relative past 700, where rounding n ln x - x costs about x ulps, and
     1e-300 absolute where Q underflows.

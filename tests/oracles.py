@@ -8,8 +8,8 @@ Each oracle's docstring says what it checks:
   precision, so it checks the rounding, not the formula.
 The double-precision oracles that `crmimo validate` runs stay in
 `crmimo.validation`; these need mpmath, `decimal` or `scipy.stats`, which
-the library never loads.  Test modules import their shared oracles and
-setups from here, never from one another.
+the library never loads.  Test modules import their shared oracles,
+setups and strategies from here, never from one another.
 """
 
 import collections
@@ -27,6 +27,8 @@ from mpmath.calculus.quadrature import GaussLegendre
 from scipy.stats import ks_2samp
 
 from crmimo import mcharness, validation
+from crmimo.linkstats import LinkStats
+from crmimo.powalloc import SystemConfig
 
 
 def anchor_setup(n=5):
@@ -230,6 +232,28 @@ def quadrature_oracles(config, stats, sol, b=1.0, degree=4):
                 float(sum(_exp(-b * x) * (1 - success) * wt) * (b / pi).sqrt()))
 
 
+@functools.cache
+def point(spec):
+    """validation._point(*spec), once per spec."""
+    return validation._point(*spec)
+
+
+@functools.cache
+def integrals(spec, b):
+    """quadrature_oracles at the point of spec and SER scale b, once each."""
+    return quadrature_oracles(*point(spec), b)
+
+
+# N = n - 3 up to 1997: the exp-sinh estimate fails at step 2^-6 (it raised
+# at n = 100 and 400 before the rule refined), and the success drops over a
+# width about x_0 / sqrt(N)
+LARGE_N = (100, 400, 1000, 2000)
+
+
+def large_n_system(n):
+    return (4, n, 2, 2, 20.0, (56.0, 70.0), (60.0, 60.0))
+
+
 # ---------------------------------------------------------------------------
 # the mean power
 # ---------------------------------------------------------------------------
@@ -246,6 +270,33 @@ def mp_mean_power(lam, config, stats):
         return slope * mpmath.gammainc(shape, u, regularized=True) \
             - offset * mpmath.gammainc(shape - 1, u, regularized=True) / ((shape - 1) * ex)
     return slope * mpmath.exp(-u) - offset * mpmath.e1(u) / ex
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def system_at(m, n, u, mean_x=1.0, mean_y=1.0, mean_z=1.0, p_p=10.0, q_limited=True):
+    """(config, stats) whose multiplier puts u = C / E[X] at the given value,
+    the target set by the interference cap q or by the power cap p_max."""
+    stats = LinkStats(mean_x, [mean_y], [mean_z])
+    config = SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, p_max=1.0, q=1.0, gamma_th=1.0)
+    with mpmath.workdps(30):
+        slope = (p_p * mean_z + config.n0) / (u * mean_x)
+        target = float(mp_mean_power(mpmath.log(2) * mean_y * slope, config, stats))
+    q, p_max = target * m * mean_y, m * target
+    caps = {"q": q, "p_max": 2.0 * p_max} if q_limited else {"q": 2.0 * q, "p_max": p_max}
+    return SystemConfig(m=m, n=n, l_t=1, l_r=1, p_p=p_p, gamma_th=1.0, **caps), stats
+
+
+@st.composite
+def multiplier_systems(draw):
+    """n - m in [0, 40], u at the root in [1e-3, 50] (strong to weak links)."""
+    m = draw(st.integers(1, 8))
+    return system_at(m, m + draw(st.integers(0, 40)), draw(log_uniform(1e-3, 50.0)),
+                     draw(log_uniform(1e-2, 1e2)), draw(log_uniform(1e-2, 1e2)),
+                     draw(log_uniform(1e-3, 10.0)), draw(log_uniform(0.1, 1e3)),
+                     draw(st.booleans()))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def single_pr_setup(m=4, d_st_pr=60.0, q=Q_7DB):
 def test_leakage_far_past_the_cap_is_zero():
     # the tail e^{-q/2} underflows long before q = 1e9, where the stage-chain
     # oracle's series would need 1e9 terms; the anchors nearer the cap are
-    # explicit cases of the leakage_probability row of tests/accuracy.py
+    # explicit cases of the leakage_probability row of tests/test_accuracy.py
     assert leakage_probability([1.0, 2.0], [1.0], 1e9) == 0.0
 
 

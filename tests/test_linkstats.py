@@ -20,14 +20,6 @@ from crmimo.linkstats import (
 from crmimo.linkstats import _prefix_tails, _stage_chain
 from crmimo.validation import _mixed_outage_quadrature, sum_density_inid
 
-from accuracy import (
-    HARMONIC_CASES,
-    MAX_IID_VALUES,
-    MAX_PAIRS,
-    MEAN_SUM_EXAMPLES,
-    check,
-    check_drawn,
-)
 from oracles import HYPOEXP_EXAMPLES, MEAN_GRID, NEAR_TIED_PAIRS, hypoexp_case, stage_chain_oracle
 
 # frozen from the convolution oracle below: density of Exp(1) + Exp(2) at 1
@@ -61,19 +53,8 @@ def test_pathloss_domain():
     assert pathloss_gain(1e80, 1, 4) == 1e-320  # a subnormal gain is still a gain
 
 
-# the accuracy of each mean is a row of tests/accuracy.py; these tests check
-# some of its cases, at the row's tolerance
-
-def test_mean_max_single_and_pairs():
-    check("mean_max_inid", MAX_PAIRS)
-
-
-def test_mean_max_matches_inclusion_exclusion():
-    check_drawn("mean_max_inid")
-
-
 def test_mean_max_of_64_receivers_takes_under_10_ms():
-    # its accuracy is a row of tests/accuracy.py
+    # its accuracy is a row of tests/test_accuracy.py
     means = list(np.random.default_rng(64).uniform(0.1, 9.0, size=64))
     best = math.inf
     for _ in range(5):
@@ -81,20 +62,6 @@ def test_mean_max_of_64_receivers_takes_under_10_ms():
         mean_max_inid(means)
         best = min(best, time.perf_counter() - start)
     assert best < 0.01
-
-
-def test_mean_max_iid_values():
-    check("mean_max_iid", MAX_IID_VALUES)
-
-
-def test_mean_max_iid_matches_harmonic_numbers():
-    check("mean_max_iid", HARMONIC_CASES)
-
-
-def test_mean_max_iid_matches_inclusion_exclusion_oracle():
-    # inclusion-exclusion, sum_k (-1)^(k+1) C(l_r, k) / k, cancels by up to
-    # 2^60 at (1, 60), an explicit case of the row; its oracle integrates
-    check_drawn("mean_max_iid")
 
 
 def test_mean_max_equal_means_agree_with_iid_form():
@@ -110,21 +77,6 @@ def test_mean_max_bounds():
         means = list(rng.uniform(0.2, 5.0, size=rng.integers(2, 6)))
         val = mean_max_inid(means)
         assert max(means) <= val <= sum(means)
-
-
-def test_mean_sum_examples():
-    check("mean_sum_inid", MEAN_SUM_EXAMPLES)
-
-
-def test_mean_sum_matches_exact_sum():
-    check_drawn("mean_sum_inid")
-
-
-def test_mean_sum_linearity_property():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        means = list(rng.uniform(0.05, 20.0, size=rng.integers(1, 7)))
-        assert mean_sum_inid(means) == pytest.approx(sum(means), rel=1e-10)
 
 
 def test_density_examples():
@@ -300,7 +252,7 @@ def test_stage_chain_oracle_matches_mpmath_expm():
 @given(hypoexp_case())
 def test_hypoexp_density_matches_oracle(case):
     # the tail at the same cases is the leakage_probability row of
-    # tests/accuracy.py
+    # tests/test_accuracy.py
     means, q = case
     _, pdf = stage_chain_oracle(means, q)
     assert abs(sum_density_inid(q, means) - pdf) * math.fsum(means) <= 1e-12

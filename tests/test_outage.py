@@ -30,17 +30,7 @@ from crmimo.powalloc import (
 from crmimo.specfun import _tails_underflow, erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import _mixed_outage_quadrature
 
-from accuracy import (
-    LARGE_N,
-    LOG_SPACE_CASES,
-    check,
-    check_drawn,
-    integrals,
-    large_n_system,
-    log_uniform,
-    point,
-)
-from oracles import anchor_setup, paper_outage, quadrature_oracles
+from oracles import anchor_setup, large_n_system, log_uniform, paper_outage, point
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -436,34 +426,6 @@ def test_partial_tie_never_takes_the_quadrature(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the kernel, capacity and the SER at their rows' tolerances in
-# tests/accuracy.py: explicit cases of a row, or further draws of its strategy
-# ---------------------------------------------------------------------------
-
-def test_kernel_matches_mpmath_oracle():
-    check_drawn("outage_auto")
-
-
-def test_kernel_past_the_log_space_switch():
-    check("outage_auto", LOG_SPACE_CASES)
-
-
-def test_capacity_and_ser_match_mpmath_quadrature():
-    check_drawn("ergodic_capacity")
-    check_drawn("average_ser_binary")
-
-
-@pytest.mark.parametrize("n", LARGE_N)
-def test_capacity_at_large_diversity_order_matches_oracle(n):
-    # the library against the oracle here is a case of the ergodic_capacity
-    # row; this checks that the oracle converges at N = n - 3: degree 3
-    # already gives degree 4's capacity to 1e-15 relative
-    spec = large_n_system(n)
-    want = integrals(spec, 1.0)[0]
-    assert abs(quadrature_oracles(*point(spec), 1.0, degree=3)[0] - want) <= 1e-15 * want
-
-
-# ---------------------------------------------------------------------------
 # pruned and chunked thresholds: the kernel gives every threshold the value
 # it gives it alone
 # ---------------------------------------------------------------------------
@@ -527,12 +489,15 @@ def test_kernel_is_the_same_on_any_split_of_its_thresholds(case, data):
 def test_kernel_sums_a_threshold_alone_in_its_chunk_as_the_whole_call_does():
     # past N = 8193 einsum adds a lone row's products in pieces of 8192, and
     # each row of a larger operand in order.  A threshold alone in its chunk
-    # (the last of chunks of two, or the one the pruning leaves) still gets
-    # the whole call's value.  At r_k near 1 and bn = 500 the products past
-    # the 8192nd are not 0.0, so the two sums differ in their last bits
+    # (the last of chunks of two, the one the pruning leaves, or the only
+    # one of its call) still gets the whole call's value.  At r_k near 1 and
+    # bn = 500 the products past the 8192nd are not 0.0, so the two sums
+    # differ in their last bits
     n_terms, means = 9000, [1.0, 1.0 + 1e-8]
     a, bn = np.array([1e4, 3e4, 1e5, 2e4, 5e4]), np.full(5, 500.0)
     whole = _mixed_success(a, bn, n_terms, means)
+    alone = [_mixed_success(a[i], bn[i], n_terms, means)[0] for i in range(a.size)]
+    assert np.array_equal(alone, whole)
     with mock.patch.object(outage, "_CHUNK_BYTES", 8 * 2 * n_terms):
         assert np.array_equal(_mixed_success(a, bn, n_terms, means), whole)
     dead = 2.0 * underflow_bound(n_terms)

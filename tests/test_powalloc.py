@@ -18,8 +18,7 @@ from crmimo.powalloc import (
 )
 from crmimo.validation import mean_power_quadrature
 
-from accuracy import multiplier_systems
-from oracles import anchor_setup, equal_antenna_setup
+from oracles import anchor_setup, equal_antenna_setup, multiplier_systems
 
 Q_7DB = 10 ** 0.7
 GAMMA_3DB = 10 ** 0.3
@@ -90,7 +89,7 @@ def test_solution_invariants():
 def test_root_residual_and_quadrature_oracle():
     # the solver's residual, and the quadrature form of the mean power,
     # independent of the closed form, at the root; the multiplier's own
-    # tolerance is the solve_lambda row of tests/accuracy.py
+    # tolerance is the solve_lambda row of tests/test_accuracy.py
     for config, stats in (anchor_setup(), anchor_setup(n=8), equal_antenna_setup()):
         sol = solve_lambda(config, stats)
         residual = abs(mean_power(sol.lam, config, stats) - sol.target_mean_power)
@@ -115,7 +114,7 @@ def test_solve_lambda_evaluates_no_multiplier_twice(monkeypatch):
     # the root is a bracket end, whose mean power the iteration already
     # holds; the multiplier is the 50-digit root 2.02868942356625467 of the
     # same equation, correctly rounded (the solve_lambda row of
-    # tests/accuracy.py)
+    # tests/test_accuracy.py)
     calls = []
     water_fill = powalloc._water_fill
 

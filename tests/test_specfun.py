@@ -13,7 +13,6 @@ from crmimo.powalloc import SystemConfig
 from crmimo.specfun import _exp_sinh, _ordered_fsum, erlang_tails, exp1, regularized_upper_gamma
 from crmimo.validation import empirical_leakage
 
-from accuracy import ORDER_ONE_CASES, check
 from oracles import erlang_tail, erlang_tails_replay
 
 # frozen from the adaptive-quadrature oracle below
@@ -95,16 +94,11 @@ def test_ordered_fsum_is_fsum_bit_for_bit(terms):
     assert _ordered_fsum(terms) == math.fsum(terms)
 
 
-def test_upper_incomplete_order_one_is_exponential():
-    check("regularized_upper_gamma", ORDER_ONE_CASES)
-
-
 def test_upper_incomplete_against_quadrature_oracle():
     # the row's oracle at (3, 2) against int_2^inf t^2 e^-t dt = Gamma(3) Q(3, 2)
     value, est_err = quad(lambda t: t ** 2 * np.exp(-t), 2, np.inf)
     assert est_err < 1e-8
     assert erlang_tail(3, 2.0) == pytest.approx(value / 2, abs=1e-8)
-    check("regularized_upper_gamma", [(3, 2.0)])
 
 
 def test_order_zero_is_exponential_integral():
@@ -171,7 +165,7 @@ def test_monotone_decreasing_in_x():
 
 def test_regularized_tail_cross_check():
     # the array form gives every order 1..n at every x at once; the scalar
-    # Q(n, x) on the same grid is a row of tests/accuracy.py
+    # Q(n, x) on the same grid is a row of tests/test_accuracy.py
     from scipy.special import gammaincc
 
     xs = [0.0, 1e-3, 0.5, 5.0, 50.0, 800.0, 1200.0]
