@@ -7,6 +7,7 @@ oracle from tests/oracles.py; the outage row checks both outage functions
 through their one kernel.  A tolerance is tightened or widened in its row
 alone.  No other test module runs a row.  A check fails when a public
 numeric function has neither a row nor a stated reason to have none.
+Importing the table calls neither the library nor an oracle.
 """
 
 import decimal
