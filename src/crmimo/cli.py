@@ -10,7 +10,9 @@ row; points run in order (point i draws with seed + i) and --threads
 spreads each point's Monte-Carlo blocks.  `power` is one row of that loop,
 the solved allocation on the base point alone, sweep or not.  `validate`
 runs the grid of `crmimo.validation` into a JSON report.  Sweeps emit CSV,
-single points and `power` JSON, unless --format says otherwise.
+single points and `power` JSON, unless --format says otherwise.  --out is
+overwritten in place, keeping its inode, mode and symlink: a truncating open
+waits, on ext4, for the writeback of the old contents.
 
 Exit codes: 0 success; 1 a validation failure, or a solver or numerical
 error; 2 a bad flag or scenario (unreadable, undecodable, or a value the
@@ -21,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -220,8 +223,10 @@ def _emit_rows(columns, rows, fmt, out):
 
 def _write(text, out):
     if out:
-        with open(out, "w") as fh:
+        with os.fdopen(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a FIFO or device refuses it
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

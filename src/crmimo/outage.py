@@ -13,10 +13,7 @@ rule's error estimate asks for it).  The kernel gives success 0.0, without
 the sum, to a threshold where every Erlang tail underflows to 0.0
 (`specfun._tails_underflow`), and runs the others in chunks whose
 (chunk x max(N, l_t)) arrays hold at most _CHUNK_BYTES (16 MiB), so a call
-peaks at a few times that whatever N and its number of thresholds.  On
-the probe (m, l_t, l_r) = (4, 2, 2), d_st_sr 20 m, d_pt_sr (56, 70) m,
-d_st_pr (60, 60) m at the validation powers, n = 8000, capacity traces
-50.6 MiB and the SER 39.5 MiB under tracemalloc.
+peaks at a few times that whatever N and its number of thresholds.
 """
 
 import math
@@ -236,8 +233,7 @@ def ergodic_capacity(config, stats, sol):
     (N up to 64 with l_t up to 80, and N up to 1997 at two interferers);
     the rule's 1e-13 gate is all that is claimed elsewhere.  Nodes where every
     Erlang tail underflows cost no sum, and each kernel call runs in
-    chunks of at most _CHUNK_BYTES per array: 50.6 MiB traced at n = 8000
-    on the probe of the module docstring.
+    chunks of at most _CHUNK_BYTES per array.
     """
 
     def integrand(x):
@@ -259,8 +255,7 @@ def average_ser_binary(config, stats, sol, a, b):
     (tests/test_accuracy.py) are 1e-13 absolute, not relative
     (ArithmeticError past the gate).  The outage is evaluated only at nodes
     where e^{-B t^2} > 0 (the others are 0.0), by the kernel with its
-    pruning and chunking: 39.5 MiB traced at n = 8000 on the probe of the
-    module docstring.
+    pruning and chunking.
     """
     a, b = _positive(a, "a"), _positive(b, "b")
     factor = a * math.sqrt(b) / math.sqrt(math.pi)

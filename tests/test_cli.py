@@ -297,6 +297,51 @@ def test_power_command_output_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("kind", ["longer", "symlink", "mode_0o640", "write_only"])
+def test_out_is_overwritten_in_place(tmp_path, capsys, kind):
+    # a file longer than the output is cut to the bytes stdout gets; the
+    # file keeps its inode and mode, and a symlink stays a symlink
+    path = str(SCENARIOS / "outage_vs_pr_distance.json")
+    assert main(["power", "--config", path]) == 0
+    want = capsys.readouterr().out.encode()
+    target = out = tmp_path / "target.json"
+    target.write_bytes(b"x" * 100 * len(want))
+    target.chmod({"mode_0o640": 0o640, "write_only": 0o200}.get(kind, 0o644))
+    if kind == "symlink":
+        out = tmp_path / "link.json"
+        out.symlink_to(target)
+    before = target.stat()
+    assert main(["power", "--config", path, "--out", str(out)]) == 0
+    after = target.stat()
+    assert out.is_symlink() == (kind == "symlink")
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # root ignores mode bits, so the write-only case leans on the O_WRONLY check below
+    target.chmod(0o644)
+    assert target.read_bytes() == want
+
+
+@pytest.mark.parametrize("command", ["power", "validate"])
+def test_out_is_opened_write_only_without_o_trunc(tmp_path, monkeypatch, command):
+    # a truncating open of a rewritten file waits for the writeback of its
+    # old contents; this pins the open that avoids it, without a timing gate
+    opened, real_open = [], os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    monkeypatch.setattr(validation, "run_validation", lambda *args: ([], True))
+    config = ["--config", str(SCENARIOS / "outage_vs_pr_distance.json")] if command == "power" else []
+    out = str(tmp_path / "out.json")
+    for target in (out, out, os.devnull):  # a new file, a rewrite, a device
+        assert main([command, *config, "--out", target]) == 0
+    flags = [f for path, f in opened if path in (out, os.devnull)]
+    assert len(flags) == 3
+    assert all(f & os.O_ACCMODE == os.O_WRONLY and not f & os.O_TRUNC for f in flags)
+    assert json.loads(Path(out).read_text())
+
+
 def test_power_command_csv_format(capsys):
     # an explicit --format is honoured; without it the record is JSON
     path = str(SCENARIOS / "outage_vs_pr_distance.json")
