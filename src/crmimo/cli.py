@@ -11,8 +11,9 @@ spreads each point's Monte-Carlo blocks.  `power` is one row of that loop,
 the solved allocation on the base point alone, sweep or not.  `validate`
 runs the grid of `crmimo.validation` into a JSON report.  Sweeps emit CSV,
 single points and `power` JSON, unless --format says otherwise.  --out is
-overwritten in place, keeping its inode, mode and symlink: a truncating open
-waits, on ext4, for the writeback of the old contents.
+overwritten in place, keeping its inode, mode and symlink, because a
+truncating open of a file that holds data can stall on the disk (seen on
+ext4).
 
 Exit codes: 0 success; 1 a validation failure, or a solver or numerical
 error; 2 a bad flag or scenario (unreadable, undecodable, or a value the
@@ -222,13 +223,24 @@ def _emit_rows(columns, rows, fmt, out):
 
 
 def _write(text, out):
-    if out:
-        with os.fdopen(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a FIFO or device refuses it
-                fh.truncate()
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    # in place, without O_TRUNC (see the module docstring); a regular file is
+    # then cut to the new bytes, or to nothing if the write stopped part way
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)  # a FIFO or device refuses a cut
+    try:
+        with open(fd, "w", closefd=False) as fh:
+            fh.write(text)
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except BaseException:
+        if regular:
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

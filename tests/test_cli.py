@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crmimo
-from crmimo import leakage, mcharness, outage, powalloc, validation
+from crmimo import cli, leakage, mcharness, outage, powalloc, validation
 from crmimo.cli import ConfigError, Scenario, db_to_linear, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -297,7 +298,7 @@ def test_power_command_output_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-@pytest.mark.parametrize("kind", ["longer", "symlink", "mode_0o640", "write_only"])
+@pytest.mark.parametrize("kind", ["longer", "symlink", "write_only"])
 def test_out_is_overwritten_in_place(tmp_path, capsys, kind):
     # a file longer than the output is cut to the bytes stdout gets; the
     # file keeps its inode and mode, and a symlink stays a symlink
@@ -306,7 +307,7 @@ def test_out_is_overwritten_in_place(tmp_path, capsys, kind):
     want = capsys.readouterr().out.encode()
     target = out = tmp_path / "target.json"
     target.write_bytes(b"x" * 100 * len(want))
-    target.chmod({"mode_0o640": 0o640, "write_only": 0o200}.get(kind, 0o644))
+    target.chmod(0o200 if kind == "write_only" else 0o644)
     if kind == "symlink":
         out = tmp_path / "link.json"
         out.symlink_to(target)
@@ -320,10 +321,41 @@ def test_out_is_overwritten_in_place(tmp_path, capsys, kind):
     assert target.read_bytes() == want
 
 
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                         ids=["enospc", "ctrl_c"])
+def test_out_is_cut_to_nothing_when_the_write_fails(tmp_path, monkeypatch, error):
+    # an in-place write that stops part way must not leave the new bytes
+    # followed by the old file's tail, which would read as one whole output
+    class Failing:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:10])
+            self.fh.flush()
+            raise error
+
+    def fake_open(file, mode="r", **kwargs):  # the scenario is read as usual
+        return (Failing if "w" in mode else open)(file, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * 100000)
+    with pytest.raises(type(error)):
+        main(["power", "--config", str(SCENARIOS / "outage_vs_pr_distance.json"), "--out", str(out)])
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("command", ["power", "validate"])
 def test_out_is_opened_write_only_without_o_trunc(tmp_path, monkeypatch, command):
-    # a truncating open of a rewritten file waits for the writeback of its
-    # old contents; this pins the open that avoids it, without a timing gate
+    # a truncating open of a file that holds data can stall on the disk;
+    # this pins the open that avoids it, without a timing gate
     opened, real_open = [], os.open
 
     def spy(path, flags, *args, **kwargs):
